@@ -1,8 +1,12 @@
-"""End-to-end stream processing: frames -> preprocessing -> classification
--> alert counters -> (optional) SMTP dispatch.
+"""End-to-end stream processing: frames -> face box -> preprocessing ->
+classification -> alert counters -> (optional) SMTP dispatch.
 
-Frames with no usable detection still advance the frame counter and the
-alert cooldown, so alert pacing does not depend on detector dropouts.
+Each frame's face box is looked up before any pixel work. Frames with no
+usable detection do none: they still advance the frame counter and the
+alert cooldown, so alert pacing does not depend on detector dropouts. For a
+frame with a box, only the source pixels that the box's working-width
+pixels read are median-smoothed and resized, which gives the same ROI as
+smoothing and resizing the whole frame.
 SMTP failures are logged and counted, never fatal: monitoring availability
 beats delivery guarantees.
 """
@@ -16,9 +20,10 @@ from . import alerts, smtp_client
 from .classifiers import EmotionScores, LdaModel, cnn_predict, lda_predict
 from .config import PipelineConfig
 from .nn import CnnModel
-from .preprocess import (DetectionSet, extract_roi, resize_to_width,
-                         select_primary_face)
-from .video import Y4mReader, temporal_smooth
+from .preprocess import (BoundingBox, DetectionSet, Roi, clamp_box, extract_roi,
+                         resize_to_width, select_primary_face, source_window,
+                         working_height)
+from .video import Frame, Y4mReader, temporal_smooth
 
 
 class PipelineStageError(RuntimeError):
@@ -49,14 +54,31 @@ def _predict(model, roi) -> EmotionScores:
     return cnn_predict(model, roi)
 
 
+def _face_roi(frames: list[Frame], box: BoundingBox, width: int, roi_size: int) -> Roi:
+    """The ROI of box, in working-width coordinates, in the median of frames.
+
+    Equal to extract_roi(resize_to_width(temporal_smooth(frames), width), box),
+    but smooths and resizes only the pixels under the box.
+    """
+    in_shape = (frames[-1].height, frames[-1].width)
+    out_shape = (working_height(in_shape[1], in_shape[0], width), width)
+    region = clamp_box(box, *out_shape)
+    smoothed = temporal_smooth(frames, source_window(region, in_shape, out_shape))
+    resized = resize_to_width(smoothed, width, region, in_shape)
+    return extract_roi(resized, BoundingBox(0, 0, resized.width, resized.height), roi_size)
+
+
 def run_stream(reader: Y4mReader, detections: DetectionSet, model,
                config: PipelineConfig, event_log=None,
                clock=alerts._utc_now, send=smtp_client.send_alert,
                warn=None) -> RunReport:
     """Process every frame of a Y4M stream; returns the run report.
 
-    event_log, when given, receives one line per alert (flushed as
-    written). send is the SMTP dispatcher, injectable for tests.
+    With smooth_window=k, frame i is classified from the median of frames
+    i-k+1..i, which is centred on frame i-(k-1)/2, cropped by frame i's box;
+    the first k-1 frames are classified unsmoothed. event_log, when given,
+    receives one line per alert (flushed as written). send is the SMTP
+    dispatcher, injectable for tests.
     """
     policy = alerts.AlertPolicy(thresh=config.thresh,
                                 monitored_labels=config.monitored_labels,
@@ -68,10 +90,7 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
 
     for frame in reader:
         window.append(frame)
-        current = (temporal_smooth(list(window))
-                   if len(window) == config.smooth_window else frame)
         try:
-            resized = resize_to_width(current, config.width)
             factor = config.width / frame.width
             boxes = detections.for_frame(frame.index)
             if config.detections_coords == "original" and factor != 1.0:
@@ -80,7 +99,8 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
             if box is None:
                 alerts.tick(state, policy, frame.index)
                 continue
-            roi = extract_roi(resized, box, roi_size=config.roi_size)
+            frames = list(window) if len(window) == config.smooth_window else [frame]
+            roi = _face_roi(frames, box, config.width, config.roi_size)
             scores = _predict(model, roi)
             event = alerts.ingest(state, policy, frame.index, scores, clock=clock)
         except Exception as exc:

@@ -122,6 +122,15 @@ class _Dialogue:
     def send_line(self, line: str) -> None:
         self.sock.sendall(line.encode("ascii") + b"\r\n")
 
+    def send_data(self, lines: list[str]) -> tuple[int, str]:
+        """Send a message body and its lone '.' terminator in one write.
+
+        A write per line would leave each small segment waiting on the
+        server's delayed ACK (Nagle's algorithm), tens of ms per message.
+        """
+        body = "".join(line + "\r\n" for line in dot_stuff(lines))
+        return self.command(body + ".", "data-end")
+
     def command(self, line: str, phase: str) -> tuple[int, str]:
         self.send_line(line)
         return self.read_reply(phase)
@@ -169,9 +178,7 @@ def send_alert(config: SmtpConfig, event: AlertEvent) -> DeliveryReceipt:
         code, text = dialogue.command("DATA", "data")
         if code != 354:
             raise ProtocolError("data", code, text)
-        for line in dot_stuff(format_alert_message(config, event, message_id)):
-            dialogue.send_line(line)
-        code, text = dialogue.command(".", "data-end")
+        code, text = dialogue.send_data(format_alert_message(config, event, message_id))
         accepted = code == 250
         if not accepted:
             raise ProtocolError("data-end", code, text)

@@ -248,23 +248,35 @@ def write_pgm(frame: Frame) -> bytes:
 # temporal smoothing
 # ---------------------------------------------------------------------------
 
-def temporal_smooth(frames: list[Frame]) -> Frame:
+# Exchange networks that leave the median of 3 or 5 values in the middle
+# slot (Paeth, Graphics Gems, 1990; Devillard, "Fast median search", 1998).
+_MEDIAN_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)),
+                    5: ((0, 1), (3, 4), (0, 3), (1, 4), (1, 2), (2, 3), (1, 2))}
+
+
+def temporal_smooth(frames: list[Frame],
+                    region: tuple[slice, slice] | None = None) -> Frame:
     """Per-pixel median over an odd window of 1, 3 or 5 same-size frames.
 
     The output keeps the index of the middle frame. A window of 1 is the
-    identity; disabled by default in the pipeline.
+    identity; disabled by default in the pipeline. region, a (rows, cols)
+    pair of slices, restricts the work to that rectangle, and the Frame
+    returned is then just the rectangle.
     """
     k = len(frames)
     if k not in (1, 3, 5):
         raise ValueError(f"window must be 1, 3 or 5 frames, got {k}")
-    if k == 1:
-        return frames[0]
     mid = frames[k // 2]
     for f in frames:
         if (f.width, f.height) != (mid.width, mid.height):
             raise VideoFormatError(
                 f"frame {f.index} is {f.width}x{f.height}, "
                 f"window expects {mid.width}x{mid.height}")
-    stack = np.stack([f.luma for f in frames])
-    med = np.median(stack, axis=0).astype(np.uint8)   # odd k: exact integer median
-    return Frame(index=mid.index, width=mid.width, height=mid.height, luma=med)
+    if k == 1 and region is None:
+        return mid
+    planes = [f.luma if region is None else f.luma[region] for f in frames]
+    for i, j in _MEDIAN_NETWORKS.get(k, ()):
+        a, b = planes[i], planes[j]
+        planes[i], planes[j] = np.minimum(a, b), np.maximum(a, b)
+    med = planes[k // 2]
+    return Frame(index=mid.index, width=med.shape[1], height=med.shape[0], luma=med)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from emonet import pipeline, smtp_client
-from emonet.classifiers import LABELS, lda_train
+from emonet.classifiers import LABELS, EmotionScores, lda_train
 from emonet.config import PipelineConfig
 from emonet.glyphs import draw_glyph, make_glyph_dataset
-from emonet.preprocess import bilinear_resize, load_detections
-from emonet.video import Frame, VideoHeader, Y4mReader, write_y4m
+from emonet.preprocess import (EmptyIntersection, bilinear_resize, extract_roi,
+                               load_detections, resize_to_width, select_primary_face,
+                               working_height)
+from emonet.video import Frame, VideoHeader, Y4mReader, temporal_smooth, write_y4m
 
 PINNED_CLOCK = lambda: datetime(2022, 6, 29, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -162,3 +164,142 @@ class TestSmoothing:
         report = pipeline.run_stream(Y4mReader(data), sidecar(6), lda_model,
                                      config, clock=PINNED_CLOCK)
         assert report.state.counters["neutral"] == 6
+
+
+NEUTRAL = EmotionScores(probs=np.eye(len(LABELS))[LABELS.index("neutral")])
+
+
+def capture_rois(monkeypatch):
+    """Replace the classifier with one that records each ROI and says neutral."""
+    rois = []
+
+    def fake_predict(model, roi):
+        rois.append(roi.pixels)
+        return NEUTRAL
+
+    monkeypatch.setattr(pipeline, "_predict", fake_predict)
+    return rois
+
+
+def full_frame_roi(frames, box, width, roi_size):
+    """The ROI as the whole-frame composition computes it: the oracle."""
+    return extract_roi(resize_to_width(temporal_smooth(frames), width), box, roi_size).pixels
+
+
+class TestBoxFirst:
+    def test_roi_matches_full_frame_composition(self, monkeypatch):
+        rois = capture_rois(monkeypatch)
+        rng = np.random.default_rng(11)
+        outside = 0
+        for _ in range(300):
+            h, w = (int(v) for v in rng.integers(2, 41, size=2))
+            width = int(rng.choice([w, rng.integers(1, w + 1), rng.integers(w, 3 * w + 1)]))
+            k = int(rng.choice([1, 3, 5]))
+            coords = str(rng.choice(["original", "resized"]))
+            roi_size = int(rng.choice([1, 5, 28]))
+            n = int(rng.integers(1, 8))
+            frames = [Frame(index=i, width=w, height=h,
+                            luma=rng.integers(0, 256, (h, w), dtype=np.uint8))
+                      for i in range(n)]
+            # boxes inside, on the edge, clipped and outside, in sidecar coordinates
+            bw, bh = (w, h) if coords == "original" else (width, working_height(w, h, width))
+            lines = ["# min_size=1x1"]
+            for i in range(n):
+                for _ in range(int(rng.integers(0, 3))):
+                    fw, fh = (int(v) for v in rng.integers(1, 2 * max(bw, bh), size=2))
+                    fx, fy = int(rng.integers(0, bw)), int(rng.integers(0, bh))
+                    if rng.random() < 0.02:
+                        fx += bw
+                    lines.append(f"{i} {fx} {fy} {fw} {fh}")
+            dets = load_detections("\n".join(lines) + "\n")
+            config = PipelineConfig(thresh=5, width=width, roi_size=roi_size, smooth_window=k,
+                                    detections_coords=coords)
+            expected, failed_at = [], None
+            for i, frame in enumerate(frames):
+                boxes = dets.for_frame(i)
+                if coords == "original" and width != w:
+                    boxes = [b.scaled(width / w) for b in boxes]
+                box = select_primary_face(boxes)
+                if box is None:
+                    continue
+                window = frames[i - k + 1:i + 1] if i >= k - 1 else [frame]
+                try:
+                    expected.append(full_frame_roi(window, box, width, roi_size))
+                except EmptyIntersection:
+                    failed_at = i
+                    break
+            del rois[:]
+            reader = Y4mReader(write_y4m(VideoHeader(w, h, 25, 1, "mono"), frames))
+            if failed_at is None:
+                pipeline.run_stream(reader, dets, None, config, clock=PINNED_CLOCK)
+            else:
+                outside += 1
+                with pytest.raises(pipeline.PipelineStageError) as exc:
+                    pipeline.run_stream(reader, dets, None, config, clock=PINNED_CLOCK)
+                assert exc.value.frame_index == failed_at
+                assert isinstance(exc.value.__cause__, EmptyIntersection)
+            assert len(rois) == len(expected)
+            for got, want in zip(rois, expected):
+                np.testing.assert_array_equal(got, want)
+        assert outside > 10
+
+    def test_smoothing_lag_pinned(self, monkeypatch):
+        # Frame i is flat grey 20*i; with window k it is classified from the
+        # median of frames i-k+1..i, i.e. frame i-(k-1)/2, under frame i's box.
+        rois = capture_rois(monkeypatch)
+        frames = [Frame(index=i, width=20, height=20,
+                        luma=np.full((20, 20), 20 * i, dtype=np.uint8)) for i in range(8)]
+        data = write_y4m(VideoHeader(20, 20, 25, 1, "mono"), frames)
+        for k in (1, 3, 5):
+            del rois[:]
+            config = PipelineConfig(thresh=5, width=20, smooth_window=k)
+            pipeline.run_stream(Y4mReader(data), sidecar(8, at=(2, 2), side=10), None,
+                                config, clock=PINNED_CLOCK)
+            shown = [int(round(float(r[0, 0]) * 255)) // 20 for r in rois]
+            assert shown == [i if i < k - 1 else i - (k - 1) // 2 for i in range(8)]
+
+    def test_boxless_frames_do_no_pixel_work(self, monkeypatch, lda_model):
+        seen = {name: [] for name in ("temporal_smooth", "resize_to_width", "extract_roi")}
+        newest = [None]
+
+        def spy_on(name):
+            real = getattr(pipeline, name)
+
+            def spy(*args, **kwargs):
+                seen[name].append(newest[0])
+                return real(*args, **kwargs)
+            return spy
+
+        for name in seen:
+            monkeypatch.setattr(pipeline, name, spy_on(name))
+        reader = Y4mReader(make_video(["sad"] * 12))
+
+        def frames():
+            for frame in reader:
+                newest[0] = frame.index
+                yield frame
+
+        skip = {1, 2, 5, 6, 7, 8}
+        config = PipelineConfig(thresh=1, cooldown=4, width=100, smooth_window=3)
+        report = pipeline.run_stream(frames(), sidecar(12, skip=skip), lda_model, config,
+                                     clock=PINNED_CLOCK)
+        boxed = [i for i in range(12) if i not in skip]
+        assert seen == {name: boxed for name in seen}
+        assert report.state.frames_seen == 12
+        assert report.state.classified_frames == len(boxed)
+        # The alert at 3 opens a 4-frame cooldown that frame 4 and box-less
+        # frames 5..7 run out, so the count restarts and the next alert is at 10.
+        assert [e.frame_index for e in report.events] == [3, 10]
+
+    def test_smoothing_failure_carries_frame_index(self, monkeypatch, lda_model):
+        def failing_smooth(frames, region=None):
+            if frames[-1].index == 2:
+                raise ValueError("smoothing broke")
+            return temporal_smooth(frames, region)
+
+        monkeypatch.setattr(pipeline, "temporal_smooth", failing_smooth)
+        config = PipelineConfig(thresh=5, width=100, smooth_window=3)
+        with pytest.raises(pipeline.PipelineStageError) as exc:
+            pipeline.run_stream(Y4mReader(make_video(["neutral"] * 4)), sidecar(4),
+                                lda_model, config, clock=PINNED_CLOCK)
+        assert exc.value.frame_index == 2

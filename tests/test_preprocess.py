@@ -59,6 +59,25 @@ class TestResize:
             np.testing.assert_allclose(preprocess.bilinear_resize(img, oh, ow),
                                        bilinear_oracle(img, oh, ow), atol=1e-9)
 
+    def test_region_of_source_crop_matches_whole_resample(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            h, w, oh, ow = (int(v) for v in rng.integers(1, 30, size=4))
+            img = rng.integers(0, 256, (h, w)).astype(np.uint8)
+            r0, c0 = int(rng.integers(0, oh)), int(rng.integers(0, ow))
+            region = (slice(r0, int(rng.integers(r0 + 1, oh + 1))),
+                      slice(c0, int(rng.integers(c0 + 1, ow + 1))))
+            crop = img[preprocess.source_window(region, (h, w), (oh, ow))]
+            np.testing.assert_array_equal(
+                preprocess.bilinear_resize(crop, oh, ow, region, (h, w)),
+                preprocess.bilinear_resize(img, oh, ow)[region])
+
+    def test_region_rejects_wrong_source_crop(self):
+        img = np.zeros((20, 20), dtype=np.uint8)
+        region = (slice(2, 5), slice(2, 5))
+        with pytest.raises(ValueError):
+            preprocess.bilinear_resize(img, 10, 10, region, (20, 20))
+
     def test_aspect_preserved_within_rounding(self):
         for h, w, target in [(480, 640, 500), (333, 777, 500), (7, 13, 9)]:
             frame = frame_from(np.zeros((h, w)))

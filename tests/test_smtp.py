@@ -1,5 +1,7 @@
 """SMTP client tests against the in-process scripted stub server."""
 
+import socket
+import threading
 from datetime import datetime, timezone
 
 import numpy as np
@@ -85,6 +87,25 @@ class TestHappyPath:
         raw = server.session.raw
         assert raw.endswith(b"QUIT\r\n")
         assert b"\r\n" in raw and b"\n\n" not in raw
+
+    def test_body_and_terminator_sent_in_one_write(self, monkeypatch):
+        # Per-line writes stall each alert on the server's delayed ACK.
+        writes = []
+        client = threading.get_ident()
+        real_sendall = socket.socket.sendall
+
+        def counting_sendall(sock, data, *args):
+            if threading.get_ident() == client:
+                writes.append(bytes(data))
+            return real_sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+        with StubSmtpServer(HAPPY_SCRIPT) as server:
+            smtp_client.send_alert(config_for(server), sample_event())
+        after_354 = writes[writes.index(b"DATA\r\n") + 1:]
+        assert after_354 == [after_354[0], b"QUIT\r\n"]
+        assert after_354[0].endswith(b"\r\n.\r\n")
+        assert b"".join(writes) == server.session.raw
 
     def test_helo_fallback_when_ehlo_rejected(self):
         script = ["220 ok", "502 not implemented", "250 hi", "250 ok",

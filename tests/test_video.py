@@ -1,6 +1,7 @@
 """Y4M / PGM parser tests: round-trips, truncation, named errors."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -149,6 +150,26 @@ class TestTemporalSmooth:
             for x in range(5):
                 vals = sorted(f.luma[y, x] for f in frames)
                 assert out.luma[y, x] == vals[1]
+
+    def test_median_network_matches_sort_exhaustive(self):
+        # every window of values 0..3 (covers all 0/1 inputs, so by the 0-1
+        # principle the exchange network selects the median of any input)
+        for k in (3, 5):
+            vals = np.array(list(itertools.product(range(4), repeat=k)), dtype=np.uint8)
+            frames = [Frame(index=i, width=len(vals), height=1, luma=vals[None, :, i].copy())
+                      for i in range(k)]
+            out = video.temporal_smooth(frames)
+            np.testing.assert_array_equal(out.luma[0], np.sort(vals, axis=1)[:, k // 2])
+
+    def test_region_matches_whole_frame_median(self):
+        region = (slice(2, 9), slice(1, 6))
+        for k in (1, 3, 5):
+            frames = [make_frame(i, 7, 11, seed=20 + i) for i in range(k)]
+            stack = np.stack([f.luma for f in frames])
+            out = video.temporal_smooth(frames, region)
+            assert (out.index, out.width, out.height) == (frames[k // 2].index, 5, 7)
+            np.testing.assert_array_equal(
+                out.luma, np.median(stack, axis=0).astype(np.uint8)[region])
 
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
