@@ -6,22 +6,18 @@ classifiers emit probability vectors over that order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .linalg import jacobi_eigh
 from .preprocess import Roi
 
 LABELS: tuple[str, ...] = (
     "angry", "disgust", "scared", "happy", "sad", "surprised", "neutral")
 
 LABEL_INDEX: dict[str, int] = {name: i for i, name in enumerate(LABELS)}
-
-# above this dimension the pure-Python Jacobi sweep gets slow; hand the
-# symmetric eigenproblem to LAPACK instead (same contract, same sign fix)
-_JACOBI_MAX_DIM = 128
 
 
 class EmptyClass(ValueError):
@@ -75,17 +71,14 @@ class EpochStats:
 
 def cnn_predict(model: nn.CnnModel, roi: Roi | np.ndarray) -> EmotionScores:
     """Softmax scores for one ROI; deterministic for a fixed model."""
-    pixels = roi.pixels if isinstance(roi, Roi) else np.asarray(roi)
-    return EmotionScores(probs=nn.model_forward(model, pixels))
+    pixels = roi.pixels if isinstance(roi, Roi) else roi
+    return EmotionScores(probs=model.predict_proba(pixels)[0])
 
 
-def _batch_argmax(model: nn.CnnModel, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    preds = []
-    for start in range(0, len(x), chunk):
-        xb = nn._as_batch(model, x[start:start + chunk].astype(np.float32))
-        logits = nn._forward_batch(model, xb)
-        preds.append(np.argmax(logits, axis=1))
-    return np.concatenate(preds)
+def _batch_argmax(model, x: np.ndarray, chunk: int = 256) -> np.ndarray:
+    """Winning label index per sample, scored chunk by chunk to bound memory."""
+    return np.concatenate([np.argmax(model.predict_proba(x[start:start + chunk]), axis=1)
+                           for start in range(0, len(x), chunk)])
 
 
 def cnn_train(x: np.ndarray, y: np.ndarray, epochs: int, lr: float = 0.1,
@@ -134,8 +127,19 @@ class LdaModel:
     covariance: np.ndarray    # (d, d), regularized SPD
     priors: np.ndarray        # (K,), sums to 1
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.pca_mean) @ self.pca_basis
+    @property
+    def input_side(self) -> int:
+        """Side of the square samples the model was fitted on."""
+        return int(round(np.sqrt(len(self.pca_mean))))
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Posterior scores (n, K) for one flat or square sample or a batch of n."""
+        x = np.asarray(x, dtype=np.float64)
+        p = len(self.pca_mean)
+        if x.shape[-1] != p and math.prod(x.shape[-2:]) != p:
+            raise nn.ShapeMismatchError(
+                f"input shape {x.shape} does not match model input of {p} values")
+        return lda_posterior(self, (x.reshape(-1, p) - self.pca_mean) @ self.pca_basis)
 
 
 def default_pca_dim(p: int, n_classes: int = len(LABELS)) -> int:
@@ -159,10 +163,7 @@ def pca_fit(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     cov = (xc.T @ xc) / (n - 1)
     if not np.any(cov):
         raise DegenerateData("data covariance is identically zero")
-    if p <= _JACOBI_MAX_DIM:
-        eigvals, eigvecs = jacobi_eigh(cov)
-    else:
-        eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals, kind="stable")[::-1][:d]
     basis = eigvecs[:, order]
     flips = np.sign(basis[np.argmax(np.abs(basis), axis=0), np.arange(d)])
@@ -227,24 +228,25 @@ def lda_posterior(model: LdaModel, z: np.ndarray) -> np.ndarray:
     """Bayes posterior over classes in the projected space, log-space stable.
 
     Pr(Y=k | z) = pi_k N(z; mu_k, Sigma) / sum_l pi_l N(z; mu_l, Sigma);
-    the shared normalizing constant of the Gaussian cancels.
+    the shared normalizing constant of the Gaussian cancels. z is one
+    projected sample (d,) or a batch (..., d); the result is (..., K).
     """
     z = np.asarray(z, dtype=np.float64)
-    diffs = z - model.class_means                      # (K, d)
-    solved = np.linalg.solve(model.covariance, diffs.T).T
-    mahal = np.einsum("kd,kd->k", diffs, solved)
+    diffs = z[..., None, :] - model.class_means        # (..., K, d)
+    flat = diffs.reshape(-1, diffs.shape[-1])
+    solved = np.linalg.solve(model.covariance, flat.T).T.reshape(diffs.shape)
+    mahal = np.einsum("...kd,...kd->...k", diffs, solved)
     with np.errstate(divide="ignore"):
         log_post = np.log(model.priors) - 0.5 * mahal
-    log_post -= log_post.max()
+    log_post -= log_post.max(axis=-1, keepdims=True)
     post = np.exp(log_post)
-    post /= post.sum()
+    post /= post.sum(axis=-1, keepdims=True)
     return post
 
 
 def lda_predict(model: LdaModel, x: np.ndarray) -> EmotionScores:
     """Posterior scores for one flat (or square) grayscale sample."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return EmotionScores(probs=lda_posterior(model, model.project(x)))
+    return EmotionScores(probs=model.predict_proba(x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +258,7 @@ def evaluate(model, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     y = np.asarray(y, dtype=np.int64)
     if len(y) == 0:
         raise ValueError("dataset must be nonempty")
-    if isinstance(model, nn.CnnModel):
-        preds = _batch_argmax(model, np.asarray(x, dtype=np.float32))
-    elif isinstance(model, LdaModel):
-        flat = np.asarray(x, dtype=np.float64).reshape(len(y), -1)
-        z = (flat - model.pca_mean) @ model.pca_basis
-        preds = np.array([int(np.argmax(lda_posterior(model, zi))) for zi in z])
-    else:
-        raise TypeError(f"cannot evaluate model of type {type(model).__name__}")
+    preds = _batch_argmax(model, np.asarray(x))
     k = len(LABELS)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (y, preds), 1)

@@ -12,12 +12,10 @@ import sys
 import numpy as np
 
 from . import model_io, pipeline
-from .classifiers import (LABELS, EmotionScores, EmptyClass, LdaModel,
-                          cnn_predict, cnn_train, evaluate, lda_predict,
-                          lda_train)
+from .classifiers import (LABELS, EmotionScores, EmptyClass, cnn_train,
+                          evaluate, lda_train)
 from .config import ConfigError, build_config, load_config_file
 from .dataset import load_dataset_dir
-from .nn import CnnModel
 from .preprocess import bilinear_resize, load_detections
 from .video import VideoFormatError, Y4mReader, parse_pgm
 
@@ -57,25 +55,18 @@ def _cmd_predict(args) -> int:
     model = model_io.load_model_file(args.model)
     with open(args.image, "rb") as fh:
         frame = parse_pgm(fh.read())
-    side = model.input_side if isinstance(model, CnnModel) else \
-        int(round(np.sqrt(model.pca_mean.shape[0])))
+    side = model.input_side
     img = frame.luma.astype(np.float64)
     if img.shape != (side, side):
         img = bilinear_resize(img, side, side)
     sample = (img / 255.0).astype(np.float32)
-    if isinstance(model, LdaModel):
-        scores = lda_predict(model, sample)
-    else:
-        scores = cnn_predict(model, sample)
-    print(format_scores(scores))
+    print(format_scores(EmotionScores(probs=model.predict_proba(sample)[0])))
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     model = model_io.load_model_file(args.model)
-    roi_size = model.input_side if isinstance(model, CnnModel) else \
-        int(round(np.sqrt(model.pca_mean.shape[0])))
-    x, y = load_dataset_dir(args.data, roi_size=roi_size)
+    x, y = load_dataset_dir(args.data, roi_size=model.input_side)
     accuracy, confusion = evaluate(model, x, y)
     print(f"accuracy: {accuracy * 100.0:.2f}")
     print("confusion (rows true, cols predicted):")
@@ -85,15 +76,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    file_values = None
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            from .config import parse_config_text
-            file_values = parse_config_text(fh.read())
-    config = build_config(file_values, thresh=args.thresh,
-                          cooldown=args.cooldown, width=args.width,
-                          roi_size=args.roi_size,
-                          smooth_window=args.smooth_window)
+    overrides = dict(thresh=args.thresh, cooldown=args.cooldown,
+                     width=args.width, roi_size=args.roi_size,
+                     smooth_window=args.smooth_window)
+    config = (load_config_file(args.config, **overrides) if args.config
+              else build_config(**overrides))
     model = model_io.load_model_file(args.model)
     with open(args.detections, "rb") as fh:
         detections = load_detections(fh.read())

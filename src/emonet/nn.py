@@ -150,10 +150,7 @@ def softmax_cross_entropy(logits: np.ndarray,
         raise ShapeMismatchError(f"expected a logit vector of length >= 2, got {logits.shape}")
     if not 0 <= true_class < k:
         raise ValueError(f"true_class {true_class} outside [0, {k})")
-    z = logits.astype(np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    p = e / e.sum()
+    p = softmax(logits)
     loss = float(-np.log(max(p[true_class], np.finfo(np.float64).tiny)))
     d = p.copy()
     d[true_class] -= 1.0
@@ -199,6 +196,11 @@ class CnnModel:
             if spec.kind == "dense":
                 return spec.width
         raise ValueError("model has no dense layer")
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Softmax scores (n, K) for one H x W (x C) sample or a batch of n."""
+        xb = _as_batch(self, x).astype(_param_dtype(self), copy=False)
+        return softmax(_forward_batch(self, xb))
 
     def param_arrays(self) -> list[np.ndarray]:
         """All parameter tensors in deterministic (layer, key) order."""
@@ -341,9 +343,7 @@ def _param_dtype(model: CnnModel):
 
 def model_forward(model: CnnModel, x: np.ndarray) -> np.ndarray:
     """Full forward pass; returns the softmax probability vector."""
-    xb = _as_batch(model, x).astype(_param_dtype(model), copy=False)
-    logits = _forward_batch(model, xb)
-    return softmax(logits)[0]
+    return model.predict_proba(x)[0]
 
 
 def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):
@@ -396,10 +396,7 @@ def model_backward_and_step(model: CnnModel, inputs: np.ndarray,
     xb = _as_batch(model, inputs).astype(dtype, copy=False)
     n = xb.shape[0]
     logits, caches = _forward_batch(model, xb, keep_cache=True)
-    z = logits.astype(np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = softmax(logits)
     picked = probs[np.arange(n), labels]
     loss = float(-np.log(np.maximum(picked, np.finfo(np.float64).tiny)).mean())
     dlogits = probs.copy()

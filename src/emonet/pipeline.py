@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from . import alerts, smtp_client
 from .classifiers import EmotionScores, LdaModel, cnn_predict, lda_predict
 from .config import PipelineConfig
-from .nn import CnnModel
 from .preprocess import (BoundingBox, DetectionSet, Roi, clamp_box, extract_roi,
                          resize_to_width, select_primary_face, source_window,
                          working_height)
@@ -49,6 +48,7 @@ class RunReport:
 
 
 def _predict(model, roi) -> EmotionScores:
+    # not model.predict_proba: perfbench/tracing.py times prediction by patching these two names
     if isinstance(model, LdaModel):
         return lda_predict(model, roi.pixels)
     return cnn_predict(model, roi)

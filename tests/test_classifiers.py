@@ -8,6 +8,7 @@ import pytest
 from emonet import classifiers, nn
 from emonet.classifiers import (LABELS, EmotionScores, EmptyClass,
                                 ClassTooSmall, DegenerateData, LdaModel)
+from emonet.glyphs import make_glyph_dataset
 
 
 def bayes_oracle(model, z):
@@ -35,6 +36,12 @@ def random_lda_model(rng, k=4, d=3):
     priors /= priors.sum()
     return LdaModel(pca_mean=np.zeros(1), pca_basis=np.zeros((1, 1)),
                     class_means=means, covariance=cov, priors=priors)
+
+
+def noisy_glyph_lda():
+    """An 8x8 PCA+LDA model that misclassifies some of its own samples."""
+    x, y = make_glyph_dataset(n_per_class=10, side=8, seed=3, noise_sigma=0.3)
+    return classifiers.lda_train(x, y), x, y
 
 
 class TestLabels:
@@ -68,6 +75,17 @@ class TestCnnWrapper:
         for _ in range(10):
             s = classifiers.cnn_predict(m, rng.random((8, 8)).astype(np.float32))
             assert abs(s.probs.sum() - 1.0) < 1e-9
+
+    def test_predict_proba_rows_equal_model_forward(self):
+        m = nn.build_model(8, [nn.LayerSpec("conv", kernel_size=3, filters=2),
+                               nn.LayerSpec("sigmoid"), nn.LayerSpec("maxpool"),
+                               nn.LayerSpec("dense", width=7),
+                               nn.LayerSpec("softmax")], seed=3)
+        x = np.random.default_rng(5).random((9, 8, 8)).astype(np.float32)
+        probs = m.predict_proba(x)
+        assert probs.shape == (9, 7)
+        for row, sample in zip(probs, x):
+            np.testing.assert_array_equal(row, nn.model_forward(m, sample))
 
     def test_train_missing_class_rejected(self):
         x = np.zeros((10, 8, 8), dtype=np.float32)
@@ -251,6 +269,22 @@ class TestLdaPosterior:
         post = classifiers.lda_posterior(model, np.array([1000.0, 1000.0]))
         assert np.all(np.isfinite(post)) and abs(post.sum() - 1.0) < 1e-12
 
+    def test_predict_proba_rows_match_per_sample_posterior(self):
+        model, x, _ = noisy_glyph_lda()
+        z = (x.reshape(len(x), -1) - model.pca_mean) @ model.pca_basis
+        probs = model.predict_proba(x)
+        assert probs.shape == (len(x), len(LABELS))
+        for row, zi in zip(probs, z):
+            np.testing.assert_allclose(row, classifiers.lda_posterior(model, zi),
+                                       rtol=0, atol=1e-15)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_sample_of_wrong_size_rejected(self):
+        model, _, _ = noisy_glyph_lda()
+        for shape in ((16, 16), (63,), (4, 8, 9)):  # 16x16 holds four 8x8 samples
+            with pytest.raises(ValueError):
+                classifiers.lda_predict(model, np.zeros(shape))
+
 
 class TestEvaluate:
     def test_constant_predictor_balanced_set(self):
@@ -274,6 +308,17 @@ class TestEvaluate:
         y = np.repeat(np.arange(7), 3).astype(np.int64)
         _, confusion = classifiers.evaluate(m, x, y)
         np.testing.assert_array_equal(confusion.sum(axis=1), np.full(7, 3))
+
+    def test_lda_confusion_matches_per_sample_argmax(self):
+        model, x, y = noisy_glyph_lda()
+        expected = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
+        for sample, label in zip(x, y):
+            z = (sample.reshape(-1).astype(np.float64) - model.pca_mean) @ model.pca_basis
+            expected[label, np.argmax(classifiers.lda_posterior(model, z))] += 1
+        acc, confusion = classifiers.evaluate(model, x, y)
+        assert np.trace(expected) < len(y)  # the oracle sees some mistakes
+        np.testing.assert_array_equal(confusion, expected)
+        assert acc == np.trace(expected) / len(y)
 
     def test_empty_dataset_rejected(self):
         m = nn.build_model(8, [nn.LayerSpec("dense", width=7),

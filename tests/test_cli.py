@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from emonet import cli
-from emonet.classifiers import EmotionScores
-from emonet.dataset import save_dataset_dir
+from emonet import cli, model_io, nn
+from emonet.classifiers import EmotionScores, cnn_predict, evaluate
+from emonet.dataset import load_dataset_dir, save_dataset_dir
 from emonet.glyphs import draw_glyph, make_glyph_dataset
 from emonet.video import Frame, write_pgm
 
@@ -26,6 +26,18 @@ def lda_model_path(dataset_dir, tmp_path_factory):
     code = cli.main(["train", "--data", dataset_dir, "--model-kind", "lda",
                      "--out", out])
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def cnn_model_path(tmp_path_factory):
+    """A small untrained 28x28 CNN, enough to drive the CNN paths of the CLI."""
+    out = str(tmp_path_factory.mktemp("models") / "cnn.emn1")
+    model = nn.build_model(28, [nn.LayerSpec("conv", kernel_size=3, filters=2),
+                                nn.LayerSpec("sigmoid"), nn.LayerSpec("maxpool"),
+                                nn.LayerSpec("dense", width=7),
+                                nn.LayerSpec("softmax")], seed=3)
+    model_io.save_model_file(model, out)
     return out
 
 
@@ -81,6 +93,29 @@ class TestTrainPredictEval:
         assert code == 0
         assert captured.out.startswith("accuracy: ")
         assert "neutral" in captured.out
+
+    def test_predict_with_cnn_model(self, cnn_model_path, tmp_path, capsys):
+        img = np.clip(np.rint(draw_glyph("sad") * 255.0), 0, 255).astype(np.uint8)
+        path = tmp_path / "sample.pgm"
+        path.write_bytes(write_pgm(Frame(0, 28, 28, img)))
+        code = cli.main(["predict", "--image", str(path),
+                         "--model", cnn_model_path])
+        captured = capsys.readouterr()
+        assert code == 0
+        model = model_io.load_model_file(cnn_model_path)
+        sample = (img / 255.0).astype(np.float32)
+        assert captured.out == cli.format_scores(cnn_predict(model, sample)) + "\n"
+
+    def test_eval_with_cnn_model(self, cnn_model_path, dataset_dir, capsys):
+        code = cli.main(["eval", "--data", dataset_dir,
+                         "--model", cnn_model_path])
+        captured = capsys.readouterr()
+        assert code == 0
+        model = model_io.load_model_file(cnn_model_path)
+        accuracy, confusion = evaluate(model, *load_dataset_dir(dataset_dir))
+        lines = captured.out.splitlines()
+        assert lines[0] == f"accuracy: {accuracy * 100.0:.2f}"
+        assert [list(map(int, line.split()[1:])) for line in lines[2:]] == confusion.tolist()
 
     def test_bad_epochs_is_validation_error(self, dataset_dir, tmp_path):
         code = cli.main(["train", "--data", dataset_dir, "--epochs", "0",

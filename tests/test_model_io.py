@@ -5,6 +5,7 @@ import pytest
 
 from emonet import model_io, nn
 from emonet.classifiers import cnn_predict, lda_predict, lda_train
+from emonet.glyphs import make_glyph_dataset
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,12 @@ class TestLdaRoundTrip:
             x = rng.random(36)
             np.testing.assert_array_equal(lda_predict(loaded, x).probs,
                                           lda_predict(quantized, x).probs)
+
+    def test_input_side_survives(self):
+        x, y = make_glyph_dataset(n_per_class=6, side=8, seed=2)
+        model = lda_train(x, y)
+        assert model.input_side == 8
+        assert model_io.load_model(model_io.save_model(model)).input_side == 8
 
     def test_loaded_arrays_are_float64(self, lda_model):
         loaded = model_io.load_model(model_io.save_model(lda_model))
