@@ -4,6 +4,16 @@ Forward/backward passes for valid-padding convolution, 2x2 max-pooling,
 dense layers, sigmoid activations and a softmax/cross-entropy head, plus
 plain SGD updates and finite-difference gradient verification.
 
+A convolution is one matrix product over an im2col (Chellapilla, Puri and
+Simard 2006): each output pixel's k x k x C input window becomes a row in
+(c, i, j) order, multiplied by the kernels reshaped to (C*k*k, F). The
+kernel gradient is the same rows against the output gradient. The input
+gradient is a full correlation (Dumoulin and Visin, arXiv:1603.07285): the
+forward conv run on the output gradient zero-padded by k-1, with the
+kernels flipped in both spatial axes and C and F swapped. The first
+layer's input gradient is the network input's, which nothing reads, so
+the backward pass stops before it.
+
 Arrays are float32 in the model path; intermediate accumulations run in
 float64 and are rounded back, so results stay stable against naive
 nested-loop reference implementations.
@@ -69,11 +79,18 @@ def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
     if bias.shape != (f,):
         raise ShapeMismatchError(f"bias shape {bias.shape} does not match filter count {f}")
     out_dtype = np.result_type(x, kernels)
-    win = sliding_window_view(x, (k, k), axis=(1, 2))      # (n, ho, wo, c, k, k)
-    out = np.einsum("nhwcij,ijcf->nhwf",
-                    win.astype(np.float64), kernels.astype(np.float64))
+    cols = _im2col(x, k)
+    out = cols @ kernels.astype(np.float64).transpose(2, 0, 1, 3).reshape(-1, f)
     out += bias.astype(np.float64)
-    return out.astype(out_dtype)
+    return out.reshape(n, h - k + 1, w - k + 1, f).astype(out_dtype)
+
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """float64 rows of every k x k window of an n x H x W x C batch, (c, i, j) order."""
+    win = sliding_window_view(x, (k, k), axis=(1, 2))      # (n, ho, wo, c, k, k)
+    # order="C" copies straight into the row layout; the default keeps the
+    # view's strides, and reshape would then copy a second time
+    return win.astype(np.float64, order="C").reshape(-1, x.shape[3] * k * k)
 
 
 def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,22 +384,14 @@ def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):
             in_shape, mask = cache
             d = _maxpool_backward(d, mask, in_shape)
         elif kind == "conv":
-            x = cache
-            k = p["k"].shape[0]
-            ho, wo = d.shape[1], d.shape[2]
-            win = sliding_window_view(x, (k, k), axis=(1, 2))
-            grads[i]["k"] = np.einsum(
-                "nhwcij,nhwf->ijcf",
-                win.astype(np.float64), d.astype(np.float64)).astype(p["k"].dtype)
+            k, _, c, f = p["k"].shape
+            dk = _im2col(cache, k).T @ d.reshape(-1, f).astype(np.float64)
+            grads[i]["k"] = dk.reshape(c, k, k, f).transpose(1, 2, 0, 3).astype(p["k"].dtype)
             grads[i]["b"] = d.sum(axis=(0, 1, 2)).astype(p["b"].dtype)
-            dx = np.zeros(x.shape, dtype=np.float64)
-            d64 = d.astype(np.float64)
-            k64 = p["k"].astype(np.float64)
-            for di in range(k):
-                for dj in range(k):
-                    dx[:, di:di + ho, dj:dj + wo, :] += np.einsum(
-                        "nhwf,cf->nhwc", d64, k64[di, dj])
-            d = dx.astype(d.dtype)
+            if i == 0:
+                break          # the network input's gradient has no reader
+            d = _conv_batch(np.pad(d, ((0, 0), (k - 1, k - 1), (k - 1, k - 1), (0, 0))),
+                            p["k"][::-1, ::-1].transpose(0, 1, 3, 2), np.zeros(c, d.dtype))
     return grads
 
 

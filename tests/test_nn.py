@@ -29,6 +29,32 @@ def conv_oracle(x, k, b):
     return out.astype(np.float32)
 
 
+def conv_backward_oracle(x, k, dout):
+    """Loop-based conv gradients for a batch: (dK, db, dX), float64 sums rounded to float32.
+
+    x is n x H x W x C, k is k x k x C x F and dout the n x Ho x Wo x F
+    gradient of the conv output.
+    """
+    n, h, w, c = x.shape
+    ks, _, _, f = k.shape
+    ho, wo = h - ks + 1, w - ks + 1
+    dk = np.zeros(k.shape, dtype=np.float64)
+    db = np.zeros(f, dtype=np.float64)
+    dx = np.zeros(x.shape, dtype=np.float64)
+    for s in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for fo in range(f):
+                    g = float(dout[s, i, j, fo])
+                    db[fo] += g
+                    for di in range(ks):
+                        for dj in range(ks):
+                            for ci in range(c):
+                                dk[di, dj, ci, fo] += float(x[s, i + di, j + dj, ci]) * g
+                                dx[s, i + di, j + dj, ci] += float(k[di, dj, ci, fo]) * g
+    return dk.astype(np.float32), db.astype(np.float32), dx.astype(np.float32)
+
+
 def dense_oracle(x, w, b):
     n, m = w.shape
     out = np.zeros(m, dtype=np.float64)
@@ -129,6 +155,46 @@ class TestConv:
             b = rng.uniform(-1, 1, f).astype(np.float32)
             np.testing.assert_allclose(nn.conv2d_forward(x, k, b),
                                        conv_oracle(x, k, b), atol=1e-6)
+
+    def test_backward_60_random_shapes_match_oracle(self):
+        """Kernel, bias and input gradients of a conv layer against loops.
+
+        The conv under test sits at layer 1, behind a 1x1 conv probe whose
+        input one-hot-encodes (sample, row, column) in its channels: the
+        probe's kernel gradient is then exactly the tested layer's input
+        gradient, so the comparison goes through `_backward_batch` alone.
+        """
+        rng = np.random.default_rng(17)
+        seen = set()
+        for trial in range(60):
+            n = int(rng.integers(1, 4))
+            h, w = (int(v) for v in rng.integers(3, 9, size=2))
+            c = int(rng.integers(1, 4))
+            f = int(rng.integers(1, 5))
+            # every fourth shape has k=1 and the one after it k=min(h, w)
+            ks = (1, min(h, w), int(rng.integers(1, min(h, w) + 1)))[min(trial % 4, 2)]
+            seen.update(name for name, hit in (("k=1", ks == 1), ("k=min", ks == min(h, w)),
+                                               ("c>1", c > 1), ("f>1", f > 1)) if hit)
+            x = rng.random((n, h, w, c)).astype(np.float32)
+            k = rng.uniform(-0.5, 0.5, (ks, ks, c, f)).astype(np.float32)
+            b = rng.uniform(-1, 1, f).astype(np.float32)
+            dout = rng.uniform(-1, 1, (n, h - ks + 1, w - ks + 1, f)).astype(np.float32)
+            probe = np.eye(n * h * w, dtype=np.float32).reshape(n, h, w, n * h * w)
+            model = nn.CnnModel(
+                input_side=h, channels=n * h * w,
+                layers=[nn.LayerSpec("conv", kernel_size=1, filters=c),
+                        nn.LayerSpec("conv", kernel_size=ks, filters=f)],
+                params=[{"k": np.zeros((1, 1, n * h * w, c), dtype=np.float32),
+                         "b": np.zeros(c, dtype=np.float32)},
+                        {"k": k, "b": b}],
+                seed=0)
+            grads = nn._backward_batch(model, [("conv", probe), ("conv", x)], dout)
+            dk, db, dx = conv_backward_oracle(x, k, dout)
+            got_dx = grads[0]["k"][0, 0].reshape(n, h, w, c)
+            for got, want in ((grads[1]["k"], dk), (grads[1]["b"], db), (got_dx, dx)):
+                assert got.dtype == np.float32
+                np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+        assert seen == {"k=1", "k=min", "c>1", "f>1"}
 
     def test_shape_mismatch_names_both_shapes(self):
         x = np.zeros((4, 4, 2), dtype=np.float32)
@@ -256,6 +322,19 @@ def tiny_fixture_model(seed=3):
     ], seed=seed)
 
 
+def two_conv_fixture_model(seed):
+    """Two convs, so the second one's input gradient feeds the first's kernel gradient."""
+    return nn.build_model(10, [
+        nn.LayerSpec("conv", kernel_size=3, filters=2),
+        nn.LayerSpec("sigmoid"),
+        nn.LayerSpec("conv", kernel_size=3, filters=3),
+        nn.LayerSpec("sigmoid"),
+        nn.LayerSpec("maxpool"),
+        nn.LayerSpec("dense", width=7),
+        nn.LayerSpec("softmax"),
+    ], seed=seed)
+
+
 def zero_weight_model(side=8):
     m = tiny_fixture_model()
     for p in m.params:
@@ -314,6 +393,13 @@ class TestGradientCheck:
         m = tiny_fixture_model()
         x = np.random.default_rng(7).random((8, 8)).astype(np.float32)
         report = nn.gradient_check(m, (x, 3), epsilon=1e-3)
+        assert report.max_relative_error < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_conv_fixture_passes(self, seed):
+        m = two_conv_fixture_model(seed)
+        x = np.random.default_rng(seed).random((10, 10)).astype(np.float32)
+        report = nn.gradient_check(m, (x, seed + 1), epsilon=1e-3)
         assert report.max_relative_error < 1e-4
 
     def test_corrupted_dense_gradient_detected(self):
