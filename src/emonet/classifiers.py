@@ -81,6 +81,13 @@ def _batch_argmax(model, x: np.ndarray, chunk: int = 256) -> np.ndarray:
                            for start in range(0, len(x), chunk)])
 
 
+def _require_every_label(y: np.ndarray) -> None:
+    counts = np.bincount(y, minlength=len(LABELS))
+    for i, name in enumerate(LABELS):
+        if counts[i] == 0:
+            raise EmptyClass(f"no samples for label {name!r}")
+
+
 def cnn_train(x: np.ndarray, y: np.ndarray, epochs: int, lr: float = 0.1,
               seed: int = 0, batch_size: int = 32,
               layers: list[nn.LayerSpec] | None = None
@@ -94,10 +101,7 @@ def cnn_train(x: np.ndarray, y: np.ndarray, epochs: int, lr: float = 0.1,
     y = np.asarray(y, dtype=np.int64)
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    counts = np.bincount(y, minlength=len(LABELS))
-    for i, name in enumerate(LABELS):
-        if counts[i] == 0:
-            raise EmptyClass(f"no samples for label {name!r}")
+    _require_every_label(y)
     model = nn.build_model(input_side=x.shape[1],
                            layers=layers or nn.emotion_layer_stack(), seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -210,10 +214,7 @@ def lda_train(x: np.ndarray, y: np.ndarray, d: int | None = None,
     if x.ndim == 3:
         x = x.reshape(len(x), -1)
     y = np.asarray(y, dtype=np.int64)
-    counts = np.bincount(y, minlength=len(LABELS))
-    for i, name in enumerate(LABELS):
-        if counts[i] == 0:
-            raise EmptyClass(f"no samples for label {name!r}")
+    _require_every_label(y)
     p = x.shape[1]
     if d is None:
         d = default_pca_dim(p)

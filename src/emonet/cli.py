@@ -9,14 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import model_io, pipeline
 from .classifiers import (LABELS, EmotionScores, EmptyClass, cnn_train,
                           evaluate, lda_train)
 from .config import ConfigError, build_config, load_config_file
 from .dataset import load_dataset_dir
-from .preprocess import bilinear_resize, load_detections
+from .preprocess import BoundingBox, extract_roi, load_detections
 from .video import VideoFormatError, Y4mReader, parse_pgm
 
 EXIT_OK = 0
@@ -55,12 +53,8 @@ def _cmd_predict(args) -> int:
     model = model_io.load_model_file(args.model)
     with open(args.image, "rb") as fh:
         frame = parse_pgm(fh.read())
-    side = model.input_side
-    img = frame.luma.astype(np.float64)
-    if img.shape != (side, side):
-        img = bilinear_resize(img, side, side)
-    sample = (img / 255.0).astype(np.float32)
-    print(format_scores(EmotionScores(probs=model.predict_proba(sample)[0])))
+    roi = extract_roi(frame, BoundingBox(0, 0, frame.width, frame.height), model.input_side)
+    print(format_scores(EmotionScores(probs=model.predict_proba(roi.pixels)[0])))
     return EXIT_OK
 
 

@@ -5,10 +5,9 @@ overrides for the SMTP settings (environment wins over the file).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .alerts import DEFAULT_MONITORED
-from .classifiers import LABELS
+from .alerts import DEFAULT_MONITORED, AlertPolicy
 from .smtp_client import SmtpConfig
 
 ENV_SMTP_HOST = "EMONET_SMTP_HOST"
@@ -36,17 +35,23 @@ class PipelineConfig:
     alert_to: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.thresh < 1:
-            raise ConfigError("thresh must be >= 1")
         if self.width < 1 or self.roi_size < 1:
             raise ConfigError("width and roi_size must be >= 1")
         if self.smooth_window not in (1, 3, 5):
             raise ConfigError("smooth_window must be 1, 3 or 5")
         if self.detections_coords not in ("original", "resized"):
             raise ConfigError("detections_coords must be 'original' or 'resized'")
-        unknown = self.monitored_labels - set(LABELS)
-        if unknown:
-            raise ConfigError(f"unknown monitored labels: {sorted(unknown)}")
+        if not 1 <= self.smtp_port <= 65535:
+            raise ConfigError(f"smtp_port {self.smtp_port} outside 1..65535")
+        try:
+            self.alert_policy()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def alert_policy(self) -> AlertPolicy:
+        """The alert rules of this config; AlertPolicy owns their validation."""
+        return AlertPolicy(thresh=self.thresh, monitored_labels=self.monitored_labels,
+                           cooldown_frames=self.cooldown)
 
     def smtp_config(self) -> SmtpConfig | None:
         """SMTP settings if fully configured, else None (alerts log-only)."""
@@ -70,11 +75,21 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-_KNOWN_KEYS = {
-    "thresh", "width", "roi_size", "monitored_labels", "cooldown",
-    "smooth_window", "detections_coords", "smtp_host", "smtp_port",
-    "alert_from", "alert_to",
+def _split_list(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# one parser per PipelineConfig field, applied to file and environment text
+_PARSERS = {
+    "thresh": int, "width": int, "roi_size": int, "cooldown": int,
+    "smooth_window": int, "smtp_port": int,
+    "detections_coords": str, "smtp_host": str, "alert_from": str,
+    "monitored_labels": lambda text: frozenset(_split_list(text)),
+    "alert_to": _split_list,
 }
+
+_ENV_KEYS = {ENV_SMTP_HOST: "smtp_host", ENV_SMTP_PORT: "smtp_port",
+             ENV_ALERT_FROM: "alert_from", ENV_ALERT_TO: "alert_to"}
 
 
 def build_config(file_values: dict[str, str] | None = None,
@@ -83,33 +98,16 @@ def build_config(file_values: dict[str, str] | None = None,
     """Merge defaults < config file < environment (SMTP keys) < overrides."""
     values = dict(file_values or {})
     for key in values:
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
     env = os.environ if env is None else env
+    values.update({key: env[var] for var, key in _ENV_KEYS.items() if env.get(var)})
     kwargs: dict = {}
-    if "thresh" in values:
-        kwargs["thresh"] = int(values["thresh"])
-    for key in ("width", "roi_size", "cooldown", "smooth_window", "smtp_port"):
-        if key in values:
-            kwargs[key] = int(values[key])
-    for key in ("detections_coords", "smtp_host", "alert_from"):
-        if key in values:
-            kwargs[key] = values[key]
-    if "monitored_labels" in values:
-        kwargs["monitored_labels"] = frozenset(
-            s.strip() for s in values["monitored_labels"].split(",") if s.strip())
-    if "alert_to" in values:
-        kwargs["alert_to"] = tuple(
-            s.strip() for s in values["alert_to"].split(",") if s.strip())
-    if env.get(ENV_SMTP_HOST):
-        kwargs["smtp_host"] = env[ENV_SMTP_HOST]
-    if env.get(ENV_SMTP_PORT):
-        kwargs["smtp_port"] = int(env[ENV_SMTP_PORT])
-    if env.get(ENV_ALERT_FROM):
-        kwargs["alert_from"] = env[ENV_ALERT_FROM]
-    if env.get(ENV_ALERT_TO):
-        kwargs["alert_to"] = tuple(
-            s.strip() for s in env[ENV_ALERT_TO].split(",") if s.strip())
+    try:
+        for key, text in values.items():
+            kwargs[key] = _PARSERS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     if "thresh" not in kwargs:
         raise ConfigError("thresh is mandatory (config file or flag)")

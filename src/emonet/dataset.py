@@ -1,7 +1,7 @@
 """Dataset-on-disk layout: one directory per label name, PGM files inside.
 
-Images are resized to the working ROI side with the same bilinear kernel
-as the live pipeline and normalized by /255.
+Each image becomes a sample through the live pipeline's extract_roi, with
+the whole image as the box: resized to the ROI side and divided by 255.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from .classifiers import LABELS, EmptyClass
-from .preprocess import bilinear_resize
+from .preprocess import BoundingBox, extract_roi
 from .video import Frame, parse_pgm, write_pgm
 
 
@@ -27,10 +27,8 @@ def load_dataset_dir(path: str, roi_size: int = 28) -> tuple[np.ndarray, np.ndar
         for name in files:
             with open(os.path.join(label_dir, name), "rb") as fh:
                 frame = parse_pgm(fh.read())
-            img = frame.luma.astype(np.float64)
-            if img.shape != (roi_size, roi_size):
-                img = bilinear_resize(img, roi_size, roi_size)
-            xs.append((img / 255.0).astype(np.float32))
+            xs.append(extract_roi(frame, BoundingBox(0, 0, frame.width, frame.height),
+                                  roi_size).pixels)
             ys.append(idx)
     return np.stack(xs), np.array(ys, dtype=np.int64)
 

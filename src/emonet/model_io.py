@@ -16,19 +16,22 @@ float32 on save (in-memory fits keep float64 for oracle-grade precision).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
 import numpy as np
 
-from .classifiers import LdaModel
-from .nn import CnnModel, LayerSpec
+from .classifiers import LABELS, LdaModel
+from .nn import CnnModel, LayerSpec, ShapeMismatchError, param_shapes
 
 MAGIC = b"EMN1"
 VERSION = 1
 
 _KIND_CNN = 0
 _KIND_LDA = 1
+
+_MAX_RANK = 4          # the widest tensor a model holds is a conv kernel
 
 _LAYER_CODES = {"conv": 0, "maxpool": 1, "dense": 2, "sigmoid": 3, "softmax": 4}
 _LAYER_NAMES = {v: k for k, v in _LAYER_CODES.items()}
@@ -82,10 +85,17 @@ def _unpack_tensors(r: _Reader) -> list[np.ndarray]:
     arrays = []
     for _ in range(count):
         (rank,) = r.unpack("B")
+        if rank > _MAX_RANK:
+            raise ModelFileError(f"tensor rank {rank} exceeds {_MAX_RANK}")
         shape = r.unpack(f"{rank}I")
-        n = int(np.prod(shape)) if rank else 1
-        raw = r.take(4 * n)
-        arrays.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
+        # math.prod: Python ints cannot overflow into a negative byte count
+        raw = r.take(4 * math.prod(shape))
+        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        if not np.all(np.isfinite(arr)):
+            raise ModelFileError(f"tensor of shape {shape} holds non-finite values")
+        arrays.append(arr)
+    if r.pos != len(r.data):
+        raise ModelFileError(f"{len(r.data) - r.pos} bytes trail the tensor table")
     return arrays
 
 
@@ -107,7 +117,12 @@ def save_model(model: CnnModel | LdaModel) -> bytes:
 
 
 def load_model(data: bytes) -> CnnModel | LdaModel:
-    """Parse EMN1 bytes back into a model; rejects bad magic/version first."""
+    """Parse EMN1 bytes back into a model; rejects bad magic/version first.
+
+    The layer table must pass nn.param_shapes and the tensors must have the
+    shapes it gives, hold only finite values and end the data; any failure
+    is a ModelFileError, raised here rather than at the first prediction.
+    """
     r = _Reader(data)
     magic, version, kind, seed = r.unpack("4sHBQ")
     if magic != MAGIC:
@@ -123,30 +138,32 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
                 raise ModelFileError(f"unknown layer code {code}")
             layers.append(LayerSpec(_LAYER_NAMES[code], kernel_size=k,
                                     filters=f, width=w))
+        try:
+            walk = param_shapes(input_side, layers, channels)
+        except ShapeMismatchError as exc:
+            raise ModelFileError(f"layer table: {exc}") from exc
         arrays = _unpack_tensors(r)
-        params: list[dict[str, np.ndarray]] = []
-        i = 0
-        for spec in layers:
-            if spec.kind == "conv":
-                params.append({"b": arrays[i], "k": arrays[i + 1]})
-                i += 2
-            elif spec.kind == "dense":
-                params.append({"b": arrays[i], "w": arrays[i + 1]})
-                i += 2
-            else:
-                params.append({})
-        if i != len(arrays):
-            raise ModelFileError(
-                f"tensor table has {len(arrays)} entries, layers consume {i}")
-        return CnnModel(input_side=input_side, channels=channels,
-                        layers=layers, params=params, seed=seed)
+        want = [shapes[key] for shapes in walk for key in sorted(shapes)]   # param_arrays order
+        if [a.shape for a in arrays] != want:
+            raise ModelFileError(f"tensor shapes {[a.shape for a in arrays]} do not match "
+                                 f"the layer table's {want}")
+        tensors = iter(arrays)
+        return CnnModel(input_side=input_side, channels=channels, layers=layers,
+                        params=[{key: next(tensors) for key in sorted(shapes)} for shapes in walk],
+                        seed=seed)
     if kind == _KIND_LDA:
-        mean, basis, class_means, cov, priors = _unpack_tensors(r)
-        return LdaModel(pca_mean=mean.astype(np.float64),
-                        pca_basis=basis.astype(np.float64),
-                        class_means=class_means.astype(np.float64),
-                        covariance=cov.astype(np.float64),
-                        priors=priors.astype(np.float64))
+        arrays = _unpack_tensors(r)
+        got = [a.shape for a in arrays]
+        p, d = got[1] if len(got) == 5 and len(got[1]) == 2 else (0, 0)   # 0 fails below
+        k = len(LABELS)
+        if p < 1 or d < 1 or got != [(p,), (p, d), (k, d), (d, d), (k,)]:
+            raise ModelFileError(f"LDA tensor shapes {got}, expected (p,), (p, d), "
+                                 f"({k}, d), (d, d), ({k},)")
+        mean, basis, class_means, cov, priors = (a.astype(np.float64) for a in arrays)
+        if np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-5:
+            raise ModelFileError(f"LDA priors {priors} are not a probability vector")
+        return LdaModel(pca_mean=mean, pca_basis=basis, class_means=class_means,
+                        covariance=cov, priors=priors)
     raise ModelFileError(f"unknown model kind {kind}")
 
 

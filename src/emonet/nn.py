@@ -21,6 +21,7 @@ nested-loop reference implementations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,8 +198,8 @@ class LayerSpec:
 class CnnModel:
     """A sequential conv/pool/dense stack with float32 parameters.
 
-    params is aligned with layers: conv layers get {"k": kernels, "b": bias},
-    dense layers {"w": weights, "b": bias}, the rest an empty dict.
+    params is aligned with layers, each dict keyed and shaped as param_shapes
+    gives for that layer.
     Immutable after construction except during an explicit training step.
     """
     input_side: int
@@ -206,13 +207,6 @@ class CnnModel:
     layers: list[LayerSpec]
     params: list[dict[str, np.ndarray]]
     seed: int
-
-    @property
-    def output_width(self) -> int:
-        for spec in reversed(self.layers):
-            if spec.kind == "dense":
-                return spec.width
-        raise ValueError("model has no dense layer")
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Softmax scores (n, K) for one H x W (x C) sample or a batch of n."""
@@ -258,16 +252,20 @@ def emotion_layer_stack() -> list[LayerSpec]:
 INIT_GAIN = 4.0
 
 
-def build_model(input_side: int, layers: list[LayerSpec], seed: int,
-                channels: int = 1, init_gain: float = INIT_GAIN) -> CnnModel:
-    """Shape-check the layer chain end to end and initialize parameters.
+def param_shapes(input_side: int, layers: list[LayerSpec],
+                 channels: int = 1) -> list[dict[str, tuple[int, ...]]]:
+    """Shape-check the layer chain end to end; per layer, its parameter shapes.
 
-    Weights are gain-scaled Glorot-uniform (+-gain*sqrt(6/(fan_in+fan_out)))
-    from a seeded PRNG; biases start at zero.
+    For an input_side x input_side x channels input, a conv layer owns
+    {"k": (k, k, C, F), "b": (F,)}, a dense layer {"w": (n_in, width),
+    "b": (width,)}, any other layer nothing. build_model fills this walk and
+    model_io.load_model checks stored tensors against it. Raises
+    ShapeMismatchError at the first layer that does not fit its input.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if input_side < 1 or channels < 1:
+        raise ShapeMismatchError(f"input {input_side}x{input_side}x{channels} is empty")
     shape: tuple = (input_side, input_side, channels)
-    params: list[dict[str, np.ndarray]] = []
+    out: list[dict[str, tuple[int, ...]]] = []
     for i, spec in enumerate(layers):
         if spec.kind == "conv":
             if len(shape) != 3:
@@ -277,34 +275,43 @@ def build_model(input_side: int, layers: list[LayerSpec], seed: int,
             if k < 1 or f < 1 or k > min(h, w):
                 raise ShapeMismatchError(
                     f"layer {i}: conv {k}x{k}x{f} does not fit input {shape}")
-            lim = init_gain * np.sqrt(6.0 / (k * k * c + k * k * f))
-            params.append({
-                "k": rng.uniform(-lim, lim, size=(k, k, c, f)).astype(np.float32),
-                "b": np.zeros(f, dtype=np.float32),
-            })
+            out.append({"k": (k, k, c, f), "b": (f,)})
             shape = (h - k + 1, w - k + 1, f)
         elif spec.kind == "maxpool":
             if len(shape) != 3 or shape[0] < 2 or shape[1] < 2:
                 raise ShapeMismatchError(f"layer {i}: maxpool needs H, W >= 2, have {shape}")
-            params.append({})
+            out.append({})
             shape = (shape[0] // 2, shape[1] // 2, shape[2])
         elif spec.kind == "dense":
-            n = int(np.prod(shape))
-            m = spec.width
-            if m < 1:
+            if spec.width < 1:
                 raise ShapeMismatchError(f"layer {i}: dense width must be >= 1")
-            lim = init_gain * np.sqrt(6.0 / (n + m))
-            params.append({
-                "w": rng.uniform(-lim, lim, size=(n, m)).astype(np.float32),
-                "b": np.zeros(m, dtype=np.float32),
-            })
-            shape = (m,)
-        elif spec.kind == "sigmoid":
-            params.append({})
-        elif spec.kind == "softmax":
-            if i != len(layers) - 1:
+            out.append({"w": (math.prod(shape), spec.width), "b": (spec.width,)})
+            shape = (spec.width,)
+        else:
+            if spec.kind == "softmax" and i != len(layers) - 1:
                 raise ShapeMismatchError("softmax must be the final layer")
-            params.append({})
+            out.append({})
+    return out
+
+
+def build_model(input_side: int, layers: list[LayerSpec], seed: int,
+                channels: int = 1, init_gain: float = INIT_GAIN) -> CnnModel:
+    """Shape-check the layer chain end to end and initialize parameters.
+
+    Weights are gain-scaled Glorot-uniform (+-gain*sqrt(6/(fan_in+fan_out)))
+    from a seeded PRNG; biases start at zero.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def init(key: str, shape: tuple[int, ...]) -> np.ndarray:
+        if key == "b":
+            return np.zeros(shape, dtype=np.float32)
+        # a k x k x C x F kernel has fans k*k*C and k*k*F; a dense window is 1
+        lim = init_gain * np.sqrt(6.0 / (math.prod(shape[:-2]) * (shape[-2] + shape[-1])))
+        return rng.uniform(-lim, lim, size=shape).astype(np.float32)
+
+    params = [{key: init(key, shape) for key, shape in shapes.items()}
+              for shapes in param_shapes(input_side, layers, channels)]
     return CnnModel(input_side=input_side, channels=channels,
                     layers=list(layers), params=params, seed=seed)
 

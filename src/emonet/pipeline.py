@@ -80,9 +80,7 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
     receives one line per alert (flushed as written). send is the SMTP
     dispatcher, injectable for tests.
     """
-    policy = alerts.AlertPolicy(thresh=config.thresh,
-                                monitored_labels=config.monitored_labels,
-                                cooldown_frames=config.cooldown)
+    policy = config.alert_policy()
     state = alerts.CounterState()
     report = RunReport(state=state)
     smtp_cfg = config.smtp_config()

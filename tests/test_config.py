@@ -1,9 +1,16 @@
 """Configuration parsing, merge precedence, and validation tests."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emonet import config as cfg
+from emonet import pipeline
+from emonet.classifiers import LABELS
 from emonet.config import ConfigError, PipelineConfig, build_config, parse_config_text
+from emonet.preprocess import DetectionSet
 
 
 class TestParse:
@@ -97,3 +104,53 @@ class TestValidation:
     def test_partial_smtp_settings_stay_log_only(self):
         c = PipelineConfig(thresh=1, smtp_host="mail.x")  # sender/rcpt missing
         assert c.smtp_config() is None
+
+
+class TestLoadTimeRules:
+    @pytest.mark.parametrize("key, text", [("thresh", "abc"), ("width", "1.5"),
+                                           ("smtp_port", "25 5")])
+    def test_unparsable_value_names_its_key(self, key, text):
+        with pytest.raises(ConfigError) as exc:
+            build_config({"thresh": "5", key: text}, env={})
+        assert key in str(exc.value)
+
+    @pytest.mark.parametrize("values", [{"monitored_labels": " , "}, {"cooldown": "-3"}])
+    def test_every_alert_rule_checked_when_built(self, values):
+        with pytest.raises(ConfigError):
+            build_config({"thresh": "5", **values}, env={})
+
+    @pytest.mark.parametrize("port", [0, 65536, 70000])
+    def test_smtp_port_outside_tcp_range(self, port):
+        with pytest.raises(ConfigError):
+            PipelineConfig(thresh=1, smtp_port=port)
+        with pytest.raises(ConfigError):
+            build_config({"thresh": "5"}, env={cfg.ENV_SMTP_PORT: str(port)})
+
+    def test_alert_policy_carries_the_fields(self):
+        c = PipelineConfig(thresh=4, cooldown=9, monitored_labels=frozenset({"sad"}))
+        policy = c.alert_policy()
+        assert (policy.thresh, policy.cooldown_frames) == (4, 9)
+        assert policy.monitored_labels == frozenset({"sad"})
+
+
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.integers(-3, 6).map(str),
+    st.integers(0, 2**17).map(str),
+    st.lists(st.sampled_from(LABELS + ("", "gloomy")), max_size=3).map(", ".join))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(values=st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)]),
+                              _TEXT),
+       env=st.dictionaries(st.sampled_from([cfg.ENV_SMTP_HOST, cfg.ENV_SMTP_PORT,
+                                            cfg.ENV_ALERT_FROM, cfg.ENV_ALERT_TO]), _TEXT))
+def test_any_text_builds_a_runnable_config_or_raises_config_error(values, env):
+    try:
+        c = build_config(values, env=env)
+    except ConfigError:
+        return
+    report = pipeline.run_stream(iter(()), DetectionSet(), model=None, config=c)
+    assert report.state.frames_seen == 0
+    assert 1 <= c.smtp_port <= 65535
+    c.smtp_config()

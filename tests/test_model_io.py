@@ -1,7 +1,12 @@
 """Model persistence tests: byte-identical round-trips and named failures."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emonet import model_io, nn
 from emonet.classifiers import cnn_predict, lda_predict, lda_train
@@ -124,3 +129,70 @@ class TestFailures:
         assert issubclass(model_io.BadMagic, model_io.ModelFileError)
         assert issubclass(model_io.TruncatedPayload, model_io.ModelFileError)
         assert issubclass(model_io.VersionUnsupported, model_io.ModelFileError)
+
+
+def _lda_blob(*tensors) -> bytes:
+    """An LDA file holding the given (shape, values) tensors, values all 0 when None."""
+    out = [struct.pack("<4sHBQH", model_io.MAGIC, model_io.VERSION, 1, 0, len(tensors))]
+    for shape, values in tensors:
+        out.append(struct.pack(f"<B{len(shape)}I", len(shape), *shape))
+        if values is None:
+            values = np.zeros(shape)
+        out.append(np.asarray(values, dtype="<f4").tobytes())
+    return b"".join(out)
+
+
+def _replaced(model, **fields) -> bytes:
+    return model_io.save_model(dataclasses.replace(model, **fields))
+
+
+HOSTILE = {
+    "rank_above_four": lambda cnn, lda: _lda_blob(((1,) * 181, [0.0])),
+    "extents_overflow_int64": lambda cnn, lda: _lda_blob(((2**32 - 1,) * 4, [])),
+    "four_lda_tensors": lambda cnn, lda: _lda_blob(
+        ((4,), None), ((4, 2), None), ((7, 2), None), ((2, 2), np.eye(2))),
+    "lda_shapes_disagree": lambda cnn, lda: _replaced(lda, class_means=lda.class_means[:, :3]),
+    "lda_six_classes": lambda cnn, lda: _replaced(
+        lda, class_means=lda.class_means[:6], priors=np.full(6, 1 / 6)),
+    "lda_negative_prior": lambda cnn, lda: _replaced(lda, priors=-lda.priors),
+    "lda_nan_covariance": lambda cnn, lda: _replaced(lda, covariance=lda.covariance * np.nan),
+    "cnn_inf_weight": lambda cnn, lda: _replaced(
+        cnn, params=[{k: v + np.inf for k, v in p.items()} for p in cnn.params]),
+    "cnn_kernel_size_disagrees": lambda cnn, lda: _replaced(
+        cnn, layers=[nn.LayerSpec("conv", kernel_size=5, filters=2)] + cnn.layers[1:]),
+    "cnn_channels_disagree": lambda cnn, lda: _replaced(cnn, channels=3),
+    "cnn_zero_channels": lambda cnn, lda: _replaced(
+        cnn, channels=0, params=[{**cnn.params[0], "k": np.zeros((3, 3, 0, 2))}] + cnn.params[1:]),
+    "cnn_trailing_bytes": lambda cnn, lda: model_io.save_model(cnn) + b"\0",
+}
+
+
+class TestHostileFiles:
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_rejected_at_load(self, case, cnn_model, lda_model):
+        with pytest.raises(model_io.ModelFileError):
+            model_io.load_model(HOSTILE[case](cnn_model, lda_model))
+
+    @pytest.mark.parametrize("kind", ["cnn", "lda"])
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_blob_rejected_or_predicts_finite(self, kind, cnn_model, lda_model, data):
+        """A flipped or truncated file raises ModelFileError or loads a usable model."""
+        blob = model_io.save_model(cnn_model if kind == "cnn" else lda_model)
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                 st.integers(1, 255)),
+                                       min_size=1, max_size=8), label="flips")
+            mutable = bytearray(blob)
+            for pos, mask in flips:
+                mutable[pos] ^= mask
+            blob = bytes(mutable)
+        try:
+            model = model_io.load_model(blob)
+        except model_io.ModelFileError:
+            return
+        probs = model.predict_proba(np.zeros((model.input_side, model.input_side)))
+        assert probs.shape == (1, 7)
+        assert np.all(np.isfinite(probs))
