@@ -75,8 +75,13 @@ def cnn_predict(model: nn.CnnModel, roi: Roi | np.ndarray) -> EmotionScores:
     return EmotionScores(probs=model.predict_proba(pixels)[0])
 
 
-def _batch_argmax(model, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Winning label index per sample, scored chunk by chunk to bound memory."""
+def _batch_argmax(model, x: np.ndarray, chunk: int = 32) -> np.ndarray:
+    """Winning label index per sample, scored chunk by chunk.
+
+    The default chunk is the training batch size, which keeps each im2col
+    (1.6 MB for the default stack) in cache. Samples are scored independently,
+    so the chunk changes the speed, not the result.
+    """
     return np.concatenate([np.argmax(model.predict_proba(x[start:start + chunk]), axis=1)
                            for start in range(0, len(x), chunk)])
 

@@ -76,6 +76,9 @@ def _cmd_run(args) -> int:
     config = (load_config_file(args.config, **overrides) if args.config
               else build_config(**overrides))
     model = model_io.load_model_file(args.model)
+    if model.input_side != config.roi_size:
+        raise ConfigError(f"model takes {model.input_side}x{model.input_side} input, "
+                          f"but roi_size is {config.roi_size}")
     with open(args.detections, "rb") as fh:
         detections = load_detections(fh.read())
     log_fh = open(args.event_log, "w", encoding="utf-8") if args.event_log else None

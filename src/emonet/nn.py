@@ -6,13 +6,19 @@ plain SGD updates and finite-difference gradient verification.
 
 A convolution is one matrix product over an im2col (Chellapilla, Puri and
 Simard 2006): each output pixel's k x k x C input window becomes a row in
-(c, i, j) order, multiplied by the kernels reshaped to (C*k*k, F). The
-kernel gradient is the same rows against the output gradient. The input
-gradient is a full correlation (Dumoulin and Visin, arXiv:1603.07285): the
-forward conv run on the output gradient zero-padded by k-1, with the
-kernels flipped in both spatial axes and C and F swapped. The first
-layer's input gradient is the network input's, which nothing reads, so
-the backward pass stops before it.
+(i, j, c) order, the kernels' own memory order, so the rows multiply the
+kernels reshaped to (k*k*C, F) with no transpose. The kernel gradient is
+the same rows against the output gradient, reshaped straight back to
+(k, k, C, F). The input gradient is a full correlation (Dumoulin and
+Visin, arXiv:1603.07285): the forward conv run on the output gradient
+zero-padded by k-1, with the kernels flipped in both spatial axes and C
+and F swapped. The first layer's input gradient is the network input's,
+which nothing reads, so the backward pass stops before it.
+
+Max-pool and sigmoid are built from branch-free ufuncs (np.maximum,
+comparisons, one division) rather than np.where or argmax, and the pool's
+backward pass is one scatter through the flat index of each window's
+winner.
 
 Arrays are float32 in the model path; intermediate accumulations run in
 float64 and are rounded back, so results stay stable against naive
@@ -41,9 +47,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(np.float64)
-    # exp() only ever sees non-positive arguments
-    z = np.exp(np.where(x >= 0, -x, x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # exp() only ever sees non-positive arguments: z = exp(-|x|), taken as
+    # min(x, -x) so that a NaN keeps its sign bit. The result is 1 / (1 + z)
+    # for x >= 0 and z / (1 + z) otherwise, so one division serves both. The
+    # numerator max(z, x >= 0) is 1 where x >= 0 (there z <= 1) and z
+    # elsewhere; unlike np.where it does not branch per element.
+    z = np.exp(np.minimum(x, -x))
+    num = np.maximum(z, x >= 0)
+    num /= 1.0 + z
+    return num
 
 
 def sigmoid_derivative(o: np.ndarray) -> np.ndarray:
@@ -81,17 +93,18 @@ def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
         raise ShapeMismatchError(f"bias shape {bias.shape} does not match filter count {f}")
     out_dtype = np.result_type(x, kernels)
     cols = _im2col(x, k)
-    out = cols @ kernels.astype(np.float64).transpose(2, 0, 1, 3).reshape(-1, f)
+    out = cols @ kernels.astype(np.float64).reshape(-1, f)
     out += bias.astype(np.float64)
     return out.reshape(n, h - k + 1, w - k + 1, f).astype(out_dtype)
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """float64 rows of every k x k window of an n x H x W x C batch, (c, i, j) order."""
+    """float64 rows of every k x k window of an n x H x W x C batch, (i, j, c) order."""
     win = sliding_window_view(x, (k, k), axis=(1, 2))      # (n, ho, wo, c, k, k)
     # order="C" copies straight into the row layout; the default keeps the
     # view's strides, and reshape would then copy a second time
-    return win.astype(np.float64, order="C").reshape(-1, x.shape[3] * k * k)
+    return (win.transpose(0, 1, 2, 4, 5, 3).astype(np.float64, order="C")
+            .reshape(-1, k * k * x.shape[3]))
 
 
 def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,26 +120,43 @@ def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, h, w, c = x.shape
+    h, w = x.shape[1:3]
     if h < 2 or w < 2:
         raise ShapeMismatchError(f"maxpool needs H, W >= 2, got plane {h}x{w}")
     he, we = h // 2, w // 2
-    xc = x[:, : he * 2, : we * 2, :]
-    win = xc.reshape(n, he, 2, we, 2, c).transpose(0, 1, 3, 2, 4, 5)
-    flat = win.reshape(n, he, we, 4, c)
-    mask = np.argmax(flat, axis=3)                         # first max wins
-    out = np.take_along_axis(flat, mask[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, mask
+    # one contiguous (n, he, we, C) copy per window position, row-major; an
+    # odd trailing row or column is in none. Every step below is then a ufunc
+    # over contiguous memory: np.where and boolean masks branch per element
+    # and cost several times more on data this random.
+    views = [np.ascontiguousarray(x[:, i:2 * he:2, j:2 * we:2, :])
+             for i in (0, 1) for j in (0, 1)]
+    top = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    # the winner is the first position that holds the max, or the first NaN,
+    # as with argmax: mask counts the positions before it
+    mask = np.zeros(top.shape, dtype=np.intp)
+    miss = np.ones(top.shape, dtype=bool)
+    for v in views[:3]:
+        miss &= v != top
+        miss &= v == v                  # false only at a NaN
+        mask += miss
+    # np.maximum may return either of two equal zeros; take the winner's own bits
+    return x.reshape(-1)[_winner_index(x.shape, mask)], mask
+
+
+def _winner_index(in_shape: tuple, mask: np.ndarray) -> np.ndarray:
+    """Flat index, into a C-ordered array of in_shape, of each window's winner."""
+    n, h, w, c = in_shape
+    he, we = h // 2, w // 2
+    # each window's top-left element: the start of its row plus its column offset
+    rows = np.arange(n)[:, None] * (h * w * c) + np.arange(he) * (2 * w * c)
+    cols = np.arange(we)[:, None] * (2 * c) + np.arange(c)
+    corner = (rows[:, :, None] + cols.reshape(-1)).reshape(n, he, we, c)
+    return corner + np.array([0, c, w * c, w * c + c])[mask]
 
 
 def _maxpool_backward(dout: np.ndarray, mask: np.ndarray, in_shape: tuple) -> np.ndarray:
-    n, h, w, c = in_shape
-    he, we = h // 2, w // 2
-    dflat = np.zeros((n, he, we, 4, c), dtype=dout.dtype)
-    np.put_along_axis(dflat, mask[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
-    dwin = dflat.reshape(n, he, we, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
     dx = np.zeros(in_shape, dtype=dout.dtype)
-    dx[:, : he * 2, : we * 2, :] = dwin.reshape(n, he * 2, we * 2, c)
+    dx.reshape(-1)[_winner_index(in_shape, mask)] = dout
     return dx
 
 
@@ -393,7 +423,7 @@ def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):
         elif kind == "conv":
             k, _, c, f = p["k"].shape
             dk = _im2col(cache, k).T @ d.reshape(-1, f).astype(np.float64)
-            grads[i]["k"] = dk.reshape(c, k, k, f).transpose(1, 2, 0, 3).astype(p["k"].dtype)
+            grads[i]["k"] = dk.reshape(k, k, c, f).astype(p["k"].dtype)
             grads[i]["b"] = d.sum(axis=(0, 1, 2)).astype(p["b"].dtype)
             if i == 0:
                 break          # the network input's gradient has no reader

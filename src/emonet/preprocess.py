@@ -192,21 +192,24 @@ class DetectionSet:
         return self.boxes.get(index, [])
 
 
-def _parse_meta(line: str) -> DetectionMeta:
-    meta = DetectionMeta()
+def _parse_size(text: str) -> tuple[int, int]:
+    w, h = text.lower().split("x")
+    return int(w), int(h)
+
+
+_META_PARSERS = {"scale_factor": float, "min_neighbors": int, "min_size": _parse_size}
+
+
+def _parse_meta(line: str, lineno: int) -> DetectionMeta:
     kwargs = {}
     for tok in line.lstrip("#").split():
-        if "=" not in tok:
-            continue
-        key, val = tok.split("=", 1)
-        if key == "scale_factor":
-            kwargs["scale_factor"] = float(val)
-        elif key == "min_neighbors":
-            kwargs["min_neighbors"] = int(val)
-        elif key == "min_size":
-            w, h = val.lower().split("x")
-            kwargs["min_size"] = (int(w), int(h))
-    return DetectionMeta(**kwargs) if kwargs else meta
+        key, eq, val = tok.partition("=")
+        if eq and key in _META_PARSERS:
+            try:
+                kwargs[key] = _META_PARSERS[key](val)
+            except ValueError:
+                raise MalformedLine(lineno, f"bad header value {tok!r}") from None
+    return DetectionMeta(**kwargs)
 
 
 def load_detections(data: bytes | str) -> DetectionSet:
@@ -226,7 +229,7 @@ def load_detections(data: bytes | str) -> DetectionSet:
             continue
         if line.startswith("#"):
             if not meta_seen and "=" in line:
-                result.meta = _parse_meta(line)
+                result.meta = _parse_meta(line, lineno)
                 meta_seen = True
             continue
         parts = line.split()

@@ -57,6 +57,13 @@ class VideoHeader:
     fps_denominator: int
     chroma: str  # "mono" or "420"
 
+    @property
+    def chroma_bytes(self) -> int:
+        """Bytes of both chroma planes per frame: ceil(W/2) x ceil(H/2) each for 4:2:0."""
+        if self.chroma == "mono":
+            return 0
+        return 2 * ((self.width + 1) // 2) * ((self.height + 1) // 2)
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -132,7 +139,7 @@ def parse_y4m_header(stream) -> VideoHeader:
         raise MalformedTag("missing W or H tag")
     if fps_num is None:
         raise MalformedTag("missing F tag")
-    if width < 1 or height < 1 or fps_den < 1:
+    if width < 1 or height < 1 or fps_num < 1 or fps_den < 1:
         raise MalformedTag(f"non-positive geometry or rate: W{width} H{height} F{fps_num}:{fps_den}")
     return VideoHeader(width, height, fps_num, fps_den, chroma)
 
@@ -161,8 +168,8 @@ class Y4mReader:
         if len(luma) != n_luma:
             raise TruncatedFrame(
                 f"frame {self._next_index}: wanted {n_luma} luma bytes, got {len(luma)}")
-        if h.chroma == "420":
-            n_chroma = n_luma // 2
+        n_chroma = h.chroma_bytes
+        if n_chroma:
             skipped = self._stream.read(n_chroma)
             if len(skipped) != n_chroma:
                 raise TruncatedFrame(
@@ -188,12 +195,11 @@ def write_y4m(header: VideoHeader, frames, stream=None) -> bytes | None:
     else:
         tags += " C420"
     out.write(tags.encode("ascii") + b"\n")
-    n_chroma = header.width * header.height // 2
+    chroma = b"\x80" * header.chroma_bytes
     for frame in frames:
         out.write(b"FRAME\n")
         out.write(frame.luma.tobytes())
-        if header.chroma == "420":
-            out.write(b"\x80" * n_chroma)
+        out.write(chroma)
     if stream is None:
         return out.getvalue()
     return None

@@ -325,3 +325,17 @@ class TestEvaluate:
                                nn.LayerSpec("softmax")], seed=0)
         with pytest.raises(ValueError):
             classifiers.evaluate(m, np.zeros((0, 8, 8)), np.zeros(0, dtype=np.int64))
+
+
+class TestBatchArgmax:
+    def test_same_indices_at_chunk_sizes_1_32_256(self):
+        x, y = make_glyph_dataset(n_per_class=40, seed=5)
+        model = nn.build_model(x.shape[1], nn.emotion_layer_stack(), seed=7)
+        rng = np.random.default_rng(0)
+        for _ in range(15):
+            idx = rng.choice(len(x), 32, replace=False)
+            nn.model_backward_and_step(model, x[idx], y[idx], 0.1)
+        by_chunk = [classifiers._batch_argmax(model, x, chunk=chunk) for chunk in (1, 32, 256)]
+        assert len(set(by_chunk[0].tolist())) > 1      # the scores are not all one label
+        for got in by_chunk[1:]:
+            np.testing.assert_array_equal(got, by_chunk[0])

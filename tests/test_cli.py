@@ -193,3 +193,23 @@ class TestExitCodes:
                          "--detections", str(dets),
                          "--model", lda_model_path, "--thresh", "3"])
         assert code == 2
+
+
+class TestModelSize:
+    def test_run_refuses_model_of_other_size_before_first_frame(self, dataset_dir,
+                                                                 tmp_path, capsys):
+        model = str(tmp_path / "lda8.emn1")
+        assert cli.main(["train", "--data", dataset_dir, "--model-kind", "lda",
+                         "--roi-size", "8", "--out", model]) == 0
+        video = tmp_path / "clip.y4m"
+        video.write_bytes(make_video(["sad"] * 3, canvas=100))
+        dets = tmp_path / "clip.dets"
+        dets.write_text("# min_size=1x1\n" + "".join(f"{i} 10 10 28 28\n" for i in range(3)))
+        log = tmp_path / "events.log"
+        capsys.readouterr()
+        code = cli.main(["run", "--video", str(video), "--detections", str(dets),
+                         "--model", model, "--thresh", "1", "--event-log", str(log)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "roi_size is 28" in err and "8x8" in err
+        assert not log.exists()          # refused at set-up, before any frame

@@ -154,3 +154,25 @@ def test_any_text_builds_a_runnable_config_or_raises_config_error(values, env):
     assert report.state.frames_seen == 0
     assert 1 <= c.smtp_port <= 65535
     c.smtp_config()
+
+
+class TestMailAddresses:
+    @pytest.mark.parametrize("bad", ["a@x>\r\nRCPT TO:<evil@y", "a@x\nQUIT", "a@x\rQUIT",
+                                     "<a@x>", "a@x>"])
+    def test_smtp_command_characters_refused(self, bad):
+        with pytest.raises(ConfigError):
+            build_config({"thresh": "5"}, env={cfg.ENV_ALERT_FROM: bad})
+        with pytest.raises(ConfigError):
+            build_config({"thresh": "5"}, env={cfg.ENV_ALERT_TO: f"ok@x, {bad}"})
+        with pytest.raises(ConfigError):
+            PipelineConfig(thresh=5, alert_from=bad)
+        if "\n" not in bad and "\r" not in bad:      # a file line cannot hold a line break
+            with pytest.raises(ConfigError):
+                build_config(parse_config_text(f"thresh=5\nalert_from={bad}\n"), env={})
+            with pytest.raises(ConfigError):
+                build_config(parse_config_text(f"thresh=5\nalert_to=ok@x,{bad}\n"), env={})
+
+    def test_plain_addresses_accepted(self):
+        c = build_config({"thresh": "5", "smtp_host": "mail.x"},
+                         env={cfg.ENV_ALERT_FROM: "cam@x.org", cfg.ENV_ALERT_TO: "a@x.org, b@x.org"})
+        assert c.smtp_config().recipients == ("a@x.org", "b@x.org")

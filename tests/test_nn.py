@@ -432,3 +432,75 @@ class TestGradientCheck:
         m = tiny_fixture_model()
         with pytest.raises(ValueError):
             nn.gradient_check(m, (np.zeros((8, 8), dtype=np.float32), 0), 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact contracts of the rewritten kernels
+# ---------------------------------------------------------------------------
+
+def maxpool_winner_oracle(x, dout):
+    """Loop-based pool: each window's first max (row-major), or its first NaN as
+    with argmax, gives the output (its own bits) and takes the gradient."""
+    n, h, w, c = x.shape
+    out = np.zeros(dout.shape, dtype=x.dtype)
+    mask = np.zeros(dout.shape, dtype=np.intp)
+    dx = np.zeros_like(x)
+    for s in range(n):
+        for i in range(h // 2):
+            for j in range(w // 2):
+                for ci in range(c):
+                    win = [x[s, 2 * i + q // 2, 2 * j + q % 2, ci] for q in range(4)]
+                    nans = [q for q in range(4) if np.isnan(win[q])]
+                    q = nans[0] if nans else win.index(max(win))
+                    out[s, i, j, ci] = win[q]
+                    mask[s, i, j, ci] = q
+                    dx[s, 2 * i + q // 2, 2 * j + q % 2, ci] = dout[s, i, j, ci]
+    return out, mask, dx
+
+
+class TestMaxpoolBackward:
+    def test_200_random_shapes_with_ties_and_nans_match_oracle(self):
+        rng = np.random.default_rng(21)
+        for t in range(200):
+            n = int(rng.integers(1, 4))
+            h, w = (int(v) for v in rng.integers(2, 12, size=2))
+            c = int(rng.integers(1, 5))
+            dtype = (np.float32, np.float64)[t % 2]
+            # few distinct integer values, so most windows hold a tie; zeros of
+            # both signs tie too, and every fourth map holds a NaN or two
+            x = rng.integers(-2, 3, size=(n, h, w, c)).astype(dtype)
+            x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+            if t % 4 == 3:
+                x[rng.random(x.shape) < 0.05] = np.nan
+            out, mask = nn._maxpool_batch(x)
+            dout = rng.standard_normal(out.shape).astype(dtype)
+            want_out, want_mask, want_dx = maxpool_winner_oracle(x, dout)
+            assert out.tobytes() == want_out.tobytes()
+            assert mask.dtype == np.intp
+            np.testing.assert_array_equal(mask, want_mask)
+            dx = nn._maxpool_backward(dout, mask, x.shape)
+            assert dx.dtype == dtype and dx.shape == x.shape
+            assert dx.tobytes() == want_dx.tobytes()
+            # an odd trailing row or column is in no window
+            assert not np.any(dx[:, 2 * (h // 2):]) and not np.any(dx[:, :, 2 * (w // 2):])
+
+
+def two_branch_sigmoid(x):
+    z = np.exp(np.where(x >= 0, -x, x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+class TestSigmoidBitExact:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_two_branch_formula_byte_for_byte(self, dtype):
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e-30,
+                   100.5, -100.5, 150.0, -150.0, 800.0, -800.0, 1e30, -1e30]
+        x = np.concatenate([rng.standard_normal(4000) * scale
+                            for scale in (0.01, 1.0, 10.0, 200.0)] + [special]).astype(dtype)
+        got = nn.sigmoid(x)
+        want = two_branch_sigmoid(x)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        for v in x[-len(special):]:
+            assert np.asarray(nn.sigmoid(v)).tobytes() == np.asarray(two_branch_sigmoid(v)).tobytes()

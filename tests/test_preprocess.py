@@ -201,3 +201,14 @@ class TestBoxScaling:
 
     def test_scaled_box_never_degenerates(self):
         assert preprocess.BoundingBox(0, 0, 1, 1).scaled(0.1).area >= 1
+
+
+class TestDetectionsHeader:
+    @pytest.mark.parametrize("header", ["# scale_factor=abc", "# min_size=60",
+                                        "# min_size=axb", "# min_neighbors=1.5",
+                                        "# min_size=1x1 min_neighbors=x"])
+    def test_bad_header_value_is_malformed_line(self, header):
+        data = f"\n{header}\n0 1 1 70 70\n"
+        with pytest.raises(preprocess.MalformedLine) as exc:
+            preprocess.load_detections(data)
+        assert exc.value.line_number == 2

@@ -179,3 +179,38 @@ class TestTemporalSmooth:
         with pytest.raises(video.VideoFormatError):
             video.temporal_smooth([make_frame(0, 4, 4), make_frame(1, 5, 4),
                                    make_frame(2, 4, 4)])
+
+
+class TestOddSize420:
+    """Hand-built 4:2:0 files: each chroma plane is ceil(W/2) x ceil(H/2) bytes."""
+
+    @pytest.mark.parametrize("w, h", [(5, 5), (5, 4), (4, 5), (1, 1), (3, 7)])
+    def test_odd_geometry_reads_every_frame(self, w, h):
+        chroma = 2 * ((w + 1) // 2) * ((h + 1) // 2)
+        lumas = [bytes((17 * f + i) % 256 for i in range(w * h)) for f in range(3)]
+        data = f"YUV4MPEG2 W{w} H{h} F25:1 C420jpeg\n".encode()
+        for luma in lumas:
+            data += b"FRAME\n" + luma + b"\x80" * chroma
+        reader = video.Y4mReader(data)
+        frames = list(reader)
+        assert [f.index for f in frames] == [0, 1, 2]
+        for f, luma in zip(frames, lumas):
+            assert f.luma.tobytes() == luma
+        assert reader.next_frame() is None
+
+    def test_odd_geometry_short_chroma_is_truncated_frame(self):
+        # 5x5 4:2:0 needs 2 * 3 * 3 = 18 chroma bytes; 12 = (5 * 5) // 2 is too few
+        data = b"YUV4MPEG2 W5 H5 F25:1 C420jpeg\nFRAME\n" + b"\x10" * 25 + b"\x80" * 12
+        with pytest.raises(video.TruncatedFrame):
+            video.Y4mReader(data).next_frame()
+
+    def test_writer_uses_the_same_plane_size(self):
+        header = VideoHeader(5, 3, 25, 1, "420")
+        data = video.write_y4m(header, [make_frame(0, 5, 3)])
+        frame_bytes = data.split(b"\n", 1)[1]
+        assert len(frame_bytes) == len(b"FRAME\n") + 15 + 2 * 3 * 2
+
+    @pytest.mark.parametrize("rate", ["F-1:1", "F0:1", "F25:0", "F25:-2"])
+    def test_rate_below_one_refused(self, rate):
+        with pytest.raises(video.MalformedTag):
+            video.parse_y4m_header(f"YUV4MPEG2 W8 H6 {rate}\n".encode())
