@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .preprocess import Roi
 
 LABELS: tuple[str, ...] = (
     "angry", "disgust", "scared", "happy", "sad", "surprised", "neutral")
@@ -69,10 +68,9 @@ class EpochStats:
 # CNN classifier
 # ---------------------------------------------------------------------------
 
-def cnn_predict(model: nn.CnnModel, roi: Roi | np.ndarray) -> EmotionScores:
-    """Softmax scores for one ROI; deterministic for a fixed model."""
-    pixels = roi.pixels if isinstance(roi, Roi) else roi
-    return EmotionScores(probs=model.predict_proba(pixels)[0])
+def cnn_predict(model: nn.CnnModel, roi: np.ndarray) -> EmotionScores:
+    """Softmax scores for one ROI's pixels; deterministic for a fixed model."""
+    return EmotionScores(probs=model.predict_proba(roi)[0])
 
 
 def _batch_argmax(model, x: np.ndarray, chunk: int = 32) -> np.ndarray:

@@ -10,8 +10,7 @@ import argparse
 import sys
 
 from . import model_io, pipeline
-from .classifiers import (LABELS, EmotionScores, EmptyClass, cnn_train,
-                          evaluate, lda_train)
+from .classifiers import LABELS, EmotionScores, cnn_train, evaluate, lda_train
 from .config import ConfigError, build_config, load_config_file
 from .dataset import load_dataset_dir
 from .preprocess import BoundingBox, extract_roi, load_detections
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
             pipeline.PipelineStageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, EmptyClass, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -2,7 +2,8 @@
 
 Forward/backward passes for valid-padding convolution, 2x2 max-pooling,
 dense layers, sigmoid activations and a softmax/cross-entropy head, plus
-plain SGD updates and finite-difference gradient verification.
+plain SGD updates and a finite-difference gradient check that runs the
+SGD step's own loss and backward path (_loss_and_grads).
 
 A convolution is one matrix product over an im2col (Chellapilla, Puri and
 Simard 2006): each output pixel's k x k x C input window becomes a row in
@@ -28,7 +29,7 @@ nested-loop reference implementations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -193,16 +194,26 @@ def softmax_cross_entropy(logits: np.ndarray,
                           true_class: int) -> tuple[np.ndarray, float, np.ndarray]:
     """Softmax probabilities, cross-entropy loss and dL/dlogits for one sample."""
     logits = np.asarray(logits)
-    k = logits.shape[-1]
-    if logits.ndim != 1 or k < 2:
+    if logits.ndim != 1 or logits.shape[-1] < 2:
         raise ShapeMismatchError(f"expected a logit vector of length >= 2, got {logits.shape}")
-    if not 0 <= true_class < k:
-        raise ValueError(f"true_class {true_class} outside [0, {k})")
+    p, loss, d = _cross_entropy_batch(logits[None], [true_class])
+    return p[0], loss, d[0]
+
+
+def _cross_entropy_batch(logits: np.ndarray,
+                         labels) -> tuple[np.ndarray, float, np.ndarray]:
+    """Softmax, mean cross-entropy and its logit gradient (p - onehot) / n,
+    in the logit dtype: the loss SGD steps on and gradient_check checks."""
+    labels = np.asarray(labels)
+    n, k = logits.shape
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"labels {labels} outside [0, {k})")
+    rows = np.arange(n)
     p = softmax(logits)
-    loss = float(-np.log(max(p[true_class], np.finfo(np.float64).tiny)))
+    loss = float(-np.log(np.maximum(p[rows, labels], np.finfo(np.float64).tiny)).mean())
     d = p.copy()
-    d[true_class] -= 1.0
-    return p, loss, d.astype(logits.dtype) if logits.dtype != np.float64 else d
+    d[rows, labels] -= 1.0
+    return p, loss, (d / n).astype(logits.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +443,21 @@ def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):
     return grads
 
 
+def _loss_and_grads(model: CnnModel, xb: np.ndarray, labels) -> tuple[float, list]:
+    """Mean cross-entropy of a batch and its per-layer parameter gradients."""
+    logits, caches = _forward_batch(model, xb, keep_cache=True)
+    _, loss, dlogits = _cross_entropy_batch(logits, labels)
+    return loss, _backward_batch(model, caches, dlogits)
+
+
 def model_backward_and_step(model: CnnModel, inputs: np.ndarray,
                             labels: np.ndarray, learning_rate: float) -> float:
     """One SGD step on a batch; updates parameters in place, returns mean loss."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("batch must be nonempty")
-    dtype = np.float32
-    xb = _as_batch(model, inputs).astype(dtype, copy=False)
-    n = xb.shape[0]
-    logits, caches = _forward_batch(model, xb, keep_cache=True)
-    probs = softmax(logits)
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.log(np.maximum(picked, np.finfo(np.float64).tiny)).mean())
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits = (dlogits / n).astype(logits.dtype)           # mean gradient
-    grads = _backward_batch(model, caches, dlogits)
+    xb = _as_batch(model, inputs).astype(np.float32, copy=False)
+    loss, grads = _loss_and_grads(model, xb, labels)
     for p, g in zip(model.params, grads):
         for key, grad in g.items():
             p[key] = (p[key].astype(np.float64)
@@ -456,52 +465,38 @@ def model_backward_and_step(model: CnnModel, inputs: np.ndarray,
     return loss
 
 
-def _loss_on(model: CnnModel, xb: np.ndarray, label: int) -> float:
-    logits = _forward_batch(model, xb)[0]
-    _, loss, _ = softmax_cross_entropy(logits, label)
-    return loss
-
-
 def gradient_check(model: CnnModel, sample: tuple[np.ndarray, int],
                    epsilon: float) -> GradientReport:
     """Compare analytic gradients to central finite differences, parameter by parameter.
 
-    Runs on a float64 copy of the model so the difference quotient is not
-    drowned by float32 rounding.
+    Both come from the loss and backward pass that model_backward_and_step
+    runs. The check works on a float64 copy of the model so the difference
+    quotient is not drowned by float32 rounding.
     """
     if not 1e-5 <= epsilon <= 1e-2:
         raise ValueError(f"epsilon {epsilon} outside [1e-5, 1e-2]")
     x, label = sample
-    m64 = CnnModel(
-        input_side=model.input_side, channels=model.channels,
-        layers=list(model.layers),
-        params=[{k: v.astype(np.float64) for k, v in p.items()} for p in model.params],
-        seed=model.seed)
+    m64 = replace(model, params=[{k: v.astype(np.float64) for k, v in p.items()}
+                                 for p in model.params])
     xb = _as_batch(m64, np.asarray(x, dtype=np.float64))
-
-    logits, caches = _forward_batch(m64, xb, keep_cache=True)
-    _, _, dlogits = softmax_cross_entropy(logits[0], label)
-    grads = _backward_batch(m64, caches, dlogits[None])
+    labels = [label]
+    _, grads = _loss_and_grads(m64, xb, labels)
 
     worst_err, worst_idx, flat_idx = 0.0, 0, 0
     for p, g in zip(m64.params, grads):
         for key in sorted(p):
-            arr = p[key]
-            analytic = g[key]
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + epsilon
-                lp = _loss_on(m64, xb, label)
-                arr[idx] = orig - epsilon
-                lm = _loss_on(m64, xb, label)
-                arr[idx] = orig
+            flat, analytic = p[key].reshape(-1), g[key].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + epsilon
+                lp = _cross_entropy_batch(_forward_batch(m64, xb), labels)[1]
+                flat[i] = orig - epsilon
+                lm = _cross_entropy_batch(_forward_batch(m64, xb), labels)[1]
+                flat[i] = orig
                 numeric = (lp - lm) / (2.0 * epsilon)
-                a = float(analytic[idx])
+                a = float(analytic[i])
                 err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
                 if err > worst_err:
                     worst_err, worst_idx = err, flat_idx
                 flat_idx += 1
-                it.iternext()
     return GradientReport(max_relative_error=worst_err, worst_parameter_index=worst_idx)

@@ -51,7 +51,7 @@ def _predict(model, roi) -> EmotionScores:
     # not model.predict_proba: perfbench/tracing.py times prediction by patching these two names
     if isinstance(model, LdaModel):
         return lda_predict(model, roi.pixels)
-    return cnn_predict(model, roi)
+    return cnn_predict(model, roi.pixels)
 
 
 def _face_roi(frames: list[Frame], box: BoundingBox, width: int, roi_size: int) -> Roi:

@@ -76,8 +76,6 @@ Region = tuple[slice, slice]   # (rows, cols) of a frame, explicit start and sto
 
 def working_height(width: int, height: int, target_width: int) -> int:
     """Height of a width x height frame after an aspect-preserving resize to target_width."""
-    if target_width == width:
-        return height
     return max(1, int(round(height * target_width / width)))
 
 

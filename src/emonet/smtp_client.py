@@ -12,7 +12,6 @@ import socket
 import threading
 import uuid
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from email.utils import format_datetime
 
 from .alerts import AlertEvent
@@ -122,18 +121,18 @@ class _Dialogue:
     def send_line(self, line: str) -> None:
         self.sock.sendall(line.encode("ascii") + b"\r\n")
 
-    def send_data(self, lines: list[str]) -> tuple[int, str]:
-        """Send a message body and its lone '.' terminator in one write.
-
-        A write per line would leave each small segment waiting on the
-        server's delayed ACK (Nagle's algorithm), tens of ms per message.
-        """
-        body = "".join(line + "\r\n" for line in dot_stuff(lines))
-        return self.command(body + ".", "data-end")
-
     def command(self, line: str, phase: str) -> tuple[int, str]:
         self.send_line(line)
         return self.read_reply(phase)
+
+    def expect(self, line: str | None, phase: str, *codes: int) -> None:
+        """Send line (None sends nothing), read the reply and raise
+        ProtocolError for phase unless its code is one of codes."""
+        if line is not None:
+            self.send_line(line)
+        code, text = self.read_reply(phase)
+        if code not in codes:
+            raise ProtocolError(phase, code, text)
 
 
 def _connect(config: SmtpConfig) -> socket.socket:
@@ -160,28 +159,22 @@ def send_alert(config: SmtpConfig, event: AlertEvent) -> DeliveryReceipt:
     message_id = f"{uuid.uuid4().hex}@{config.hello_name}"
     dialogue = _Dialogue(sock)
     try:
-        code, text = dialogue.read_reply("greeting")
-        if code != 220:
-            raise ProtocolError("greeting", code, text)
+        dialogue.expect(None, "greeting", 220)
         code, text = dialogue.command(f"EHLO {config.hello_name}", "ehlo")
         if 500 <= code < 600:
             code, text = dialogue.command(f"HELO {config.hello_name}", "helo")
         if code != 250:
             raise ProtocolError("hello", code, text)
-        code, text = dialogue.command(f"MAIL FROM:<{config.sender}>", "mail")
-        if code != 250:
-            raise ProtocolError("mail", code, text)
+        dialogue.expect(f"MAIL FROM:<{config.sender}>", "mail", 250)
         for rcpt in config.recipients:
-            code, text = dialogue.command(f"RCPT TO:<{rcpt}>", "rcpt")
-            if code not in (250, 251):
-                raise ProtocolError("rcpt", code, text)
-        code, text = dialogue.command("DATA", "data")
-        if code != 354:
-            raise ProtocolError("data", code, text)
-        code, text = dialogue.send_data(format_alert_message(config, event, message_id))
-        accepted = code == 250
-        if not accepted:
-            raise ProtocolError("data-end", code, text)
+            dialogue.expect(f"RCPT TO:<{rcpt}>", "rcpt", 250, 251)
+        dialogue.expect("DATA", "data", 354)
+        # The body and its lone '.' terminator go out in one write: a write
+        # per line would leave each small segment waiting on the server's
+        # delayed ACK (Nagle's algorithm), tens of ms per message.
+        body = "".join(line + "\r\n" for line in
+                       dot_stuff(format_alert_message(config, event, message_id)))
+        dialogue.expect(body + ".", "data-end", 250)
         dialogue.command("QUIT", "quit")
         return DeliveryReceipt(accepted=True,
                                transcript=tuple(dialogue.transcript),

@@ -87,14 +87,10 @@ _Y4M_MAGIC = b"YUV4MPEG2"
 
 
 def _read_line(stream: io.BufferedIOBase, what: str) -> bytes:
-    out = bytearray()
-    while True:
-        b = stream.read(1)
-        if not b:
-            raise TruncatedFrame(f"stream ended inside {what}")
-        if b == b"\n":
-            return bytes(out)
-        out += b
+    line = stream.readline()
+    if not line.endswith(b"\n"):
+        raise TruncatedFrame(f"stream ended inside {what}")
+    return line[:-1]
 
 
 def parse_y4m_header(stream) -> VideoHeader:
@@ -123,18 +119,16 @@ def parse_y4m_header(stream) -> VideoHeader:
             elif key == b"F":
                 num, den = val.split(":")
                 fps_num, fps_den = int(num), int(den)
-            elif key == b"C":
-                if val == "mono":
-                    chroma = "mono"
-                elif val.startswith("420"):
-                    chroma = "420"
-                else:
-                    raise UnsupportedChroma(f"chroma {val!r} is not mono or 4:2:0")
-            # A/I/X tags are legal and ignored
-        except (ValueError,) as exc:
-            if isinstance(exc, UnsupportedChroma):
-                raise
+        except ValueError as exc:
             raise MalformedTag(f"bad {key.decode()} tag {val!r}") from exc
+        if key == b"C":
+            if val == "mono":
+                chroma = "mono"
+            elif val.startswith("420"):
+                chroma = "420"
+            else:
+                raise UnsupportedChroma(f"chroma {val!r} is not mono or 4:2:0")
+        # A/I/X tags are legal and ignored
     if width is None or height is None:
         raise MalformedTag("missing W or H tag")
     if fps_num is None:

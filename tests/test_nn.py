@@ -434,6 +434,42 @@ class TestGradientCheck:
             nn.gradient_check(m, (np.zeros((8, 8), dtype=np.float32), 0), 1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 3], ids=lambda n: f"n={n}")
+def test_sgd_step_descends_the_batch_mean_loss(n):
+    """An lr=1 step moves each parameter by minus the central difference of
+    the mean of -log p(y_i | x_i) over the batch, computed from model_forward
+    alone, so a wrong scale on the step's loss gradient shows."""
+    m = two_conv_fixture_model(0)
+    for p in m.params:
+        for key in p:
+            p[key] = p[key].astype(np.float64)
+    rng = np.random.default_rng(n)
+    x = rng.random((n, 10, 10)).astype(np.float32)
+    y = rng.integers(0, 7, n)
+
+    def mean_loss():
+        return np.mean([-np.log(nn.model_forward(m, x[i])[y[i]]) for i in range(n)])
+
+    eps = 1e-5
+    before, numeric = [], []
+    for arr in m.param_arrays():
+        before.append(arr.copy())
+        flat = arr.reshape(-1)
+        g = np.empty_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            lp = mean_loss()
+            flat[i] = orig - eps
+            lm = mean_loss()
+            flat[i] = orig
+            g[i] = (lp - lm) / (2 * eps)
+        numeric.append(g.reshape(arr.shape))
+    nn.model_backward_and_step(m, x, y, learning_rate=1.0)
+    for old, new, g in zip(before, m.param_arrays(), numeric):
+        np.testing.assert_allclose(old - new, g, rtol=1e-5, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # bit-exact contracts of the rewritten kernels
 # ---------------------------------------------------------------------------
