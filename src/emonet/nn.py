@@ -19,7 +19,10 @@ which nothing reads, so the backward pass stops before it.
 Max-pool and sigmoid are built from branch-free ufuncs (np.maximum,
 comparisons, one division) rather than np.where or argmax, and the pool's
 backward pass is one scatter through the flat index of each window's
-winner.
+winner. A forward pass that keeps no caches (prediction, accuracy passes,
+the gradient check's loss) builds no winner mask: it takes each window's
+max, and finds the winner only when some max is a zero or NaN, whose bits
+may differ from the winner's.
 
 Arrays are float32 in the model path; intermediate accumulations run in
 float64 and are rounded back, so results stay stable against naive
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeMismatchError(ValueError):
@@ -101,11 +104,15 @@ def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """float64 rows of every k x k window of an n x H x W x C batch, (i, j, c) order."""
-    win = sliding_window_view(x, (k, k), axis=(1, 2))      # (n, ho, wo, c, k, k)
+    n, h, w, c = x.shape
+    sn, sh, sw, sc = x.strides
+    # the windows as one (n, ho, wo, k, k, c) view, the strides of
+    # sliding_window_view transposed to (i, j, c), without its argument checks
+    win = as_strided(x, (n, h - k + 1, w - k + 1, k, k, c), (sn, sh, sw, sh, sw, sc),
+                     writeable=False)
     # order="C" copies straight into the row layout; the default keeps the
     # view's strides, and reshape would then copy a second time
-    return (win.transpose(0, 1, 2, 4, 5, 3).astype(np.float64, order="C")
-            .reshape(-1, k * k * x.shape[3]))
+    return win.astype(np.float64, order="C").reshape(-1, k * k * c)
 
 
 def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,18 +127,26 @@ def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[0], mask[0]
 
 
-def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pool_views(x: np.ndarray) -> list[np.ndarray]:
+    """The (n, he, we, C) view of each 2x2 window position, row-major; an odd
+    trailing row or column is in none."""
     h, w = x.shape[1:3]
     if h < 2 or w < 2:
         raise ShapeMismatchError(f"maxpool needs H, W >= 2, got plane {h}x{w}")
     he, we = h // 2, w // 2
-    # one contiguous (n, he, we, C) copy per window position, row-major; an
-    # odd trailing row or column is in none. Every step below is then a ufunc
-    # over contiguous memory: np.where and boolean masks branch per element
-    # and cost several times more on data this random.
-    views = [np.ascontiguousarray(x[:, i:2 * he:2, j:2 * we:2, :])
-             for i in (0, 1) for j in (0, 1)]
-    top = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    return [x[:, i:2 * he:2, j:2 * we:2, :] for i in (0, 1) for j in (0, 1)]
+
+
+def _max_tree(views: list[np.ndarray]) -> np.ndarray:
+    return np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+
+
+def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one contiguous copy per window position: every step below is then a
+    # ufunc over contiguous memory. np.where and boolean masks branch per
+    # element and cost several times more on data this random.
+    views = [np.ascontiguousarray(v) for v in _pool_views(x)]
+    top = _max_tree(views)
     # the winner is the first position that holds the max, or the first NaN,
     # as with argmax: mask counts the positions before it
     mask = np.zeros(top.shape, dtype=np.intp)
@@ -142,6 +157,17 @@ def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mask += miss
     # np.maximum may return either of two equal zeros; take the winner's own bits
     return x.reshape(-1)[_winner_index(x.shape, mask)], mask
+
+
+def _maxpool_values(x: np.ndarray) -> np.ndarray:
+    """The pooled map of _maxpool_batch without the winner mask, which only
+    the backward pass reads."""
+    top = _max_tree(_pool_views(x))
+    # Equal values that are neither zero nor NaN have the same bits, so the
+    # max is the winner's own value; a max of -0, +0 or NaN needs the winner.
+    if np.abs(top).min(initial=np.inf) > 0:
+        return top
+    return _maxpool_batch(x)[0]
 
 
 def _winner_index(in_shape: tuple, mask: np.ndarray) -> np.ndarray:
@@ -386,6 +412,8 @@ def _forward_batch(model: CnnModel, xb: np.ndarray, keep_cache: bool = False):
         elif spec.kind == "sigmoid":
             a = sigmoid(a)
             caches.append(("sigmoid", a))
+        elif spec.kind == "maxpool" and not keep_cache:
+            a = _maxpool_values(a)
         elif spec.kind == "maxpool":
             out, mask = _maxpool_batch(a)
             caches.append(("maxpool", (a.shape, mask)))

@@ -3,10 +3,11 @@ classification -> alert counters -> (optional) SMTP dispatch.
 
 Each frame's face box is looked up before any pixel work. Frames with no
 usable detection do none: they still advance the frame counter and the
-alert cooldown, so alert pacing does not depend on detector dropouts. For a
-frame with a box, only the source pixels that the box's working-width
-pixels read are median-smoothed and resized, which gives the same ROI as
-smoothing and resizing the whole frame.
+alert cooldown, so alert pacing does not depend on detector dropouts. A box
+wholly outside the frame is no usable detection either; the run report
+counts those frames. For a frame with a box, only the source pixels that
+the box's working-width pixels read are median-smoothed and resized, which
+gives the same ROI as smoothing and resizing the whole frame.
 SMTP failures are logged and counted, never fatal: monitoring availability
 beats delivery guarantees.
 """
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 from . import alerts, smtp_client
 from .classifiers import EmotionScores, LdaModel, cnn_predict, lda_predict
 from .config import PipelineConfig
-from .preprocess import (BoundingBox, DetectionSet, Roi, clamp_box, extract_roi,
-                         resize_to_width, select_primary_face, source_window,
-                         working_height)
+from .preprocess import (BoundingBox, DetectionSet, EmptyIntersection, Roi, clamp_box,
+                         extract_roi, resample_taps, resize_to_width, select_primary_face,
+                         taps_window, working_height)
 from .video import Frame, Y4mReader, temporal_smooth
 
 
@@ -39,11 +40,14 @@ class RunReport:
     events: list[alerts.AlertEvent] = field(default_factory=list)
     smtp_failures: int = 0
     emails_sent: int = 0
+    boxes_outside_frame: int = 0     # frames whose primary box missed the frame
 
     def summary_text(self) -> str:
+        no_face = self.state.frames_seen - self.state.classified_frames
         lines = [alerts.render_summary(self.state),
                  f"events={len(self.events)} emails_sent={self.emails_sent} "
-                 f"smtp_failures={self.smtp_failures}"]
+                 f"smtp_failures={self.smtp_failures}",
+                 f"frames_no_face={no_face} boxes_outside_frame={self.boxes_outside_frame}"]
         return "\n".join(lines)
 
 
@@ -54,17 +58,23 @@ def _predict(model, roi) -> EmotionScores:
     return cnn_predict(model, roi.pixels)
 
 
-def _face_roi(frames: list[Frame], box: BoundingBox, width: int, roi_size: int) -> Roi:
-    """The ROI of box, in working-width coordinates, in the median of frames.
+def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
+              roi_size: int) -> Roi | None:
+    """The ROI of box, in working-width coordinates, in the median of frames,
+    or None when the box lies wholly outside the frame.
 
     Equal to extract_roi(resize_to_width(temporal_smooth(frames), width), box),
     but smooths and resizes only the pixels under the box.
     """
     in_shape = (frames[-1].height, frames[-1].width)
     out_shape = (working_height(in_shape[1], in_shape[0], width), width)
-    region = clamp_box(box, *out_shape)
-    smoothed = temporal_smooth(frames, source_window(region, in_shape, out_shape))
-    resized = resize_to_width(smoothed, width, region, in_shape)
+    try:
+        region = clamp_box(box, *out_shape)
+    except EmptyIntersection:
+        return None
+    taps = resample_taps(region, in_shape, out_shape)
+    smoothed = temporal_smooth(frames, taps_window(taps))
+    resized = resize_to_width(smoothed, width, taps)
     return extract_roi(resized, BoundingBox(0, 0, resized.width, resized.height), roi_size)
 
 
@@ -94,11 +104,14 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
             if config.detections_coords == "original" and factor != 1.0:
                 boxes = [b.scaled(factor) for b in boxes]
             box = select_primary_face(boxes)
-            if box is None:
+            roi = None
+            if box is not None:
+                frames = list(window) if len(window) == config.smooth_window else [frame]
+                roi = _face_roi(frames, box, config.width, config.roi_size)
+                report.boxes_outside_frame += roi is None
+            if roi is None:
                 alerts.tick(state, policy, frame.index)
                 continue
-            frames = list(window) if len(window) == config.smooth_window else [frame]
-            roi = _face_roi(frames, box, config.width, config.roi_size)
             scores = _predict(model, roi)
             event = alerts.ingest(state, policy, frame.index, scores, clock=clock)
         except Exception as exc:

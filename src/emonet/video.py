@@ -1,8 +1,9 @@
 """Grayscale frame ingestion: YUV4MPEG2 (Y4M) streams and binary PGM images.
 
 Only the luma plane of a Y4M stream is consumed; 4:2:0 chroma planes are
-read and discarded. Both formats round-trip bit-exactly through the
-matching write functions, which the test suite leans on heavily.
+skipped, by a seek where the stream can seek and by a read otherwise. Both
+formats round-trip bit-exactly through the matching write functions, which
+the test suite leans on heavily.
 """
 
 from __future__ import annotations
@@ -139,7 +140,12 @@ def parse_y4m_header(stream) -> VideoHeader:
 
 
 class Y4mReader:
-    """Sequential Y4M frame reader; single-owner, frames are immutable."""
+    """Sequential Y4M frame reader; single-owner, frames are immutable.
+
+    On a seekable stream the chroma planes are seeked past, not read. A seek
+    past the end does not fail, so the reader keeps the stream's length, and
+    a frame whose chroma would reach beyond it is truncated.
+    """
 
     def __init__(self, stream):
         if isinstance(stream, (bytes, bytearray)):
@@ -147,6 +153,11 @@ class Y4mReader:
         self._stream = stream
         self.header = parse_y4m_header(stream)
         self._next_index = 0
+        self._end = None                 # stream length when seekable
+        if stream.seekable():
+            start = stream.tell()
+            self._end = stream.seek(0, io.SEEK_END)
+            stream.seek(start)
 
     def next_frame(self) -> Frame | None:
         """Decode the next frame, or return None at a clean end-of-stream."""
@@ -164,11 +175,17 @@ class Y4mReader:
                 f"frame {self._next_index}: wanted {n_luma} luma bytes, got {len(luma)}")
         n_chroma = h.chroma_bytes
         if n_chroma:
-            skipped = self._stream.read(n_chroma)
-            if len(skipped) != n_chroma:
+            if self._end is None:
+                got = len(self._stream.read(n_chroma))
+            else:
+                pos = self._stream.seek(n_chroma, io.SEEK_CUR)
+                if pos > self._end:      # measure again: a file may grow while read
+                    self._end = self._stream.seek(0, io.SEEK_END)
+                    self._stream.seek(pos)
+                got = n_chroma - max(0, pos - self._end)
+            if got != n_chroma:
                 raise TruncatedFrame(
-                    f"frame {self._next_index}: wanted {n_chroma} chroma bytes, "
-                    f"got {len(skipped)}")
+                    f"frame {self._next_index}: wanted {n_chroma} chroma bytes, got {got}")
         frame = Frame(index=self._next_index, width=h.width, height=h.height,
                       luma=np.frombuffer(luma, dtype=np.uint8).reshape(h.height, h.width))
         self._next_index += 1

@@ -540,3 +540,62 @@ class TestSigmoidBitExact:
         assert got.tobytes() == want.tobytes()
         for v in x[-len(special):]:
             assert np.asarray(nn.sigmoid(v)).tobytes() == np.asarray(two_branch_sigmoid(v)).tobytes()
+
+
+def pool_outputs(monkeypatch, model, xb, keep_cache):
+    """Logits of one forward pass and the output of each of its max-pools."""
+    name = "_maxpool_batch" if keep_cache else "_maxpool_values"
+    real, seen = getattr(nn, name), []
+
+    def spy(x):
+        out = real(x)
+        seen.append(out[0] if keep_cache else out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(nn, name, spy)
+        out = nn._forward_batch(model, xb, keep_cache=keep_cache)
+    return (out[0] if keep_cache else out), seen
+
+
+class TestInferenceForward:
+    """predict_proba pools without the winner mask; its bits must not move."""
+
+    STACKS = [
+        [nn.LayerSpec("conv", kernel_size=3, filters=4), nn.LayerSpec("maxpool"),
+         nn.LayerSpec("dense", width=7), nn.LayerSpec("softmax")],
+        [nn.LayerSpec("maxpool"), nn.LayerSpec("conv", kernel_size=2, filters=3),
+         nn.LayerSpec("maxpool"), nn.LayerSpec("dense", width=7), nn.LayerSpec("softmax")],
+        nn.emotion_layer_stack(),
+    ]
+
+    @pytest.mark.parametrize("stack", range(len(STACKS)))
+    def test_matches_training_forward_byte_for_byte(self, monkeypatch, stack):
+        rng = np.random.default_rng(31 + stack)
+        for seed in range(4):
+            model = nn.build_model(12 if stack < 2 else 28, self.STACKS[stack], seed=seed)
+            side = model.input_side
+            for p in model.params:   # biases of either zero: conv outputs hold -0 and +0
+                if "b" in p:
+                    p["b"] = rng.choice(np.array([0.0, -0.0, 0.5], np.float32), p["b"].shape)
+            x = rng.standard_normal((9, side, side)).astype(np.float32)
+            x[rng.random(x.shape) < 0.3] = 0.0
+            x[rng.random(x.shape) < 0.2] = -0.0
+            x[:3, :side // 2] = 0.0                   # whole windows of zeros
+            x[3:5, :, :side // 2] = -0.0
+            x[5][rng.random((side, side)) < 0.02] = np.nan
+            x[6, 0, :2] = -np.nan, np.nan           # NaNs of either sign in one window
+
+            batched = model.predict_proba(x)
+            for i in range(len(x)):
+                assert batched[i].tobytes() == model.predict_proba(x[i])[0].tobytes()
+            xb = x[..., None]
+            logits, pools = pool_outputs(monkeypatch, model, xb, keep_cache=False)
+            train_logits, train_pools = pool_outputs(monkeypatch, model, xb, keep_cache=True)
+            assert batched.tobytes() == nn.softmax(train_logits).tobytes()
+            assert logits.tobytes() == train_logits.tobytes()
+            pool_layers = [spec.kind for spec in model.layers].count("maxpool")
+            assert len(pools) == len(train_pools) == pool_layers
+            for got, want in zip(pools, train_pools):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))

@@ -131,16 +131,17 @@ class TestRunStream:
         assert report.emails_sent == 2
         assert [f for _, f in sent] == [e.frame_index for e in report.events]
 
-    def test_stage_failure_carries_frame_index(self, lda_model):
-        # a box fully outside the frame makes ROI extraction fail on frame 1
+    def test_box_outside_frame_is_skipped_and_counted(self, lda_model):
+        # frame 1's only box lies wholly outside the frame: no usable box
         labels = ["neutral"] * 3
         dets = load_detections(
             b"# min_size=1x1\n0 10 10 28 28\n1 900 900 28 28\n2 10 10 28 28\n")
         config = PipelineConfig(thresh=5, width=100)
-        with pytest.raises(pipeline.PipelineStageError) as exc:
-            pipeline.run_stream(Y4mReader(make_video(labels)), dets,
-                                lda_model, config, clock=PINNED_CLOCK)
-        assert exc.value.frame_index == 1
+        report = pipeline.run_stream(Y4mReader(make_video(labels)), dets,
+                                     lda_model, config, clock=PINNED_CLOCK)
+        assert report.boxes_outside_frame == 1
+        assert (report.state.frames_seen, report.state.classified_frames) == (3, 2)
+        assert "frames_no_face=1 boxes_outside_frame=1" in report.summary_text()
 
     def test_summary_text_mentions_counts(self, lda_model):
         labels = ["happy"] * 4
@@ -214,7 +215,7 @@ class TestBoxFirst:
             dets = load_detections("\n".join(lines) + "\n")
             config = PipelineConfig(thresh=5, width=width, roi_size=roi_size, smooth_window=k,
                                     detections_coords=coords)
-            expected, failed_at = [], None
+            expected, outside_frames = [], 0
             for i, frame in enumerate(frames):
                 boxes = dets.for_frame(i)
                 if coords == "original" and width != w:
@@ -226,18 +227,13 @@ class TestBoxFirst:
                 try:
                     expected.append(full_frame_roi(window, box, width, roi_size))
                 except EmptyIntersection:
-                    failed_at = i
-                    break
+                    outside_frames += 1     # the run skips the frame and counts it
             del rois[:]
             reader = Y4mReader(write_y4m(VideoHeader(w, h, 25, 1, "mono"), frames))
-            if failed_at is None:
-                pipeline.run_stream(reader, dets, None, config, clock=PINNED_CLOCK)
-            else:
-                outside += 1
-                with pytest.raises(pipeline.PipelineStageError) as exc:
-                    pipeline.run_stream(reader, dets, None, config, clock=PINNED_CLOCK)
-                assert exc.value.frame_index == failed_at
-                assert isinstance(exc.value.__cause__, EmptyIntersection)
+            report = pipeline.run_stream(reader, dets, None, config, clock=PINNED_CLOCK)
+            assert report.boxes_outside_frame == outside_frames
+            assert report.state.frames_seen == n
+            outside += outside_frames > 0
             assert len(rois) == len(expected)
             for got, want in zip(rois, expected):
                 np.testing.assert_array_equal(got, want)

@@ -214,3 +214,79 @@ class TestOddSize420:
     def test_rate_below_one_refused(self, rate):
         with pytest.raises(video.MalformedTag):
             video.parse_y4m_header(f"YUV4MPEG2 W8 H6 {rate}\n".encode())
+
+
+class Unseekable:
+    """A pipe-like stream: it reads, and cannot seek."""
+
+    def __init__(self, data: bytes):
+        self._inner = io.BytesIO(data)
+
+    def read(self, n=-1):
+        return self._inner.read(n)
+
+    def readline(self):
+        return self._inner.readline()
+
+    def seekable(self):
+        return False
+
+
+def decode_all(stream):
+    """Every frame's index and luma bytes, then the error that stopped decoding, if any."""
+    frames = []
+    try:
+        for f in video.Y4mReader(stream):
+            frames.append((f.index, f.luma.tobytes()))
+    except video.VideoFormatError as exc:
+        return frames, type(exc)
+    return frames, None
+
+
+class TestChromaSkip:
+    """A seekable stream seeks past the chroma planes, any other stream reads them;
+    both must decode the same frames and fail the same way."""
+
+    @pytest.mark.parametrize("w, h, chroma", [(16, 10, "mono"), (16, 10, "420"), (5, 7, "420")])
+    def test_every_stream_kind_gives_the_same_frames(self, tmp_path, w, h, chroma):
+        frames = [make_frame(i, w, h, seed=3) for i in range(4)]
+        data = video.write_y4m(VideoHeader(w, h, 25, 1, chroma), frames)
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(data)
+        want = ([(f.index, f.luma.tobytes()) for f in frames], None)
+        with open(path, "rb") as fh:
+            assert decode_all(fh) == want
+        assert decode_all(io.BytesIO(data)) == want
+        assert decode_all(Unseekable(data)) == want
+
+    @pytest.mark.parametrize("short", [1, 17])
+    def test_short_final_chroma_is_truncated_frame(self, tmp_path, short):
+        frames = [make_frame(i, 6, 4) for i in range(2)]
+        data = video.write_y4m(VideoHeader(6, 4, 25, 1, "420"), frames)[:-short]
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(data)
+        want = ([(0, frames[0].luma.tobytes())], video.TruncatedFrame)
+        with open(path, "rb") as fh:
+            assert decode_all(fh) == want
+        assert decode_all(io.BytesIO(data)) == want
+        assert decode_all(Unseekable(data)) == want
+
+    def test_file_grown_after_open_decodes(self, tmp_path):
+        frames = [make_frame(i, 6, 4) for i in range(2)]
+        data = video.write_y4m(VideoHeader(6, 4, 25, 1, "420"), frames)
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(data[:-5])
+        with open(path, "rb") as fh:
+            reader = video.Y4mReader(fh)
+            assert reader.next_frame().index == 0
+            with open(path, "ab") as out:
+                out.write(data[-5:])
+            assert reader.next_frame().luma.tobytes() == frames[1].luma.tobytes()
+            assert reader.next_frame() is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.integers(1, 5), h=st.integers(1, 5), chroma=st.sampled_from(["mono", "420"]),
+           parts=st.lists(st.one_of(st.just(b"FRAME\n"), st.binary(max_size=40)), max_size=8))
+    def test_fuzzed_body_decodes_or_fails_by_name_alike(self, w, h, chroma, parts):
+        data = f"YUV4MPEG2 W{w} H{h} F25:1 C{chroma}\n".encode() + b"".join(parts)
+        assert decode_all(io.BytesIO(data)) == decode_all(Unseekable(data))
