@@ -3,11 +3,15 @@
 
 Reproduces the release benchmark: 200 samples/class, seed 7, 80/20
 stratified split, 30 epochs of SGD for the CNN, PCA+LDA baseline on the
-same split. Optionally writes both models to disk.
+same split. Optionally writes both models to disk, and prints the sha256
+of each model file written, so a change can be checked to leave the
+trained model byte-identical.
 """
 
 import argparse
+import hashlib
 import time
+from pathlib import Path
 
 from emonet import model_io
 from emonet.classifiers import cnn_train, evaluate, lda_train
@@ -43,12 +47,11 @@ def main() -> None:
     lda_acc, _ = evaluate(lda, xte, yte)
     print(f"lda: test={lda_acc * 100.0:.2f}%")
 
-    if args.cnn_out:
-        model_io.save_model_file(cnn, args.cnn_out)
-        print(f"wrote {args.cnn_out}")
-    if args.lda_out:
-        model_io.save_model_file(lda, args.lda_out)
-        print(f"wrote {args.lda_out}")
+    for model, path in ((cnn, args.cnn_out), (lda, args.lda_out)):
+        if path:
+            model_io.save_model_file(model, path)
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            print(f"wrote {path} sha256={digest}")
 
 
 if __name__ == "__main__":

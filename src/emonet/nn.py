@@ -8,13 +8,18 @@ SGD step's own loss and backward path (_loss_and_grads).
 A convolution is one matrix product over an im2col (Chellapilla, Puri and
 Simard 2006): each output pixel's k x k x C input window becomes a row in
 (i, j, c) order, the kernels' own memory order, so the rows multiply the
-kernels reshaped to (k*k*C, F) with no transpose. The kernel gradient is
-the same rows against the output gradient, reshaped straight back to
-(k, k, C, F). The input gradient is a full correlation (Dumoulin and
-Visin, arXiv:1603.07285): the forward conv run on the output gradient
-zero-padded by k-1, with the kernels flipped in both spatial axes and C
-and F swapped. The first layer's input gradient is the network input's,
-which nothing reads, so the backward pass stops before it.
+kernels reshaped to (k*k*C, F) with no transpose. A one-channel input's
+windows are copied tap-major, one plane per kernel tap, and the rows are
+the column-major transpose of that copy: its inner loop runs along an
+output row rather than along one kernel row. The training forward keeps
+each conv layer's rows, and the kernel gradient multiplies those rows by
+the output gradient, reshaped straight back to (k, k, C, F), so a step
+builds one im2col per conv layer. The input gradient is a full
+correlation (Dumoulin and Visin, arXiv:1603.07285): the forward conv run
+on the output gradient zero-padded by k-1, with the kernels flipped in
+both spatial axes and C and F swapped. The first layer's input gradient
+is the network input's, which nothing reads, so the backward pass stops
+before it.
 
 Max-pool and sigmoid are built from branch-free ufuncs (np.maximum,
 comparisons, one division) rather than np.where or argmax, and the pool's
@@ -84,7 +89,9 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
     return _conv_batch(x[None], kernels, bias)[0]
 
 
-def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+                keep_rows: bool = False):
+    """Batched conv2d_forward; with keep_rows, also the im2col rows it multiplied."""
     n, h, w, c = x.shape
     k, k2, kc, f = kernels.shape
     if k != k2 or kc != c:
@@ -99,17 +106,24 @@ def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
     cols = _im2col(x, k)
     out = cols @ kernels.astype(np.float64).reshape(-1, f)
     out += bias.astype(np.float64)
-    return out.reshape(n, h - k + 1, w - k + 1, f).astype(out_dtype)
+    out = out.reshape(n, h - k + 1, w - k + 1, f).astype(out_dtype)
+    return (out, cols) if keep_rows else out
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """float64 rows of every k x k window of an n x H x W x C batch, (i, j, c) order."""
     n, h, w, c = x.shape
     sn, sh, sw, sc = x.strides
+    ho, wo = h - k + 1, w - k + 1
+    if c == 1:
+        # one (n, ho, wo) plane per tap, copied with an inner loop of a whole
+        # output row rather than of one kernel row; the transpose of the
+        # (k*k, n*ho*wo) copy is the same rows, in column-major order
+        taps = as_strided(x, (k, k, n, ho, wo), (sh, sw, sn, sh, sw), writeable=False)
+        return taps.astype(np.float64, order="C").reshape(k * k, -1).T
     # the windows as one (n, ho, wo, k, k, c) view, the strides of
     # sliding_window_view transposed to (i, j, c), without its argument checks
-    win = as_strided(x, (n, h - k + 1, w - k + 1, k, k, c), (sn, sh, sw, sh, sw, sc),
-                     writeable=False)
+    win = as_strided(x, (n, ho, wo, k, k, c), (sn, sh, sw, sh, sw, sc), writeable=False)
     # order="C" copies straight into the row layout; the default keeps the
     # view's strides, and reshape would then copy a second time
     return win.astype(np.float64, order="C").reshape(-1, k * k * c)
@@ -406,9 +420,11 @@ def _forward_batch(model: CnnModel, xb: np.ndarray, keep_cache: bool = False):
     a = xb
     caches = []
     for spec, p in zip(model.layers, model.params):
-        if spec.kind == "conv":
-            caches.append(("conv", a))
+        if spec.kind == "conv" and not keep_cache:
             a = _conv_batch(a, p["k"], p["b"])
+        elif spec.kind == "conv":
+            a, rows = _conv_batch(a, p["k"], p["b"], keep_rows=True)
+            caches.append(("conv", rows))
         elif spec.kind == "sigmoid":
             a = sigmoid(a)
             caches.append(("sigmoid", a))
@@ -461,7 +477,7 @@ def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):
             d = _maxpool_backward(d, mask, in_shape)
         elif kind == "conv":
             k, _, c, f = p["k"].shape
-            dk = _im2col(cache, k).T @ d.reshape(-1, f).astype(np.float64)
+            dk = cache.T @ d.reshape(-1, f).astype(np.float64)
             grads[i]["k"] = dk.reshape(k, k, c, f).astype(p["k"].dtype)
             grads[i]["b"] = d.sum(axis=(0, 1, 2)).astype(p["b"].dtype)
             if i == 0:

@@ -90,6 +90,10 @@ def format_alert_message(config: SmtpConfig, event: AlertEvent,
     ]
 
 
+# RFC 5321 4.5.3.1.5: a reply line, code and CRLF included, is at most 512 octets
+MAX_REPLY_LINE = 512
+
+
 class _Dialogue:
     """Lock-step command/reply exchange over one buffered socket."""
 
@@ -103,11 +107,13 @@ class _Dialogue:
         texts = []
         while True:
             try:
-                raw = self.reader.readline()
+                raw = self.reader.readline(MAX_REPLY_LINE + 1)
             except socket.timeout:
                 raise SmtpTimeout(phase) from None
             if not raw:
                 raise ProtocolError(phase, 0, "connection closed by server")
+            if len(raw) > MAX_REPLY_LINE:
+                raise ProtocolError(phase, 0, f"reply line over {MAX_REPLY_LINE} octets")
             line = raw.decode("ascii", "replace").rstrip("\r\n")
             if len(line) < 3 or not line[:3].isdigit():
                 raise ProtocolError(phase, 0, f"unparseable reply {line!r}")

@@ -245,6 +245,8 @@ def parse_pgm(data: bytes, index: int = 0) -> Frame:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise BadMagic(f"non-numeric header token in {tokens!r}") from exc
+    if width < 1 or height < 1:
+        raise BadMagic(f"non-positive geometry {width}x{height}")
     if maxval != 255:
         raise MaxvalUnsupported(f"maxval {maxval} unsupported (only 255)")
     pos += 1  # single whitespace byte after maxval

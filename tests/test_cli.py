@@ -184,6 +184,14 @@ class TestExitCodes:
         code = cli.main(["predict", "--image", str(img), "--model", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("dims", [b"-2 -3", b"0 5"])
+    def test_image_of_non_positive_geometry_is_io_error(self, lda_model_path, tmp_path,
+                                                        dims):
+        img = tmp_path / "x.pgm"
+        img.write_bytes(b"P5\n" + dims + b"\n255\n" + b"\x00" * 6)
+        code = cli.main(["predict", "--image", str(img), "--model", lda_model_path])
+        assert code == 2
+
     def test_truncated_video_is_io_error(self, lda_model_path, tmp_path, capsys):
         video = tmp_path / "bad.y4m"
         video.write_bytes(b"YUV4MPEG2 W8 H8 F25:1 Cmono\nFRAME\n\x00\x00")

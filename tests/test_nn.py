@@ -188,7 +188,8 @@ class TestConv:
                          "b": np.zeros(c, dtype=np.float32)},
                         {"k": k, "b": b}],
                 seed=0)
-            grads = nn._backward_batch(model, [("conv", probe), ("conv", x)], dout)
+            caches = [("conv", nn._im2col(probe, 1)), ("conv", nn._im2col(x, ks))]
+            grads = nn._backward_batch(model, caches, dout)
             dk, db, dx = conv_backward_oracle(x, k, dout)
             got_dx = grads[0]["k"][0, 0].reshape(n, h, w, c)
             for got, want in ((grads[1]["k"], dk), (grads[1]["b"], db), (got_dx, dx)):
@@ -599,3 +600,104 @@ class TestInferenceForward:
             for got, want in zip(pools, train_pools):
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def reference_step(monkeypatch, model, x, labels, lr):
+    """An SGD step whose backward pass rebuilds each kernel gradient's im2col
+    from the raw input of its conv layer, recorded as the forward pass calls
+    _conv_batch; the rest of the backward is the step's own formulas."""
+    conv, inputs = nn._conv_batch, []
+
+    def recording_conv(a, *args, **kwargs):
+        inputs.append(a)
+        return conv(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(nn, "_conv_batch", recording_conv)
+        logits, caches = nn._forward_batch(model, x, keep_cache=True)
+    _, loss, d = nn._cross_entropy_batch(logits, labels)
+    f64, grads = np.float64, [{} for _ in model.layers]
+    for i in range(len(model.layers) - 1, -1, -1):
+        (kind, cache), p = caches[i], model.params[i]
+        if kind == "dense":
+            in_shape, flat = cache
+            grads[i] = {"w": (flat.astype(f64).T @ d.astype(f64)).astype(np.float32),
+                        "b": d.sum(axis=0)}
+            d = (d.astype(f64) @ p["w"].astype(f64).T).astype(d.dtype).reshape(in_shape)
+        elif kind == "sigmoid":
+            d = d * nn.sigmoid_derivative(cache)
+        elif kind == "maxpool":
+            d = nn._maxpool_backward(d, cache[1], cache[0])
+        elif kind == "conv":
+            k, _, c, f = p["k"].shape
+            rows = nn._im2col(inputs.pop(), k)
+            grads[i] = {"k": (rows.T @ d.reshape(-1, f).astype(f64)).reshape(p["k"].shape)
+                        .astype(np.float32), "b": d.sum(axis=(0, 1, 2))}
+            d = nn._conv_batch(np.pad(d, ((0, 0), (k - 1, k - 1), (k - 1, k - 1), (0, 0))),
+                               p["k"][::-1, ::-1].transpose(0, 1, 3, 2), np.zeros(c, d.dtype))
+    for p, g in zip(model.params, grads):
+        for key, grad in g.items():
+            p[key] = (p[key].astype(f64) - lr * grad.astype(f64)).astype(np.float32)
+    return loss
+
+
+class TestCachedRows:
+    """The kernel gradient multiplies the rows the forward conv built; a step
+    with them must equal one that rebuilds them from each layer's input."""
+
+    STACKS = {
+        "default": (28, 1, nn.emotion_layer_stack()),
+        "first conv C>1": (9, 2, [nn.LayerSpec("conv", kernel_size=3, filters=4),
+                                  nn.LayerSpec("sigmoid"), nn.LayerSpec("maxpool"),
+                                  nn.LayerSpec("conv", kernel_size=2, filters=5),
+                                  nn.LayerSpec("sigmoid"), nn.LayerSpec("dense", width=7),
+                                  nn.LayerSpec("softmax")]),
+        # both convs build rows of one shape, so rows handed to the wrong
+        # layer would not fail on a shape check
+        "k=1": (6, 3, [nn.LayerSpec("conv", kernel_size=1, filters=3), nn.LayerSpec("sigmoid"),
+                       nn.LayerSpec("conv", kernel_size=1, filters=3), nn.LayerSpec("sigmoid"),
+                       nn.LayerSpec("maxpool"), nn.LayerSpec("dense", width=7),
+                       nn.LayerSpec("softmax")]),
+    }
+
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_step_matches_rebuilt_rows_byte_for_byte(self, monkeypatch, stack):
+        side, channels, layers = self.STACKS[stack]
+        rng = np.random.default_rng(41)
+        x = rng.random((5, side, side, channels)).astype(np.float32)
+        labels = rng.integers(0, 7, 5)
+        cached = nn.build_model(side, layers, seed=3, channels=channels)
+        rebuilt = nn.build_model(side, layers, seed=3, channels=channels)
+        loss = nn.model_backward_and_step(cached, x, labels, 0.5)
+        assert loss == reference_step(monkeypatch, rebuilt, x, labels, 0.5)
+        moved = False
+        for got, want, start in zip(cached.param_arrays(), rebuilt.param_arrays(),
+                                    nn.build_model(side, layers, 3, channels).param_arrays()):
+            assert got.tobytes() == want.tobytes()
+            moved |= not np.array_equal(got, start)
+        assert moved
+
+
+class TestIm2colTapMajor:
+    """A one-channel input's im2col is copied tap-major and handed out as its
+    column-major transpose; the products must not see the difference."""
+
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_same_rows_and_byte_equal_products(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        x = rng.random((n, 28, 28, 1)).astype(np.float32)
+        cols = nn._im2col(x, k)
+        view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+        rows = view.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k)
+        assert cols.dtype == np.float64 and cols.flags.f_contiguous
+        np.testing.assert_array_equal(cols, rows)
+        c_order = np.ascontiguousarray(cols)
+        kernels = rng.uniform(-1, 1, (k * k, 8))
+        dout = rng.uniform(-1, 1, (len(cols), 8))
+        assert (cols @ kernels).tobytes() == (c_order @ kernels).tobytes()
+        assert (cols.T @ dout).tobytes() == (c_order.T @ dout).tobytes()
+
+    def test_more_channels_keep_row_major_rows(self):
+        x = np.random.default_rng(5).random((2, 7, 7, 3)).astype(np.float32)
+        assert nn._im2col(x, 3).flags.c_contiguous

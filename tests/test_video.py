@@ -121,6 +121,28 @@ class TestPgm:
         frame = video.parse_pgm(b"P5\n1 1\n255\n\x07EXTRA")
         np.testing.assert_array_equal(frame.luma, [[7]])
 
+    @pytest.mark.parametrize("dims", [b"-2 -3", b"0 5", b"5 0", b"-1 4"])
+    def test_non_positive_geometry_rejected(self, dims):
+        with pytest.raises(video.BadMagic):
+            video.parse_pgm(b"P5\n" + dims + b"\n255\n" + b"\x00" * 32)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=40),
+        # mostly well-formed headers: small signed numbers, comments, stray bytes
+        st.builds(lambda tokens, sep, tail: sep + sep.join(tokens) + sep + tail,
+                  st.lists(st.one_of(st.integers(-3, 4).map(b"%d".__mod__), st.just(b"255"),
+                                     st.just(b"# note\n"), st.binary(max_size=3)),
+                           max_size=5),
+                  st.sampled_from([b" ", b"\n", b"\t"]), st.binary(max_size=24))))
+    def test_any_bytes_after_magic_give_a_frame_or_format_error(self, rest):
+        try:
+            frame = video.parse_pgm(b"P5" + rest)
+        except video.VideoFormatError:
+            return
+        assert frame.width >= 1 and frame.height >= 1
+        assert frame.luma.shape == (frame.height, frame.width)
+
     @settings(max_examples=30)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
     def test_roundtrip_property(self, w, h, seed):
