@@ -8,14 +8,22 @@ wholly outside the frame is no usable detection either; the run report
 counts those frames. For a frame with a box, only the source pixels that
 the box's working-width pixels read are median-smoothed and resized, which
 gives the same ROI as smoothing and resizing the whole frame.
-SMTP failures are logged and counted, never fatal: monitoring availability
-beats delivery guarantees.
+With SMTP configured, each alert is mailed before the next frame is read,
+one SMTP session per alert. The run's smtp_client.Mailer opens a spare
+connection right after each accepted message and reads each QUIT reply
+later, so the server's greeting and QUIT reply overlap frame work; the
+connect is still paid in the alerting frame. The Mailer is closed when
+the run ends, also on an error. SMTP failures are logged and counted,
+never fatal: monitoring availability beats delivery guarantees.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import alerts, smtp_client
 from .classifiers import EmotionScores, LdaModel, cnn_predict, lda_predict
@@ -41,12 +49,16 @@ class RunReport:
     smtp_failures: int = 0
     emails_sent: int = 0
     boxes_outside_frame: int = 0     # frames whose primary box missed the frame
+    smtp_ms: list[float] = field(default_factory=list)   # each delivery, failures included
 
     def summary_text(self) -> str:
         no_face = self.state.frames_seen - self.state.classified_frames
+        smtp_ms = (f"smtp_ms_p50={np.median(self.smtp_ms):.2f} "
+                   f"smtp_ms_max={max(self.smtp_ms):.2f}" if self.smtp_ms
+                   else "smtp_ms_p50=- smtp_ms_max=-")
         lines = [alerts.render_summary(self.state),
                  f"events={len(self.events)} emails_sent={self.emails_sent} "
-                 f"smtp_failures={self.smtp_failures}",
+                 f"smtp_failures={self.smtp_failures} {smtp_ms}",
                  f"frames_no_face={no_face} boxes_outside_frame={self.boxes_outside_frame}"]
         return "\n".join(lines)
 
@@ -80,54 +92,66 @@ def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
 
 def run_stream(reader: Y4mReader, detections: DetectionSet, model,
                config: PipelineConfig, event_log=None,
-               clock=alerts._utc_now, send=smtp_client.send_alert,
-               warn=None) -> RunReport:
+               clock=alerts._utc_now, send=None, warn=None) -> RunReport:
     """Process every frame of a Y4M stream; returns the run report.
 
     With smooth_window=k, frame i is classified from the median of frames
     i-k+1..i, which is centred on frame i-(k-1)/2, cropped by frame i's box;
     the first k-1 frames are classified unsmoothed. event_log, when given,
-    receives one line per alert (flushed as written). send is the SMTP
-    dispatcher, injectable for tests.
+    receives one line per alert (flushed as written). With SMTP configured,
+    each alert is delivered by send(smtp_config, event), by default through
+    the run's smtp_client.Mailer; a run that never alerts opens no socket.
     """
     policy = config.alert_policy()
     state = alerts.CounterState()
     report = RunReport(state=state)
     smtp_cfg = config.smtp_config()
     window: deque = deque(maxlen=config.smooth_window)
+    mailer = None
+    if smtp_cfg is not None and send is None:
+        mailer = smtp_client.Mailer(smtp_cfg)   # connects at the first send
 
-    for frame in reader:
-        window.append(frame)
-        try:
-            factor = config.width / frame.width
-            boxes = detections.for_frame(frame.index)
-            if config.detections_coords == "original" and factor != 1.0:
-                boxes = [b.scaled(factor) for b in boxes]
-            box = select_primary_face(boxes)
-            roi = None
-            if box is not None:
-                frames = list(window) if len(window) == config.smooth_window else [frame]
-                roi = _face_roi(frames, box, config.width, config.roi_size)
-                report.boxes_outside_frame += roi is None
-            if roi is None:
-                alerts.tick(state, policy, frame.index)
-                continue
-            scores = _predict(model, roi)
-            event = alerts.ingest(state, policy, frame.index, scores, clock=clock)
-        except Exception as exc:
-            raise PipelineStageError(frame.index, exc) from exc
-        if event is None:
-            continue
-        report.events.append(event)
-        if event_log is not None:
-            event_log.write(event.log_line() + "\n")
-            event_log.flush()
-        if smtp_cfg is not None:
+        def send(_config, event):
+            mailer.send(event)
+    try:
+        for frame in reader:
+            window.append(frame)
             try:
-                send(smtp_cfg, event)
-                report.emails_sent += 1
-            except smtp_client.SmtpError as exc:
-                report.smtp_failures += 1
-                if warn is not None:
-                    warn(f"smtp delivery failed for frame {event.frame_index}: {exc}")
+                factor = config.width / frame.width
+                boxes = detections.for_frame(frame.index)
+                if config.detections_coords == "original" and factor != 1.0:
+                    boxes = [b.scaled(factor) for b in boxes]
+                box = select_primary_face(boxes)
+                roi = None
+                if box is not None:
+                    frames = list(window) if len(window) == config.smooth_window else [frame]
+                    roi = _face_roi(frames, box, config.width, config.roi_size)
+                    report.boxes_outside_frame += roi is None
+                if roi is None:
+                    alerts.tick(state, policy, frame.index)
+                    continue
+                scores = _predict(model, roi)
+                event = alerts.ingest(state, policy, frame.index, scores, clock=clock)
+            except Exception as exc:
+                raise PipelineStageError(frame.index, exc) from exc
+            if event is None:
+                continue
+            report.events.append(event)
+            if event_log is not None:
+                event_log.write(event.log_line() + "\n")
+                event_log.flush()
+            if smtp_cfg is not None:
+                start = time.monotonic()
+                try:
+                    send(smtp_cfg, event)
+                    report.emails_sent += 1
+                except smtp_client.SmtpError as exc:
+                    report.smtp_failures += 1
+                    if warn is not None:
+                        warn(f"smtp delivery failed for frame {event.frame_index}: {exc}")
+                finally:
+                    report.smtp_ms.append((time.monotonic() - start) * 1e3)
+    finally:
+        if mailer is not None:
+            mailer.close()
     return report

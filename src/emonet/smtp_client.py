@@ -4,13 +4,19 @@ in-process stub server for tests.
 The client speaks the bare dialogue (EHLO/MAIL/RCPT/DATA/QUIT) over a
 plain TCP socket with CRLF framing and dot-stuffing; no TLS, no AUTH.
 Deployments that need authentication should relay through a local MTA.
+send_alert delivers one message over a session of its own. A Mailer
+delivers a run's alerts, still one session each, but keeps a spare
+connection open so that the server's greeting arrives between alerts.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
+import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from email.utils import format_datetime
 
@@ -40,6 +46,13 @@ class ProtocolError(SmtpError):
         self.text = text
 
 
+class ServerHungUp(ProtocolError):
+    """The server closed or reset the connection; the reply code is 0."""
+
+    def __init__(self, phase: str, text: str):
+        super().__init__(phase, 0, text)
+
+
 @dataclass(frozen=True)
 class SmtpConfig:
     host: str
@@ -52,8 +65,8 @@ class SmtpConfig:
     def __post_init__(self):
         if not self.recipients:
             raise ValueError("recipient list must be nonempty")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -92,10 +105,16 @@ def format_alert_message(config: SmtpConfig, event: AlertEvent,
 
 # RFC 5321 4.5.3.1.5: a reply line, code and CRLF included, is at most 512 octets
 MAX_REPLY_LINE = 512
+# RFC 5321 sets no limit on the lines of one reply; a real one has a few dozen at most
+MAX_REPLY_LINES = 100
 
 
 class _Dialogue:
-    """Lock-step command/reply exchange over one buffered socket."""
+    """Lock-step command/reply exchange over one buffered socket.
+
+    Socket errors surface as SmtpError: a timeout as SmtpTimeout, an EOF or
+    a reset as ServerHungUp.
+    """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -110,8 +129,10 @@ class _Dialogue:
                 raw = self.reader.readline(MAX_REPLY_LINE + 1)
             except socket.timeout:
                 raise SmtpTimeout(phase) from None
+            except OSError as exc:
+                raise ServerHungUp(phase, str(exc)) from exc
             if not raw:
-                raise ProtocolError(phase, 0, "connection closed by server")
+                raise ServerHungUp(phase, "connection closed by server")
             if len(raw) > MAX_REPLY_LINE:
                 raise ProtocolError(phase, 0, f"reply line over {MAX_REPLY_LINE} octets")
             line = raw.decode("ascii", "replace").rstrip("\r\n")
@@ -123,22 +144,70 @@ class _Dialogue:
                 reply = (code, "\n".join(texts))
                 self.transcript.append(reply)
                 return reply
+            if len(texts) == MAX_REPLY_LINES:
+                raise ProtocolError(phase, 0, f"reply over {MAX_REPLY_LINES} lines")
 
-    def send_line(self, line: str) -> None:
-        self.sock.sendall(line.encode("ascii") + b"\r\n")
+    def send_line(self, line: str, phase: str) -> None:
+        try:
+            self.sock.sendall(line.encode("ascii") + b"\r\n")
+        except socket.timeout:
+            raise SmtpTimeout(phase) from None
+        except OSError as exc:
+            raise ServerHungUp(phase, str(exc)) from exc
 
     def command(self, line: str, phase: str) -> tuple[int, str]:
-        self.send_line(line)
+        self.send_line(line, phase)
         return self.read_reply(phase)
 
     def expect(self, line: str | None, phase: str, *codes: int) -> None:
         """Send line (None sends nothing), read the reply and raise
         ProtocolError for phase unless its code is one of codes."""
         if line is not None:
-            self.send_line(line)
+            self.send_line(line, phase)
         code, text = self.read_reply(phase)
         if code not in codes:
             raise ProtocolError(phase, code, text)
+
+    @contextmanager
+    def aborting(self):
+        """If the block raises, say QUIT without waiting for the reply,
+        close the connection and re-raise."""
+        try:
+            yield
+        except BaseException:
+            self.quit()
+            self.close()
+            raise
+
+    def quit(self) -> None:
+        """Send QUIT without reading the reply; a failed send is ignored."""
+        try:
+            self.send_line("QUIT", "quit")
+        except SmtpError:
+            pass
+
+    def read_by(self, deadline: float, phase: str) -> tuple[int, str]:
+        """read_reply, waiting until the time.monotonic() deadline (or for
+        1 ms if it has passed)."""
+        self.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+        return self.read_reply(phase)
+
+    def finish(self, deadline: float) -> None:
+        """Read the QUIT reply until the deadline, then close. A late, bad
+        or missing reply is ignored: QUIT is only sent after an accepted
+        message, on a failed session or to an unused spare."""
+        try:
+            self.read_by(deadline, "quit")
+        except (SmtpError, OSError):
+            pass
+        self.close()
+
+    def close(self) -> None:
+        try:
+            self.reader.close()
+            self.sock.close()
+        except OSError:
+            pass
 
 
 def _connect(config: SmtpConfig) -> socket.socket:
@@ -151,51 +220,151 @@ def _connect(config: SmtpConfig) -> socket.socket:
         raise ConnectFailed(f"cannot reach {config.host}:{config.port}: {exc}") from exc
 
 
+def _open(config: SmtpConfig) -> _Dialogue:
+    """A new connection; one reconnect is attempted after a failed connect."""
+    try:
+        return _Dialogue(_connect(config))
+    except ConnectFailed:
+        return _Dialogue(_connect(config))
+
+
+def _hello(dialogue: _Dialogue, config: SmtpConfig) -> None:
+    """Read the greeting and say EHLO, or HELO if the server refuses EHLO."""
+    dialogue.expect(None, "greeting", 220)
+    code, text = dialogue.command(f"EHLO {config.hello_name}", "ehlo")
+    if 500 <= code < 600:
+        code, text = dialogue.command(f"HELO {config.hello_name}", "helo")
+    if code != 250:
+        raise ProtocolError("hello", code, text)
+
+
+def _transaction(dialogue: _Dialogue, config: SmtpConfig, event: AlertEvent) -> str:
+    """Send one message over a greeted session; returns its Message-ID once
+    the server has accepted it (the 250 after the end of data)."""
+    message_id = f"{uuid.uuid4().hex}@{config.hello_name}"
+    dialogue.expect(f"MAIL FROM:<{config.sender}>", "mail", 250)
+    for rcpt in config.recipients:
+        dialogue.expect(f"RCPT TO:<{rcpt}>", "rcpt", 250, 251)
+    dialogue.expect("DATA", "data", 354)
+    # The body and its lone '.' terminator go out in one write: a write
+    # per line would leave each small segment waiting on the server's
+    # delayed ACK (Nagle's algorithm), tens of ms per message.
+    body = "".join(line + "\r\n" for line in
+                   dot_stuff(format_alert_message(config, event, message_id)))
+    dialogue.expect(body + ".", "data-end", 250)
+    return message_id
+
+
 def send_alert(config: SmtpConfig, event: AlertEvent) -> DeliveryReceipt:
-    """Deliver one alert email; returns the receipt with the server transcript.
+    """Deliver one alert email over a session of its own; returns the receipt
+    with the server transcript.
 
     One reconnect is attempted after a failed connect; a server rejection
     (ProtocolError) is never retried. The connection is always quit or
-    closed, even on errors.
+    closed, even on errors. Once the server has accepted the message, a
+    failed QUIT exchange is ignored: the transcript then ends at that 250.
     """
-    try:
-        sock = _connect(config)
-    except ConnectFailed:
-        sock = _connect(config)
-    message_id = f"{uuid.uuid4().hex}@{config.hello_name}"
-    dialogue = _Dialogue(sock)
-    try:
-        dialogue.expect(None, "greeting", 220)
-        code, text = dialogue.command(f"EHLO {config.hello_name}", "ehlo")
-        if 500 <= code < 600:
-            code, text = dialogue.command(f"HELO {config.hello_name}", "helo")
-        if code != 250:
-            raise ProtocolError("hello", code, text)
-        dialogue.expect(f"MAIL FROM:<{config.sender}>", "mail", 250)
-        for rcpt in config.recipients:
-            dialogue.expect(f"RCPT TO:<{rcpt}>", "rcpt", 250, 251)
-        dialogue.expect("DATA", "data", 354)
-        # The body and its lone '.' terminator go out in one write: a write
-        # per line would leave each small segment waiting on the server's
-        # delayed ACK (Nagle's algorithm), tens of ms per message.
-        body = "".join(line + "\r\n" for line in
-                       dot_stuff(format_alert_message(config, event, message_id)))
-        dialogue.expect(body + ".", "data-end", 250)
-        dialogue.command("QUIT", "quit")
-        return DeliveryReceipt(accepted=True,
-                               transcript=tuple(dialogue.transcript),
-                               message_id=message_id)
-    except SmtpError:
+    dialogue = _open(config)
+    with dialogue.aborting():
+        _hello(dialogue, config)
+        message_id = _transaction(dialogue, config, event)
+    dialogue.quit()
+    dialogue.finish(time.monotonic() + config.timeout)
+    return DeliveryReceipt(accepted=True, transcript=tuple(dialogue.transcript),
+                           message_id=message_id)
+
+
+class Mailer:
+    """Run-scoped alert delivery that keeps one spare connection open.
+
+    Building a Mailer opens nothing: the first send connects as send_alert
+    does. Right after each message is accepted, the Mailer opens a spare
+    connection for the next one, so the server's greeting arrives while the
+    caller does other work; the connect itself is still paid inside that
+    send(). Each message gets a session of its own; after its end-of-data
+    250 the Mailer sends QUIT and reads the reply later, at the next send or
+    in close(). No thread is involved: all I/O happens inside send() and
+    close().
+
+    Failure semantics:
+    - A spare that could not be opened, or that the server closed while it
+      sat idle (EOF, reset or a 421 before the transaction), is replaced
+      once by a fresh connection, with send_alert's connect retry.
+    - A spare that never greets fails the alert after one timeout; no new
+      spare is opened after a failed send.
+    - A late, bad or missing QUIT reply never fails or delays an alert.
+    - close() waits at most config.timeout in all and never raises.
+    """
+
+    def __init__(self, config: SmtpConfig):
+        self.config = config
+        self._quitting: _Dialogue | None = None   # QUIT sent, reply unread
+        self._spare: _Dialogue | None = None      # connected, greeting unread
+
+    def _open_spare(self) -> _Dialogue | None:
         try:
-            dialogue.send_line("QUIT")
-        except OSError:
-            pass
-        raise
-    finally:
+            return _open(self.config)
+        except SmtpError:
+            return None
+
+    def _greeted(self) -> _Dialogue:
+        """The spare after its greeting and EHLO, or a fresh session if the
+        spare is missing or the server hung up on it."""
+        spare, self._spare = self._spare, None
+        if spare is not None:
+            try:
+                with spare.aborting():
+                    _hello(spare, self.config)
+                return spare
+            except ProtocolError as exc:
+                if exc.code != 421 and not isinstance(exc, ServerHungUp):
+                    raise     # a refusal, not a server that hung up on the idle spare
+        dialogue = _open(self.config)
+        with dialogue.aborting():
+            _hello(dialogue, self.config)
+        return dialogue
+
+    def send(self, event: AlertEvent) -> DeliveryReceipt:
+        """Deliver one alert; returns once the server has accepted it and a
+        spare connection for the next one has been tried. The receipt's
+        transcript ends at that 250: the QUIT reply is read later."""
+        if self._quitting is not None:
+            # its reply is read only if it is already here, so that a late
+            # one delays no alert; a server serving one session at a time
+            # sends it before the spare's greeting anyway
+            self._quitting.finish(time.monotonic())
+            self._quitting = None
+        dialogue = self._greeted()
+        with dialogue.aborting():
+            message_id = _transaction(dialogue, self.config, event)
+        receipt = DeliveryReceipt(accepted=True, transcript=tuple(dialogue.transcript),
+                                  message_id=message_id)
+        dialogue.quit()
+        self._quitting = dialogue
+        self._spare = self._open_spare()
+        return receipt
+
+    def close(self) -> None:
+        """Read the last QUIT reply, then the spare's greeting, and quit the
+        spare, waiting at most config.timeout in all; never raises. The
+        spare is quit only after its greeting (RFC 5321 4.3.1: a client
+        waits for the greeting before it speaks)."""
+        deadline = time.monotonic() + self.config.timeout
+        pending, self._quitting = self._quitting, None
+        spare, self._spare = self._spare, None
+        if pending is not None:
+            pending.finish(deadline)
+        if spare is None:
+            return
         try:
-            sock.close()
-        except OSError:
-            pass
+            code, _ = spare.read_by(deadline, "greeting")
+        except (SmtpError, OSError):
+            code = 0
+        if code == 220:
+            spare.quit()
+            spare.finish(deadline)
+        else:
+            spare.close()
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +383,7 @@ class CapturedSession:
 
 class StubSmtpServer:
     """One-session scripted SMTP server bound to an ephemeral local port.
+    It stops listening once it has accepted its session.
 
     Replies are played back in order: the first is sent unprompted as the
     greeting, each later one after a client command. While a 354 reply is
@@ -248,6 +418,8 @@ class StubSmtpServer:
             conn, _ = self._sock.accept()
         except OSError:
             return
+        finally:
+            self._sock.close()   # one session: later connects are refused, not left hanging
         with conn:
             conn.settimeout(10)
             reader = conn.makefile("rb")

@@ -192,3 +192,18 @@ class TestConfig:
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ValueError):
             SmtpConfig(host="h", sender="a@x", recipients=("b@x",), timeout=0)
+
+
+class TestQuitAfterAccept:
+    @pytest.mark.parametrize("quit_reply", ["bogus", "554 no"])
+    def test_failed_quit_exchange_keeps_the_accepted_message(self, quit_reply):
+        with StubSmtpServer(HAPPY_SCRIPT[:-1] + [quit_reply]) as server:
+            receipt = smtp_client.send_alert(config_for(server), sample_event())
+        assert receipt.accepted
+        assert server.session.commands[-1] == "QUIT"
+        assert [code for code, _ in receipt.transcript][:6] == [220, 250, 250, 250, 354, 250]
+
+    def test_quit_reply_is_waited_for(self):
+        with StubSmtpServer(HAPPY_SCRIPT) as server:
+            receipt = smtp_client.send_alert(config_for(server), sample_event())
+        assert receipt.transcript[-1] == (221, "bye")

@@ -1,13 +1,15 @@
-"""SMTP reply lines are bounded: a server that never ends a line cannot grow
-the client's memory without bound."""
+"""SMTP replies are bounded, in octets per line and in lines per reply: a
+server that never ends a line or a reply cannot grow the client's memory
+without bound."""
 
 import socket
 import threading
+import time
 
 import pytest
 
 from emonet import smtp_client
-from emonet.smtp_client import MAX_REPLY_LINE, ProtocolError, SmtpConfig
+from emonet.smtp_client import MAX_REPLY_LINE, MAX_REPLY_LINES, ProtocolError, SmtpConfig
 from test_smtp import sample_event
 
 
@@ -70,5 +72,28 @@ def test_longest_allowed_reply_line_is_read(octets, phase):
     line = b"220 " + b"x" * (octets - 6) + b"\r\n"
     assert len(line) == octets
     with RawServer(line) as server:
+        err = send_to(server)
+    assert (err.phase, err.code) == (phase, 0)
+
+
+def test_endless_multiline_reply_is_a_protocol_error():
+    """200,000 continuation lines (12.8 MB) are refused after MAX_REPLY_LINES."""
+    line = b"220-" + b"x" * 58 + b"\r\n"
+    with RawServer(b"", filler=line, limit=200_000 * len(line)) as server:
+        start = time.monotonic()
+        err = send_to(server)
+        elapsed = time.monotonic() - start
+    assert (err.phase, err.code) == ("greeting", 0)
+    assert str(MAX_REPLY_LINES) in err.text
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("lines, phase", [(MAX_REPLY_LINES, "ehlo"),
+                                          (MAX_REPLY_LINES + 1, "greeting")])
+def test_longest_allowed_multiline_reply_is_read(lines, phase):
+    """A greeting of MAX_REPLY_LINES lines is accepted (the client goes on to
+    EHLO and finds the connection closed); one line more is refused."""
+    greeting = b"220-x\r\n" * (lines - 1) + b"220 ok\r\n"
+    with RawServer(greeting) as server:
         err = send_to(server)
     assert (err.phase, err.code) == (phase, 0)
