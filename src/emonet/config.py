@@ -44,10 +44,12 @@ class PipelineConfig:
         if not 1 <= self.smtp_port <= 65535:
             raise ConfigError(f"smtp_port {self.smtp_port} outside 1..65535")
         # the addresses go verbatim into MAIL FROM:<...> and RCPT TO:<...>;
-        # a line break there would start an SMTP command of its own
+        # a line break there would start an SMTP command of its own, and the
+        # client sends commands as ASCII
         for address in (self.alert_from or "", *self.alert_to):
-            if any(ch in address for ch in "\r\n<>"):
-                raise ConfigError(f"mail address {address!r} contains CR, LF, '<' or '>'")
+            if not address.isascii() or any(ch in address for ch in "\r\n<>"):
+                raise ConfigError(f"mail address {address!r} is not ASCII without "
+                                  "CR, LF, '<' and '>'")
         try:
             self.alert_policy()
         except ValueError as exc:

@@ -27,7 +27,11 @@ backward pass is one scatter through the flat index of each window's
 winner. A forward pass that keeps no caches (prediction, accuracy passes,
 the gradient check's loss) builds no winner mask: it takes each window's
 max, and finds the winner only when some max is a zero or NaN, whose bits
-may differ from the winner's.
+may differ from the winner's. It also casts the float32 parameters of
+each conv and dense layer to float64 once, not on every call: the model
+keeps the copies, with the conv bias tiled over an output row so that it
+is added as one contiguous row, while each parameter is still the very
+array it was cast from (_float64_operands).
 
 Arrays are float32 in the model path; intermediate accumulations run in
 float64 and are rounded back, so results stay stable against naive
@@ -37,7 +41,8 @@ nested-loop reference implementations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -90,8 +95,9 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
 
 
 def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
-                keep_rows: bool = False):
-    """Batched conv2d_forward; with keep_rows, also the im2col rows it multiplied."""
+                keep_rows: bool = False, f64=None):
+    """Batched conv2d_forward; with keep_rows, also the im2col rows it
+    multiplied. f64, when given, is _conv_f64 of kernels and bias, made beforehand."""
     n, h, w, c = x.shape
     k, k2, kc, f = kernels.shape
     if k != k2 or kc != c:
@@ -103,11 +109,22 @@ def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     if bias.shape != (f,):
         raise ShapeMismatchError(f"bias shape {bias.shape} does not match filter count {f}")
     out_dtype = np.result_type(x, kernels)
+    matrix, bias_row = f64 or _conv_f64(kernels, bias, w - k + 1)
     cols = _im2col(x, k)
-    out = cols @ kernels.astype(np.float64).reshape(-1, f)
-    out += bias.astype(np.float64)
+    out = cols @ matrix
+    by_row = out.reshape(-1, bias_row.size)   # a view: one output row per line
+    by_row += bias_row
     out = out.reshape(n, h - k + 1, w - k + 1, f).astype(out_dtype)
     return (out, cols) if keep_rows else out
+
+
+def _conv_f64(kernels: np.ndarray, bias: np.ndarray, wo: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 operands of a conv layer with wo-pixel output rows: the
+    kernels as a (k*k*C, F) matrix, and the bias tiled wo times, so that it
+    adds to a whole output row with one contiguous inner loop rather than a
+    loop of F elements per pixel. Float64 kernels are used as they are."""
+    return (kernels.astype(np.float64, copy=False).reshape(-1, kernels.shape[-1]),
+            np.tile(bias.astype(np.float64, copy=False), wo))
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -209,13 +226,22 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
     return _dense_batch(x[None], weights, bias)[0]
 
 
-def _dense_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _dense_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                 f64=None) -> np.ndarray:
+    """Batched dense_forward; f64, when given, is _dense_f64 of weights and
+    bias, made beforehand."""
     if x.shape[1] != weights.shape[0]:
         raise ShapeMismatchError(
             f"dense input width {x.shape[1]} does not match weight rows {weights.shape[0]}")
     out_dtype = np.result_type(x, weights)
-    out = x.astype(np.float64) @ weights.astype(np.float64) + bias.astype(np.float64)
+    w64, b64 = f64 or _dense_f64(weights, bias)
+    out = x.astype(np.float64) @ w64 + b64
     return out.astype(out_dtype)
+
+
+def _dense_f64(weights: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 operands of a dense layer; float64 ones are used as they are."""
+    return weights.astype(np.float64, copy=False), bias.astype(np.float64, copy=False)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -288,6 +314,8 @@ class CnnModel:
     layers: list[LayerSpec]
     params: list[dict[str, np.ndarray]]
     seed: int
+    # the inference forward's float64 operands (_float64_operands); not part of the value
+    _f64: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Softmax scores (n, K) for one H x W (x C) sample or a batch of n."""
@@ -419,9 +447,9 @@ def _forward_batch(model: CnnModel, xb: np.ndarray, keep_cache: bool = False):
     """Run the stack up to (not including) softmax; optionally keep caches."""
     a = xb
     caches = []
-    for spec, p in zip(model.layers, model.params):
+    for i, (spec, p) in enumerate(zip(model.layers, model.params)):
         if spec.kind == "conv" and not keep_cache:
-            a = _conv_batch(a, p["k"], p["b"])
+            a = _conv_batch(a, p["k"], p["b"], f64=_float64_operands(model, i, a.shape[2]))
         elif spec.kind == "conv":
             a, rows = _conv_batch(a, p["k"], p["b"], keep_rows=True)
             caches.append(("conv", rows))
@@ -437,10 +465,35 @@ def _forward_batch(model: CnnModel, xb: np.ndarray, keep_cache: bool = False):
         elif spec.kind == "dense":
             flat = a.reshape(a.shape[0], -1)
             caches.append(("dense", (a.shape, flat)))
-            a = _dense_batch(flat, p["w"], p["b"])
+            a = _dense_batch(flat, p["w"], p["b"],
+                             f64=None if keep_cache else _float64_operands(model, i, 0))
         elif spec.kind == "softmax":
             caches.append(("softmax", None))
     return (a, caches) if keep_cache else a
+
+
+def _float64_operands(model: CnnModel, i: int, width: int):
+    """_conv_f64 or _dense_f64 of layer i's parameters (for a conv layer,
+    of an input width pixels wide), cast once and kept on the model while
+    the layer's parameters are the very arrays they were cast from.
+
+    An entry holds those arrays and is checked against them by identity.
+    The SGD step assigns new arrays, so a stale copy is never read, and the
+    training forward does not use the cache: it would miss every time. For
+    float64 parameters the result is None, and the layers use them as they
+    are: gradient_check perturbs its float64 copy of the model in place.
+    """
+    p = model.params[i]
+    arrays = tuple(p.values())
+    hit = model._f64.get((i, width))
+    if hit is not None and all(map(operator.is_, arrays, hit[0])):
+        return hit[1]
+    if any(a.dtype == np.float64 for a in arrays):
+        return None
+    operands = (_conv_f64(p["k"], p["b"], width - p["k"].shape[0] + 1) if "k" in p
+                else _dense_f64(p["w"], p["b"]))
+    model._f64[i, width] = (arrays, operands)
+    return operands
 
 
 def _param_dtype(model: CnnModel):

@@ -5,9 +5,12 @@ Each frame's face box is looked up before any pixel work. Frames with no
 usable detection do none: they still advance the frame counter and the
 alert cooldown, so alert pacing does not depend on detector dropouts. A box
 wholly outside the frame is no usable detection either; the run report
-counts those frames. For a frame with a box, only the source pixels that
-the box's working-width pixels read are median-smoothed and resized, which
-gives the same ROI as smoothing and resizing the whole frame.
+counts those frames. For a frame with a box, the ROI's own resample taps
+over the box come first, and only the working-width pixels they read are
+computed: on an axis where the box spans more than 2 * roi_size working
+pixels, 2 * roi_size rows (columns), otherwise the box's span. Only the
+source pixels those read are median-smoothed and resized, which gives the
+same ROI as smoothing and resizing the whole frame.
 With SMTP configured, each alert is mailed before the next frame is read,
 one SMTP session per alert. The run's smtp_client.Mailer opens a spare
 connection right after each accepted message and reads each QUIT reply
@@ -19,6 +22,7 @@ never fatal: monitoring availability beats delivery guarantees.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -49,6 +53,7 @@ class RunReport:
     smtp_failures: int = 0
     emails_sent: int = 0
     boxes_outside_frame: int = 0     # frames whose primary box missed the frame
+    dropped_below_min_size: int = 0  # sidecar boxes smaller than its min_size
     smtp_ms: list[float] = field(default_factory=list)   # each delivery, failures included
 
     def summary_text(self) -> str:
@@ -59,7 +64,8 @@ class RunReport:
         lines = [alerts.render_summary(self.state),
                  f"events={len(self.events)} emails_sent={self.emails_sent} "
                  f"smtp_failures={self.smtp_failures} {smtp_ms}",
-                 f"frames_no_face={no_face} boxes_outside_frame={self.boxes_outside_frame}"]
+                 f"frames_no_face={no_face} boxes_outside_frame={self.boxes_outside_frame} "
+                 f"dropped_below_min_size={self.dropped_below_min_size}"]
         return "\n".join(lines)
 
 
@@ -75,8 +81,14 @@ def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
     """The ROI of box, in working-width coordinates, in the median of frames,
     or None when the box lies wholly outside the frame.
 
-    Equal to extract_roi(resize_to_width(temporal_smooth(frames), width), box),
-    but smooths and resizes only the pixels under the box.
+    Equal to extract_roi(resize_to_width(temporal_smooth(frames), width), box,
+    roi_size), but computes the ROI's own taps over the clamped box first and
+    smooths and resizes only the working pixels they read. On an axis where
+    the box spans more than 2 * roi_size working pixels, those are the rows
+    (columns) of the lower taps followed by those of the upper taps, and the
+    ROI then reads the first roi_size and the last roi_size of them; on a
+    shorter axis, the box's whole span. That plan depends only on the box's
+    size and is computed once per size (_roi_plan).
     """
     in_shape = (frames[-1].height, frames[-1].width)
     out_shape = (working_height(in_shape[1], in_shape[0], width), width)
@@ -84,10 +96,36 @@ def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
         region = clamp_box(box, *out_shape)
     except EmptyIntersection:
         return None
-    taps = resample_taps(region, in_shape, out_shape)
+    picks, roi_taps = _roi_plan(tuple(s.stop - s.start for s in region), roi_size)
+    work = [axis if pick is None else axis.start + pick for axis, pick in zip(region, picks)]
+    taps = resample_taps(work, in_shape, out_shape)
     smoothed = temporal_smooth(frames, taps_window(taps))
     resized = resize_to_width(smoothed, width, taps)
-    return extract_roi(resized, BoundingBox(0, 0, resized.width, resized.height), roi_size)
+    return extract_roi(resized, None, roi_size, roi_taps)
+
+
+@functools.lru_cache(maxsize=256)
+def _roi_plan(spans: tuple[int, int], roi_size: int):
+    """For a box of spans (rows, cols) working pixels: per axis, the offsets
+    into the box of the working pixels the ROI reads, or None for the whole
+    span, and the ROI's taps over those pixels.
+
+    Cached, since box sizes repeat from frame to frame; the arrays are
+    read-only.
+    """
+    picks, roi_taps = [], []
+    for n, (lo, hi, w) in zip(spans, resample_taps((slice(0, roi_size),) * 2, spans,
+                                                   (roi_size, roi_size))):
+        pick = None
+        if n > 2 * roi_size:
+            pick = np.concatenate((lo, hi))
+            pick.flags.writeable = False
+            lo, hi = np.arange(2 * roi_size).reshape(2, roi_size)
+        for a in (lo, hi, w):
+            a.flags.writeable = False
+        picks.append(pick)
+        roi_taps.append((lo, hi, w))
+    return tuple(picks), tuple(roi_taps)
 
 
 def run_stream(reader: Y4mReader, detections: DetectionSet, model,
@@ -154,4 +192,5 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
     finally:
         if mailer is not None:
             mailer.close()
+    report.dropped_below_min_size = detections.dropped_below_min_size
     return report

@@ -81,14 +81,18 @@ def working_height(width: int, height: int, target_width: int) -> int:
 
 AxisTaps = tuple[np.ndarray, np.ndarray, np.ndarray]   # lower, upper source index, upper weight
 Taps = tuple[AxisTaps, AxisTaps]                         # rows, then columns
+Span = slice | np.ndarray    # output indices: a slice with explicit start and stop, or an array
 
 
-def _taps(n_in: int, n_out: int, span: slice) -> AxisTaps:
-    """Bilinear taps along one axis for outputs span.start..span.stop-1 of an
+def _taps(n_in: int, n_out: int, span: Span) -> AxisTaps:
+    """Bilinear taps along one axis for the outputs span selects of an
     n_in -> n_out resample: lower and upper source index, and upper weight."""
     # each sample centre, (i + 0.5) * n_in / n_out - 0.5, clamped into the
-    # source; arange from start + 0.5 in steps of 1 gives i + 0.5 exactly
-    s = np.arange(span.start + 0.5, span.stop, 1.0)
+    # source; i + 0.5 is exact in float64, from arange or from the indices
+    if isinstance(span, slice):
+        s = np.arange(span.start + 0.5, span.stop, 1.0)
+    else:
+        s = span + 0.5
     s *= n_in / n_out
     s -= 0.5
     np.maximum(s, 0.0, out=s)
@@ -98,7 +102,7 @@ def _taps(n_in: int, n_out: int, span: slice) -> AxisTaps:
     return lo, np.minimum(lo + 1, n_in - 1), s
 
 
-def resample_taps(region: Region, in_shape: tuple[int, int],
+def resample_taps(region: tuple[Span, Span], in_shape: tuple[int, int],
                   out_shape: tuple[int, int]) -> Taps:
     """Row and column taps of the output pixels in region (rows, cols) of an
     in_shape -> out_shape bilinear resample."""
@@ -107,8 +111,13 @@ def resample_taps(region: Region, in_shape: tuple[int, int],
 
 
 def taps_window(taps: Taps) -> Region:
-    """The source rows and columns that taps read."""
-    return tuple(slice(int(lo[0]), int(hi[-1]) + 1) for lo, hi, _ in taps)   # taps never decrease
+    """The source rows and columns that taps read.
+
+    The taps of a slice never decrease. Index arrays may restart once, as
+    _face_roi's lower-then-upper indices do; their first lower tap and last
+    upper tap are still the least and greatest.
+    """
+    return tuple(slice(int(lo[0]), int(hi[-1]) + 1) for lo, hi, _ in taps)
 
 
 def source_window(region: Region, in_shape: tuple[int, int],
@@ -166,9 +175,10 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int,
 def resize_to_width(frame: Frame, target_width: int, taps: Taps | None = None) -> Frame:
     """Aspect-preserving bilinear resize to the working width.
 
-    With taps, the resample_taps of a region of the working-size frame, only
-    those pixels are computed and the Frame returned is the region; frame is
-    then the taps_window crop of the source.
+    With taps, the resample_taps of some rows and columns of the
+    working-size frame (a region, or index arrays), only those pixels are
+    computed, in the order the taps list them, and the Frame returned holds
+    just them; frame is then the taps_window crop of the source.
     """
     if target_width < 1:
         raise ValueError(f"target width must be >= 1, got {target_width}")
@@ -201,10 +211,19 @@ def clamp_box(box: BoundingBox, height: int, width: int) -> Region:
     return slice(y0, y1), slice(x0, x1)
 
 
-def extract_roi(frame: Frame, box: BoundingBox, roi_size: int = 28) -> Roi:
-    """Clamped crop, bilinear rescale to roi_size^2, then divide by 255."""
-    crop = frame.luma[clamp_box(box, frame.height, frame.width)]
-    resized = bilinear_resize(crop, roi_size, roi_size)
+def extract_roi(frame: Frame, box: BoundingBox | None, roi_size: int = 28,
+                taps: Taps | None = None) -> Roi:
+    """Clamped crop, bilinear rescale to roi_size^2, then divide by 255.
+
+    With taps, the ROI's own resample taps computed beforehand, frame holds
+    exactly the pixels they read, as resample_window takes them, and box is
+    not used.
+    """
+    if taps is None:
+        crop = frame.luma[clamp_box(box, frame.height, frame.width)]
+        resized = bilinear_resize(crop, roi_size, roi_size)
+    else:
+        resized = resample_window(frame.luma, taps)
     return Roi(pixels=(resized / 255.0).astype(np.float32))
 
 
@@ -242,12 +261,16 @@ def _parse_meta(line: str, lineno: int) -> DetectionMeta:
     return DetectionMeta(**kwargs)
 
 
+_FIELD_MAX = 2**31 - 1   # a record field above this cannot be a frame index or a pixel
+
+
 def load_detections(data: bytes | str) -> DetectionSet:
     """Parse the sidecar: one `frame_index fX fY fW fH` record per line.
 
     An optional `# scale_factor=.. min_neighbors=.. min_size=WxH` header is
     captured verbatim as metadata; boxes smaller than min_size are dropped
-    and counted.
+    and counted. A field above 2**31 - 1 is a MalformedLine: scaling such a
+    box to the working width would overflow a float frames later.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii", "replace")
@@ -271,6 +294,8 @@ def load_detections(data: bytes | str) -> DetectionSet:
             raise MalformedLine(lineno, f"non-integer field in {line!r}") from None
         if min(frame_index, fx, fy) < 0 or fw < 0 or fh < 0:
             raise NegativeField(f"line {lineno}: negative field in {line!r}")
+        if max(frame_index, fx, fy, fw, fh) > _FIELD_MAX:
+            raise MalformedLine(lineno, f"field above {_FIELD_MAX} in {line!r}")
         min_w, min_h = result.meta.min_size
         if fw < min_w or fh < min_h:
             result.dropped_below_min_size += 1

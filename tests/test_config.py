@@ -172,6 +172,18 @@ class TestMailAddresses:
             with pytest.raises(ConfigError):
                 build_config(parse_config_text(f"thresh=5\nalert_to=ok@x,{bad}\n"), env={})
 
+    @pytest.mark.parametrize("bad", ["p\u00e9@x", "ops@ex\u00e4mple.org", "a\u00a0b@x"])
+    def test_non_ascii_refused(self, bad):
+        # SMTP commands go out as ASCII: such an address would fail every alert
+        with pytest.raises(ConfigError):
+            build_config({"thresh": "5"}, env={cfg.ENV_ALERT_FROM: bad})
+        with pytest.raises(ConfigError):
+            build_config({"thresh": "5"}, env={cfg.ENV_ALERT_TO: f"ok@x, {bad}"})
+        with pytest.raises(ConfigError):
+            build_config(parse_config_text(f"thresh=5\nalert_from={bad}\n"), env={})
+        with pytest.raises(ConfigError):
+            build_config(parse_config_text(f"thresh=5\nalert_to=ok@x,{bad}\n"), env={})
+
     def test_plain_addresses_accepted(self):
         c = build_config({"thresh": "5", "smtp_host": "mail.x"},
                          env={cfg.ENV_ALERT_FROM: "cam@x.org", cfg.ENV_ALERT_TO: "a@x.org, b@x.org"})

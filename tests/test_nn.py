@@ -1,11 +1,13 @@
 """Tensor/NN engine tests: oracle equivalence, derivatives, training step."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emonet import nn
+from emonet import model_io, nn
 
 
 # ---------------------------------------------------------------------------
@@ -701,3 +703,31 @@ class TestIm2colTapMajor:
     def test_more_channels_keep_row_major_rows(self):
         x = np.random.default_rng(5).random((2, 7, 7, 3)).astype(np.float32)
         assert nn._im2col(x, 3).flags.c_contiguous
+
+
+class TestInferenceOperandCache:
+    """predict_proba reuses float64 copies of the float32 parameters; they
+    must follow every SGD step and stay out of the model's value."""
+
+    def test_predict_after_step_matches_a_fresh_model(self):
+        model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
+        x = np.random.default_rng(3).random((4, 28, 28)).astype(np.float32)
+        before = model.predict_proba(x)
+        for _ in range(2):
+            nn.model_backward_and_step(model, x, np.array([0, 1, 2, 3]), 0.5)
+            fresh = nn.CnnModel(input_side=28, channels=1, layers=model.layers, seed=7,
+                                params=[{k: v.copy() for k, v in p.items()}
+                                        for p in model.params])
+            after = model.predict_proba(x)
+            assert after.tobytes() == fresh.predict_proba(x).tobytes()
+            assert after.tobytes() != before.tobytes()
+            before = after
+
+    def test_cache_leaves_equality_and_saved_bytes_alone(self):
+        model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
+        twin = replace(model)            # the same parameter arrays, no cache
+        blob = model_io.save_model(model)
+        model.predict_proba(np.zeros((28, 28), np.float32))
+        assert model._f64 and not twin._f64
+        assert model == twin
+        assert model_io.save_model(model) == blob

@@ -10,7 +10,7 @@ from emonet import pipeline, smtp_client
 from emonet.classifiers import LABELS, EmotionScores, lda_train
 from emonet.config import PipelineConfig
 from emonet.glyphs import draw_glyph, make_glyph_dataset
-from emonet.preprocess import (EmptyIntersection, bilinear_resize, extract_roi,
+from emonet.preprocess import (EmptyIntersection, bilinear_resize, clamp_box, extract_roi,
                                load_detections, resize_to_width, select_primary_face,
                                working_height)
 from emonet.video import Frame, VideoHeader, Y4mReader, temporal_smooth, write_y4m
@@ -142,6 +142,15 @@ class TestRunStream:
         assert report.boxes_outside_frame == 1
         assert (report.state.frames_seen, report.state.classified_frames) == (3, 2)
         assert "frames_no_face=1 boxes_outside_frame=1" in report.summary_text()
+
+    def test_boxes_dropped_below_min_size_reported(self, lda_model):
+        dets = load_detections(b"# min_size=20x20\n0 10 10 28 28\n1 10 10 5 5\n2 10 10 28 28\n")
+        config = PipelineConfig(thresh=5, width=100)
+        report = pipeline.run_stream(Y4mReader(make_video(["neutral"] * 3)), dets,
+                                     lda_model, config, clock=PINNED_CLOCK)
+        assert report.dropped_below_min_size == 1
+        assert ("frames_no_face=1 boxes_outside_frame=0 dropped_below_min_size=1"
+                in report.summary_text())
 
     def test_summary_text_mentions_counts(self, lda_model):
         labels = ["happy"] * 4
@@ -299,3 +308,46 @@ class TestBoxFirst:
             pipeline.run_stream(Y4mReader(make_video(["neutral"] * 4)), sidecar(4),
                                 lda_model, config, clock=PINNED_CLOCK)
         assert exc.value.frame_index == 2
+
+
+class TestRoiTapsFirst:
+    """A box wider than twice the ROI side is resampled only at the working
+    pixels the ROI reads; at the bench's geometry that must not move a bit."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("side", [240, 60])
+    def test_bench_geometry_matches_full_frame_composition(self, monkeypatch, side, k):
+        rois = capture_rois(monkeypatch)
+        resized = []
+        real_resize = pipeline.resize_to_width
+
+        def spy(*args, **kwargs):
+            out = real_resize(*args, **kwargs)
+            resized.append(out.luma.shape)
+            return out
+
+        monkeypatch.setattr(pipeline, "resize_to_width", spy)
+        rng = np.random.default_rng(side + k)
+        frames = [Frame(index=i, width=1280, height=720,
+                        luma=rng.integers(0, 256, (720, 1280), dtype=np.uint8))
+                  for i in range(7)]
+        # inside, clipped at an edge or a corner, and at the origin
+        spots = [(300, 200), (1280 - side // 2, 720 - side // 3), (0, 0), (517, 411),
+                 (1100, 90), (33, 720 - side // 2), (640, 360)]
+        lines = ["# min_size=1x1"] + [f"{i} {x} {y} {side} {side}"
+                                      for i, (x, y) in enumerate(spots)]
+        dets = load_detections("\n".join(lines) + "\n")
+        config = PipelineConfig(thresh=5, width=500, roi_size=28, smooth_window=k)
+        data = write_y4m(VideoHeader(1280, 720, 25, 1, "mono"), frames)
+        pipeline.run_stream(Y4mReader(data), dets, None, config, clock=PINNED_CLOCK)
+        assert len(rois) == len(frames)
+        out_shape = (working_height(1280, 720, 500), 500)
+        for i, got in enumerate(rois):
+            box = dets.for_frame(i)[0].scaled(500 / 1280)
+            window = frames[i - k + 1:i + 1] if i >= k - 1 else [frames[i]]
+            np.testing.assert_array_equal(got, full_frame_roi(window, box, 500, 28))
+            # an axis over 2 * 28 working pixels resamples just the 56 the ROI reads
+            spans = [s.stop - s.start for s in clamp_box(box, *out_shape)]
+            assert resized[i] == tuple(min(n, 56) for n in spans)
+        if side == 240:
+            assert (56, 56) in resized

@@ -187,6 +187,21 @@ class TestLoadDetections:
         with pytest.raises(preprocess.NegativeField):
             preprocess.load_detections(b"0 -5 5 60 60\n")
 
+    @pytest.mark.parametrize("field", range(5))
+    def test_field_above_int32_is_malformed_line(self, field):
+        for huge in (2**31, int("9" * 400)):
+            record = ["1", "5", "5", "70", "70"]
+            record[field] = str(huge)
+            with pytest.raises(preprocess.MalformedLine) as exc:
+                preprocess.load_detections("0 5 5 70 70\n" + " ".join(record) + "\n")
+            assert exc.value.line_number == 2
+
+    def test_int32_max_fields_load_and_scale(self):
+        top = 2**31 - 1
+        ds = preprocess.load_detections(f"{top} {top} {top} {top} {top}\n")
+        box, = ds.for_frame(top)
+        assert box.scaled(500 / 1280).fW == round(top * 500 / 1280)
+
     def test_multiple_boxes_per_frame(self):
         data = b"# min_size=1x1\n3 0 0 5 5\n3 1 1 6 6\n"
         ds = preprocess.load_detections(data)
