@@ -2,15 +2,19 @@
 classification -> alert counters -> (optional) SMTP dispatch.
 
 Each frame's face box is looked up before any pixel work. Frames with no
-usable detection do none: they still advance the frame counter and the
-alert cooldown, so alert pacing does not depend on detector dropouts. A box
+usable detection do none, and read no pixels when they come from a
+seekable Y4M stream (video.Y4mReader): they still advance the frame counter
+and the alert cooldown, so alert pacing does not depend on detector
+dropouts. A box
 wholly outside the frame is no usable detection either; the run report
 counts those frames. For a frame with a box, the ROI's own resample taps
 over the box come first, and only the working-width pixels they read are
 computed: on an axis where the box spans more than 2 * roi_size working
 pixels, 2 * roi_size rows (columns), otherwise the box's span. Only the
 source pixels those read are median-smoothed and resized, which gives the
-same ROI as smoothing and resizing the whole frame.
+same ROI as smoothing and resizing the whole frame; a frame of a seekable
+stream reads just those source rows, when they are first smoothed
+(Frame.crop), so the stream must stay open for the whole run.
 With SMTP configured, each alert is mailed before the next frame is read,
 one SMTP session per alert. The run's smtp_client.Mailer opens a spare
 connection right after each accepted message and reads each QUIT reply
@@ -135,7 +139,10 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
 
     With smooth_window=k, frame i is classified from the median of frames
     i-k+1..i, which is centred on frame i-(k-1)/2, cropped by frame i's box;
-    the first k-1 frames are classified unsmoothed. event_log, when given,
+    the first k-1 frames are classified unsmoothed. Each frame's pixels are
+    taken through Frame.crop of its ROI's source window, so a frame of a
+    seekable stream reads the rows each median needs, once, while it is in
+    the window. event_log, when given,
     receives one line per alert (flushed as written). With SMTP configured,
     each alert is delivered by send(smtp_config, event), by default through
     the run's smtp_client.Mailer; a run that never alerts opens no socket.

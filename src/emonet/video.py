@@ -1,9 +1,13 @@
 """Grayscale frame ingestion: YUV4MPEG2 (Y4M) streams and binary PGM images.
 
 Only the luma plane of a Y4M stream is consumed; 4:2:0 chroma planes are
-skipped, by a seek where the stream can seek and by a read otherwise. Both
-formats round-trip bit-exactly through the matching write functions, which
-the test suite leans on heavily.
+skipped. On a seekable stream the reader reads no pixels: it seeks past
+each frame's luma and chroma together, and the frame reads the rows it is
+asked for (Frame.crop) from the stream the first time they are used, so a
+frame stays readable only while its stream is open. A stream that cannot
+seek (a pipe) is read in bounded chunks, every byte, and its frames hold
+their whole luma plane. Both formats round-trip bit-exactly through the
+matching write functions, which the test suite leans on heavily.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ class TruncatedFrame(VideoFormatError):
     pass
 
 
+class FrameUnavailable(VideoFormatError):
+    """A frame's rows could not be read back: its stream was closed or failed."""
+
+
 class BadMagic(VideoFormatError):
     pass
 
@@ -68,7 +76,7 @@ class VideoHeader:
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded grayscale frame; luma is a row-major (height, width) uint8 array."""
+    """One grayscale frame; luma is a row-major (height, width) uint8 array."""
     index: int
     width: int
     height: int
@@ -79,12 +87,79 @@ class Frame:
             raise VideoFormatError(
                 f"luma shape {self.luma.shape} does not match {self.height}x{self.width}")
 
+    def crop(self, region: tuple[slice, slice]) -> np.ndarray:
+        """luma[region], for a (rows, cols) pair of slices."""
+        return self.luma[region]
+
+
+class _StreamFrame(Frame):
+    """A frame of a seekable Y4M stream that reads its rows when first used.
+
+    It keeps one band of whole rows: a crop inside the band is a slice of it,
+    and a crop outside it reads the union of the two. luma is the crop of the
+    whole plane. A read seeks to the rows and back, so it may come between
+    any two next_frame calls, but only while the stream is open; a stream
+    closed or shrunk since the frame was yielded is a FrameUnavailable or
+    TruncatedFrame.
+    """
+
+    def __init__(self, index: int, width: int, height: int, stream, offset: int):
+        for name, value in (("index", index), ("width", width), ("height", height)):
+            object.__setattr__(self, name, value)
+        self._stream, self._offset = stream, offset
+        self._band: tuple[int, np.ndarray] | None = None   # (first row, rows)
+
+    @property
+    def luma(self) -> np.ndarray:
+        return self.crop((slice(None), slice(None)))
+
+    def crop(self, region: tuple[slice, slice]) -> np.ndarray:
+        rows, cols = region
+        span = range(*rows.indices(self.height))
+        if not span:
+            return np.empty((0, self.width), dtype=np.uint8)[:, cols]
+        lo, hi = min(span[0], span[-1]), max(span[0], span[-1]) + 1
+        band = self._band
+        if band is None or lo < band[0] or hi > band[0] + len(band[1]):
+            band = self._band = self._read_rows(lo, hi)
+        start, pixels = band
+        return pixels[lo - start:hi - start][::span.step, cols]
+
+    def _read_rows(self, lo: int, hi: int) -> tuple[int, np.ndarray]:
+        if self._band is not None:
+            start, pixels = self._band
+            lo, hi = min(lo, start), max(hi, start + len(pixels))
+        n = (hi - lo) * self.width
+        stream = self._stream
+        try:
+            back = stream.tell()
+            stream.seek(self._offset + lo * self.width)
+            data = stream.read(n)
+            stream.seek(back)
+        except (OSError, ValueError) as exc:   # closed: ValueError; failed: OSError
+            raise FrameUnavailable(f"frame {self.index}: rows {lo}..{hi - 1}: {exc}") from exc
+        if len(data) != n:
+            raise TruncatedFrame(f"frame {self.index}: wanted {n} bytes of rows {lo}..{hi - 1}, "
+                                 f"got {len(data)}; the stream shrank")
+        return lo, np.frombuffer(data, dtype=np.uint8).reshape(hi - lo, self.width)
+
 
 # ---------------------------------------------------------------------------
 # Y4M
 # ---------------------------------------------------------------------------
 
 _Y4M_MAGIC = b"YUV4MPEG2"
+_CHUNK = 1 << 20   # a stream that cannot seek is read this much at a time
+
+
+def _read_upto(stream, n: int) -> bytes:
+    """n bytes of stream, or fewer at its end; read in chunks, so a header
+    that lies about the frame size allocates no more than the stream holds."""
+    chunks = []
+    while n > 0 and (chunk := stream.read(min(n, _CHUNK))):
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
 
 
 def _read_line(stream: io.BufferedIOBase, what: str) -> bytes:
@@ -142,9 +217,12 @@ def parse_y4m_header(stream) -> VideoHeader:
 class Y4mReader:
     """Sequential Y4M frame reader; single-owner, frames are immutable.
 
-    On a seekable stream the chroma planes are seeked past, not read. A seek
-    past the end does not fail, so the reader keeps the stream's length, and
-    a frame whose chroma would reach beyond it is truncated.
+    On a seekable stream no pixel is read here: each frame's luma and chroma
+    are seeked past together, and the frame reads its rows from the stream
+    when they are first used (Frame.crop), so it stays readable only while
+    the stream is open. A seek past the end does not fail, so the reader
+    keeps the stream's length, and a frame whose planes would reach beyond
+    it is truncated. A stream that cannot seek is read, every byte.
     """
 
     def __init__(self, stream):
@@ -160,34 +238,38 @@ class Y4mReader:
             stream.seek(start)
 
     def next_frame(self) -> Frame | None:
-        """Decode the next frame, or return None at a clean end-of-stream."""
+        """The next frame, or None at a clean end-of-stream; a frame whose
+        planes the stream does not hold is a TruncatedFrame here."""
         marker = self._stream.read(5)
         if marker == b"":
             return None
         if marker != b"FRAME":
             raise MalformedFrameMarker(f"expected FRAME marker, got {marker!r}")
         _read_line(self._stream, "FRAME parameter line")   # params ignored
-        h = self.header
-        n_luma = h.width * h.height
-        luma = self._stream.read(n_luma)
-        if len(luma) != n_luma:
+        h, index = self.header, self._next_index
+        n_luma, n_chroma = h.width * h.height, h.chroma_bytes
+        if self._end is None:
+            luma = _read_upto(self._stream, n_luma)
+            got = len(luma)
+            if got == n_luma:
+                got += len(_read_upto(self._stream, n_chroma))
+        else:
+            offset = self._stream.tell()
+            stop = offset + n_luma + n_chroma
+            if stop > self._end:         # measure again: a file may grow while read
+                self._end = self._stream.seek(0, io.SEEK_END)
+            got = max(0, min(stop, self._end) - offset)
+        if got < n_luma:
+            raise TruncatedFrame(f"frame {index}: wanted {n_luma} luma bytes, got {got}")
+        if got < n_luma + n_chroma:
             raise TruncatedFrame(
-                f"frame {self._next_index}: wanted {n_luma} luma bytes, got {len(luma)}")
-        n_chroma = h.chroma_bytes
-        if n_chroma:
-            if self._end is None:
-                got = len(self._stream.read(n_chroma))
-            else:
-                pos = self._stream.seek(n_chroma, io.SEEK_CUR)
-                if pos > self._end:      # measure again: a file may grow while read
-                    self._end = self._stream.seek(0, io.SEEK_END)
-                    self._stream.seek(pos)
-                got = n_chroma - max(0, pos - self._end)
-            if got != n_chroma:
-                raise TruncatedFrame(
-                    f"frame {self._next_index}: wanted {n_chroma} chroma bytes, got {got}")
-        frame = Frame(index=self._next_index, width=h.width, height=h.height,
-                      luma=np.frombuffer(luma, dtype=np.uint8).reshape(h.height, h.width))
+                f"frame {index}: wanted {n_chroma} chroma bytes, got {got - n_luma}")
+        if self._end is None:
+            frame = Frame(index=index, width=h.width, height=h.height,
+                          luma=np.frombuffer(luma, dtype=np.uint8).reshape(h.height, h.width))
+        else:
+            self._stream.seek(stop)
+            frame = _StreamFrame(index, h.width, h.height, self._stream, offset)
         self._next_index += 1
         return frame
 
@@ -280,7 +362,9 @@ def temporal_smooth(frames: list[Frame],
     The output keeps the index of the middle frame. A window of 1 is the
     identity; disabled by default in the pipeline. region, a (rows, cols)
     pair of slices, restricts the work to that rectangle, and the Frame
-    returned is then just the rectangle.
+    returned is then just the rectangle; each frame's pixels are then taken
+    through Frame.crop, so a frame of a seekable stream reads only the rows
+    of region.
     """
     k = len(frames)
     if k not in (1, 3, 5):
@@ -293,7 +377,7 @@ def temporal_smooth(frames: list[Frame],
                 f"window expects {mid.width}x{mid.height}")
     if k == 1 and region is None:
         return mid
-    planes = [f.luma if region is None else f.luma[region] for f in frames]
+    planes = [f.luma if region is None else f.crop(region) for f in frames]
     for i, j in _MEDIAN_NETWORKS.get(k, ()):
         a, b = planes[i], planes[j]
         planes[i], planes[j] = np.minimum(a, b), np.maximum(a, b)

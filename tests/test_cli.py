@@ -221,3 +221,20 @@ class TestModelSize:
         err = capsys.readouterr().err
         assert "roi_size is 28" in err and "8x8" in err
         assert not log.exists()          # refused at set-up, before any frame
+
+
+class TestLyingVideoHeader:
+    def test_huge_geometry_over_a_short_file_is_io_error(self, lda_model_path, tmp_path,
+                                                        capsys):
+        video = tmp_path / "lie.y4m"
+        video.write_bytes(b"YUV4MPEG2 W3000000000 H3000000000 F25:1 Cmono\nFRAME\n"
+                          + b"\x00" * 8)
+        assert video.stat().st_size == 60
+        dets = tmp_path / "d.dets"
+        dets.write_text("# min_size=1x1\n0 0 0 8 8\n")
+        code = cli.main(["run", "--video", str(video), "--detections", str(dets),
+                         "--model", lda_model_path, "--thresh", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: frame 0: wanted 9000000000000000000 luma bytes")
+        assert "Traceback" not in err

@@ -351,3 +351,88 @@ class TestRoiTapsFirst:
             assert resized[i] == tuple(min(n, 56) for n in spans)
         if side == 240:
             assert (56, 56) in resized
+
+
+class TestRowsOnDemand:
+    """A frame of a seekable stream reads only the rows its ROI needs; the run
+    must not tell the difference from one over eagerly decoded frames."""
+
+    def test_boxless_run_reads_almost_no_luma(self, lda_model):
+        from test_video import CountingStream
+        n, w, h = 12, 320, 180
+        rng = np.random.default_rng(2)
+        frames = [Frame(index=i, width=w, height=h,
+                        luma=rng.integers(0, 256, (h, w), dtype=np.uint8)) for i in range(n)]
+        stream = CountingStream(write_y4m(VideoHeader(w, h, 25, 1, "420"), frames))
+        config = PipelineConfig(thresh=1, width=100, smooth_window=1)
+        report = pipeline.run_stream(Y4mReader(stream), sidecar(0), lda_model, config,
+                                     clock=PINNED_CLOCK)
+        assert report.state.frames_seen == n
+        assert report.state.classified_frames == 0
+        assert stream.bytes_read < 0.05 * n * w * h
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_bench_geometry_events_match_eager_frames(self, monkeypatch, tmp_path, lda_model, k):
+        from test_video import decode_eager
+        rois = []
+        real_predict = pipeline._predict
+
+        def spy(model, roi):
+            rois.append(roi.pixels)
+            return real_predict(model, roi)
+
+        monkeypatch.setattr(pipeline, "_predict", spy)
+        labels = ["sad"] * 6 + ["happy"] * 6 + ["neutral"] * 4
+        rng = np.random.default_rng(k)
+        frames = []
+        for i, label in enumerate(labels):
+            luma = rng.integers(0, 40, (720, 1280), dtype=np.uint8)
+            glyph = np.clip(np.rint(bilinear_resize(draw_glyph(label), 240, 240) * 255), 0, 255)
+            luma[300:540, 500:740] = glyph.astype(np.uint8)
+            frames.append(Frame(index=i, width=1280, height=720, luma=luma))
+        skip = {3, 9}
+        lines = ["# min_size=1x1"] + [f"{i} {500 + i % 3} {300 - i % 2} 240 240"
+                                      for i in range(len(labels)) if i not in skip]
+        dets = load_detections("\n".join(lines) + "\n")
+        config = PipelineConfig(thresh=2, cooldown=2, width=500, roi_size=28, smooth_window=k,
+                                detections_coords="original")
+        data = write_y4m(VideoHeader(1280, 720, 25, 1, "420"), frames)
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            lazy = pipeline.run_stream(Y4mReader(fh), dets, lda_model, config,
+                                       clock=PINNED_CLOCK)
+        lazy_rois, rois[:] = list(rois), []
+        eager = pipeline.run_stream(iter(decode_eager(data)), dets, lda_model, config,
+                                    clock=PINNED_CLOCK)
+        assert lazy.events
+        assert [e.log_line() for e in lazy.events] == [e.log_line() for e in eager.events]
+        assert len(lazy_rois) == len(rois) == len(labels) - len(skip)
+        for a, b in zip(lazy_rois, rois):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("failure", ["shrunk", "closed"])
+    def test_late_read_failure_is_a_stage_error(self, tmp_path, lda_model, failure):
+        from emonet import video
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(make_video(["sad"] * 4))
+        fh = open(path, "rb")
+
+        def frames():
+            for frame in Y4mReader(fh):
+                if frame.index == 2:    # the frame is out; its rows are not read yet
+                    if failure == "shrunk":
+                        with open(path, "r+b") as out:
+                            out.truncate(path.stat().st_size - 20000)   # into frame 2
+                    else:
+                        fh.close()
+                yield frame
+
+        config = PipelineConfig(thresh=5, width=100)
+        try:
+            with pytest.raises(pipeline.PipelineStageError) as exc:
+                pipeline.run_stream(frames(), sidecar(4), lda_model, config, clock=PINNED_CLOCK)
+        finally:
+            fh.close()
+        assert exc.value.frame_index == 2
+        assert isinstance(exc.value.__cause__, video.VideoFormatError)

@@ -2,6 +2,8 @@
 
 import io
 import itertools
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,3 +314,179 @@ class TestChromaSkip:
     def test_fuzzed_body_decodes_or_fails_by_name_alike(self, w, h, chroma, parts):
         data = f"YUV4MPEG2 W{w} H{h} F25:1 C{chroma}\n".encode() + b"".join(parts)
         assert decode_all(io.BytesIO(data)) == decode_all(Unseekable(data))
+
+
+def decode_eager(data: bytes) -> list:
+    """Every frame of data as a pipe gives it: each holds its whole luma plane."""
+    return list(video.Y4mReader(Unseekable(data)))
+
+
+class CountingStream(io.BytesIO):
+    """A seekable in-memory stream that counts the bytes read() returns."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.bytes_read = 0
+
+    def read(self, n=-1):
+        got = super().read(n)
+        self.bytes_read += len(got)
+        return got
+
+
+row_slices = st.builds(slice, st.one_of(st.none(), st.integers(-12, 12)),
+                       st.one_of(st.none(), st.integers(-12, 12)),
+                       st.sampled_from([None, 1, 2, -1, -3]))
+
+
+class TestFrameCrop:
+    """A frame of a seekable stream reads its rows when they are first used;
+    whatever it reads, crop and luma must equal those of an eager decode."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(w=st.integers(1, 9), h=st.integers(1, 9), chroma=st.sampled_from(["mono", "420"]),
+           crops=st.lists(st.tuples(st.integers(0, 2), row_slices, row_slices), max_size=8))
+    def test_crop_and_luma_match_eager_decode(self, tmp_path_factory, w, h, chroma, crops):
+        frames = [make_frame(i, w, h, seed=9) for i in range(3)]
+        data = video.write_y4m(VideoHeader(w, h, 25, 1, chroma), frames)
+        eager = decode_eager(data)
+        path = tmp_path_factory.mktemp("crop") / "clip.y4m"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            for stream in (fh, io.BytesIO(data)):
+                reader = video.Y4mReader(stream)
+                lazy = []
+                for frame in reader:
+                    lazy.append(frame)
+                    # crops of earlier frames between next_frame calls leave decoding intact
+                    for i, rows, cols in crops:
+                        if i < len(lazy):
+                            np.testing.assert_array_equal(lazy[i].crop((rows, cols)),
+                                                          eager[i].crop((rows, cols)))
+                assert [f.index for f in lazy] == [0, 1, 2]
+                for a, b in zip(lazy, eager):
+                    np.testing.assert_array_equal(a.luma, b.luma)
+                    assert a.luma.shape == (h, w)
+
+    def test_band_is_kept_and_widened_to_the_union(self):
+        frames = [make_frame(0, 10, 20, seed=4)]
+        stream = CountingStream(video.write_y4m(VideoHeader(10, 20, 25, 1, "420"), frames))
+        frame = video.Y4mReader(stream).next_frame()
+        want = frames[0].luma
+        stream.bytes_read = 0
+        np.testing.assert_array_equal(frame.crop((slice(5, 9), slice(2, 4))), want[5:9, 2:4])
+        assert stream.bytes_read == 4 * 10           # rows 5..8, every column
+        np.testing.assert_array_equal(frame.crop((slice(6, 8), slice(None))), want[6:8])
+        assert stream.bytes_read == 4 * 10           # inside the band: a slice
+        np.testing.assert_array_equal(frame.crop((slice(12, 14), slice(1, 2))), want[12:14, 1:2])
+        assert stream.bytes_read == 4 * 10 + 9 * 10  # outside: the union, rows 5..13
+        np.testing.assert_array_equal(frame.crop((slice(5, 14), slice(None))), want[5:14])
+        np.testing.assert_array_equal(frame.crop((slice(3, 3), slice(None))), want[3:3])
+        assert stream.bytes_read == 13 * 10
+        np.testing.assert_array_equal(frame.luma, want)
+        assert stream.bytes_read == 13 * 10 + 20 * 10
+
+    def test_iteration_reads_no_pixels_on_a_seekable_stream(self):
+        frames = [make_frame(i, 64, 48) for i in range(5)]
+        data = video.write_y4m(VideoHeader(64, 48, 25, 1, "420"), frames)
+        stream = CountingStream(data)
+        assert [f.index for f in video.Y4mReader(stream)] == list(range(5))
+        assert stream.bytes_read == 5 * len(b"FRAME")
+
+    def test_pipe_reads_every_byte(self):
+        frames = [make_frame(i, 7, 5) for i in range(3)]
+        data = video.write_y4m(VideoHeader(7, 5, 25, 1, "420"), frames)
+        stream = Unseekable(data)
+        out = list(video.Y4mReader(stream))
+        assert stream.read() == b""
+        assert all(type(f) is Frame for f in out)
+
+
+class TestLateReads:
+    """A frame read after iteration fails by name when its stream is gone or shrank."""
+
+    def clip(self, tmp_path, n=3):
+        frames = [make_frame(i, 8, 6) for i in range(n)]
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(video.write_y4m(VideoHeader(8, 6, 25, 1, "420"), frames))
+        return path, frames
+
+    def test_file_shrunk_after_the_frame_is_truncated_frame(self, tmp_path):
+        path, frames = self.clip(tmp_path)
+        with open(path, "rb") as fh:
+            out = list(video.Y4mReader(fh))
+            np.testing.assert_array_equal(out[0].crop((slice(0, 2), slice(None))),
+                                          frames[0].luma[:2])
+            with open(path, "r+b") as grow:
+                grow.truncate(path.stat().st_size - 80)
+            with pytest.raises(video.TruncatedFrame):
+                out[2].crop((slice(0, 2), slice(None)))
+            with pytest.raises(video.TruncatedFrame):
+                _ = out[2].luma
+            np.testing.assert_array_equal(out[0].crop((slice(1, 2), slice(3, 5))),
+                                          frames[0].luma[1:2, 3:5])    # kept band
+
+    @pytest.mark.parametrize("kind", ["file", "bytesio"])
+    def test_frame_used_after_close_is_a_format_error(self, tmp_path, kind):
+        path, _ = self.clip(tmp_path)
+        stream = open(path, "rb") if kind == "file" else io.BytesIO(path.read_bytes())
+        with stream:
+            out = list(video.Y4mReader(stream))
+        with pytest.raises(video.FrameUnavailable):
+            _ = out[1].luma
+        with pytest.raises(video.VideoFormatError):
+            out[0].crop((slice(0, 1), slice(None)))
+
+
+LYING_HEADER = b"YUV4MPEG2 W3000000000 H3000000000 F25:1 Cmono\n"
+
+
+class TestLyingHeader:
+    """A header that claims a huge plane over a short stream is a TruncatedFrame,
+    and reading it allocates no more than the stream holds."""
+
+    def data(self):
+        body = b"FRAME\n" + b"\x00" * 8
+        return LYING_HEADER + body
+
+    def assert_truncated(self, stream):
+        tracemalloc.start()
+        try:
+            with pytest.raises(video.TruncatedFrame):
+                list(video.Y4mReader(stream))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_bytes(self):
+        self.assert_truncated(self.data())
+
+    def test_file(self, tmp_path):
+        path = tmp_path / "lie.y4m"
+        path.write_bytes(self.data())
+        with open(path, "rb") as fh:
+            self.assert_truncated(fh)
+
+    def test_unseekable(self):
+        self.assert_truncated(Unseekable(self.data()))
+
+    def test_os_pipe(self):
+        r, w = os.pipe()
+        os.write(w, self.data())
+        os.close(w)
+        with open(r, "rb") as fh:
+            assert not fh.seekable()
+            self.assert_truncated(fh)
+
+    @pytest.mark.parametrize("chroma", [b"Cmono", b"C420"])
+    def test_pipe_reads_a_long_plane_in_chunks(self, chroma):
+        # a plane larger than one chunk, whole, then cut short
+        w, h = 1500, 1000
+        header = f"YUV4MPEG2 W{w} H{h} F25:1 ".encode() + chroma + b"\n"
+        frame = make_frame(0, w, h)
+        data = video.write_y4m(video.parse_y4m_header(header), [frame])
+        (out,) = list(video.Y4mReader(Unseekable(data)))
+        np.testing.assert_array_equal(out.luma, frame.luma)
+        with pytest.raises(video.TruncatedFrame):
+            list(video.Y4mReader(Unseekable(data[:-1])))
