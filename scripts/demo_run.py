@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Self-contained demo: synthesize a short Y4M clip with glyph "faces",
-train a quick baseline model, run the monitoring pipeline against an
-in-process stub SMTP server, and print the alert log plus the captured
-mail dialogue.
+train a quick baseline model, run the monitoring pipeline, and print the
+alert log. Each alert mail is printed as it would be sent; no connection
+is opened.
 """
 
 import argparse
 import io
-import tempfile
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from emonet.classifiers import lda_train
 from emonet.config import PipelineConfig
 from emonet.glyphs import draw_glyph, make_glyph_dataset
 from emonet.preprocess import bilinear_resize, load_detections
-from emonet.smtp_client import StubSmtpServer
+from emonet.smtp_client import format_alert_message
 from emonet.video import Frame, VideoHeader, Y4mReader, write_y4m
 
 
@@ -49,27 +48,23 @@ def main() -> None:
     video, sidecar = build_clip(labels)
     detections = load_detections(sidecar)
 
-    script = ["220 stub", "250 stub", "250 ok", "250 ok", "354 go",
-              "250 queued", "221 bye"]
-    with StubSmtpServer(script) as server:
-        config = PipelineConfig(thresh=args.thresh, width=500,
-                                smtp_host="127.0.0.1", smtp_port=server.port,
-                                alert_from="monitor@example.org",
-                                alert_to=("oncall@example.org",))
-        log = io.StringIO()
-        report = pipeline.run_stream(Y4mReader(video), detections, model,
-                                     config, event_log=log)
-        print("--- run summary ---")
-        print(report.summary_text())
-        print("--- event log ---")
-        print(log.getvalue() or "(no alerts)")
-        if server.session.commands:
-            print("--- captured SMTP dialogue ---")
-            for cmd in server.session.commands:
-                print(f"C: {cmd}")
-            print("--- mail body ---")
-            for line in server.session.unstuffed_body():
-                print(line)
+    def print_mail(smtp_config, event):
+        print(f"--- alert mail for frame {event.frame_index} ---")
+        message_id = f"frame-{event.frame_index}@{smtp_config.hello_name}"
+        for line in format_alert_message(smtp_config, event, message_id):
+            print(line)
+
+    config = PipelineConfig(thresh=args.thresh, width=500,
+                            smtp_host="mail.example.org",
+                            alert_from="monitor@example.org",
+                            alert_to=("oncall@example.org",))
+    log = io.StringIO()
+    report = pipeline.run_stream(Y4mReader(video), detections, model,
+                                 config, event_log=log, send=print_mail)
+    print("--- run summary ---")
+    print(report.summary_text())
+    print("--- event log ---")
+    print(log.getvalue() or "(no alerts)")
 
 
 if __name__ == "__main__":

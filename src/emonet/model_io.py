@@ -5,7 +5,9 @@ Layout, all little-endian:
     version   u16      currently 1
     kind      u8       0 = cnn, 1 = lda
     seed      u64
-    kind-specific header (cnn: input side u16, channels u8, layer table)
+    kind-specific header (cnn: input side u16, channels u8, layer table;
+                         a layer's code u8 is its kind's place in
+                         nn.LayerSpec.KINDS)
     tensor table: count u16, then per tensor rank u8, extents u32 each,
                   raw float32 values
 
@@ -32,9 +34,6 @@ _KIND_CNN = 0
 _KIND_LDA = 1
 
 _MAX_RANK = 4          # the widest tensor a model holds is a conv kernel
-
-_LAYER_CODES = {"conv": 0, "maxpool": 1, "dense": 2, "sigmoid": 3, "softmax": 4}
-_LAYER_NAMES = {v: k for k, v in _LAYER_CODES.items()}
 
 
 class ModelFileError(ValueError):
@@ -105,7 +104,7 @@ def save_model(model: CnnModel | LdaModel) -> bytes:
         head = struct.pack("<4sHBQ", MAGIC, VERSION, _KIND_CNN, model.seed)
         head += struct.pack("<HBB", model.input_side, model.channels, len(model.layers))
         for spec in model.layers:
-            head += struct.pack("<BHHH", _LAYER_CODES[spec.kind],
+            head += struct.pack("<BHHH", LayerSpec.KINDS.index(spec.kind),
                                 spec.kernel_size, spec.filters, spec.width)
         return head + _pack_tensors(model.param_arrays())
     if isinstance(model, LdaModel):
@@ -134,9 +133,9 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
         layers = []
         for _ in range(n_layers):
             code, k, f, w = r.unpack("BHHH")
-            if code not in _LAYER_NAMES:
+            if code >= len(LayerSpec.KINDS):
                 raise ModelFileError(f"unknown layer code {code}")
-            layers.append(LayerSpec(_LAYER_NAMES[code], kernel_size=k,
+            layers.append(LayerSpec(LayerSpec.KINDS[code], kernel_size=k,
                                     filters=f, width=w))
         try:
             walk = param_shapes(input_side, layers, channels)

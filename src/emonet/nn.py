@@ -294,6 +294,7 @@ class LayerSpec:
     filters: int = 0       # conv only
     width: int = 0         # dense only
 
+    # a kind's code in an EMN1 model file is its place here: append new kinds
     KINDS = ("conv", "maxpool", "dense", "sigmoid", "softmax")
 
     def __post_init__(self):

@@ -120,16 +120,11 @@ def taps_window(taps: Taps) -> Region:
     return tuple(slice(int(lo[0]), int(hi[-1]) + 1) for lo, hi, _ in taps)
 
 
-def source_window(region: Region, in_shape: tuple[int, int],
-                  out_shape: tuple[int, int]) -> Region:
-    """The source rows and columns that the bilinear samples of an output
-    region read, for an in_shape -> out_shape resample."""
-    return taps_window(resample_taps(region, in_shape, out_shape))
-
-
 def resample_window(img: np.ndarray, taps: Taps) -> np.ndarray:
     """The bilinear samples that taps describe, as float64; img is the
-    taps_window crop of the source."""
+    taps_window crop of the source. Each sample depends only on its own
+    index and its four source pixels, so the samples of a region are
+    bit-identical to the same pixels of the whole resample."""
     (y0, y1, wy), (x0, x1, wx) = taps
     oy, ox = y0[0], x0[0]
     y0, y1, x0, x1 = y0 - oy, y1 - oy, x0 - ox, x1 - ox
@@ -153,23 +148,11 @@ def resample_window(img: np.ndarray, taps: Taps) -> np.ndarray:
     return top
 
 
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int,
-                    region: Region | None = None,
-                    in_shape: tuple[int, int] | None = None) -> np.ndarray:
+def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample with half-pixel sample centers; returns float64.
-
-    region (rows, cols) selects the output pixels computed, by default all
-    of them. in_shape, when given, is the size of the whole source, and img
-    is then only its source_window for region. Each output pixel depends
-    only on its own index and its four source pixels, so a region is
-    bit-identical to the same pixels of the whole resample. An
-    identity-size call reproduces the input exactly.
-    """
-    region = region or (slice(0, out_h), slice(0, out_w))
-    taps = resample_taps(region, in_shape or img.shape, (out_h, out_w))
-    if in_shape is None:
-        img = img[taps_window(taps)]
-    return resample_window(img, taps)
+    An identity-size call reproduces the input exactly."""
+    taps = resample_taps((slice(0, out_h), slice(0, out_w)), img.shape, (out_h, out_w))
+    return resample_window(img[taps_window(taps)], taps)
 
 
 def resize_to_width(frame: Frame, target_width: int, taps: Taps | None = None) -> Frame:

@@ -1,5 +1,4 @@
-"""Minimal SMTP mail submission for alert delivery, plus a scriptable
-in-process stub server for tests.
+"""Minimal SMTP mail submission for alert delivery.
 
 The client speaks the bare dialogue (EHLO/MAIL/RCPT/DATA/QUIT) over a
 plain TCP socket with CRLF framing and dot-stuffing; no TLS, no AUTH.
@@ -13,11 +12,10 @@ from __future__ import annotations
 
 import math
 import socket
-import threading
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from email.utils import format_datetime
 
 from .alerts import AlertEvent
@@ -79,10 +77,6 @@ class DeliveryReceipt:
 def dot_stuff(lines: list[str]) -> list[str]:
     """Double a leading '.' so the lone '.' terminator stays unambiguous."""
     return ["." + line if line.startswith(".") else line for line in lines]
-
-
-def dot_unstuff(lines: list[str]) -> list[str]:
-    return [line[1:] if line.startswith("..") else line for line in lines]
 
 
 def format_alert_message(config: SmtpConfig, event: AlertEvent,
@@ -365,97 +359,3 @@ class Mailer:
             spare.finish(deadline)
         else:
             spare.close()
-
-
-# ---------------------------------------------------------------------------
-# stub server (test double)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CapturedSession:
-    commands: list[str] = field(default_factory=list)
-    body_lines: list[str] = field(default_factory=list)   # as received (stuffed)
-    raw: bytes = b""
-
-    def unstuffed_body(self) -> list[str]:
-        return dot_unstuff(self.body_lines)
-
-
-class StubSmtpServer:
-    """One-session scripted SMTP server bound to an ephemeral local port.
-    It stops listening once it has accepted its session.
-
-    Replies are played back in order: the first is sent unprompted as the
-    greeting, each later one after a client command. While a 354 reply is
-    outstanding, client lines are captured as message body until the lone
-    '.' terminator.
-    """
-
-    def __init__(self, script: list[str]):
-        if not script:
-            raise ValueError("script must cover at least the greeting")
-        self.script = list(script)
-        self.session = CapturedSession()
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind(("127.0.0.1", 0))
-        self._sock.listen(1)
-        self.port = self._sock.getsockname()[1]
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._sock.close()
-        self._thread.join(timeout=5)
-        return False
-
-    def _serve(self):
-        try:
-            self._sock.settimeout(10)
-            conn, _ = self._sock.accept()
-        except OSError:
-            return
-        finally:
-            self._sock.close()   # one session: later connects are refused, not left hanging
-        with conn:
-            conn.settimeout(10)
-            reader = conn.makefile("rb")
-            replies = iter(self.script)
-            raw = bytearray()
-            try:
-                conn.sendall((next(replies) + "\r\n").encode("ascii"))
-                in_data = False
-                while True:
-                    line = reader.readline()
-                    if not line:
-                        break
-                    raw += line
-                    text = line.decode("ascii", "replace").rstrip("\r\n")
-                    if in_data:
-                        if text == ".":
-                            in_data = False
-                            reply = next(replies, None)
-                            if reply is None:
-                                break
-                            conn.sendall((reply + "\r\n").encode("ascii"))
-                        else:
-                            self.session.body_lines.append(text)
-                        continue
-                    self.session.commands.append(text)
-                    if text.upper() == "QUIT":
-                        conn.sendall(
-                            (next(replies, "221 bye") + "\r\n").encode("ascii"))
-                        break
-                    reply = next(replies, None)
-                    if reply is None:
-                        break
-                    conn.sendall((reply + "\r\n").encode("ascii"))
-                    if reply.startswith("354"):
-                        in_data = True
-            except OSError:
-                pass
-            finally:
-                self.session.raw = bytes(raw)

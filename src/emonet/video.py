@@ -150,6 +150,10 @@ class _StreamFrame(Frame):
 
 _Y4M_MAGIC = b"YUV4MPEG2"
 _CHUNK = 1 << 20   # a stream that cannot seek is read this much at a time
+# the longest header line, or FRAME parameter line after its marker, that is
+# read, 0x0A included: such lines hold a few tags, and a stream that never
+# sends the 0x0A must not be read into memory whole
+_MAX_LINE = 4096
 
 
 def _read_upto(stream, n: int) -> bytes:
@@ -162,9 +166,13 @@ def _read_upto(stream, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _read_line(stream: io.BufferedIOBase, what: str) -> bytes:
-    line = stream.readline()
+def _read_line(stream: io.BufferedIOBase, what: str,
+               too_long: type[VideoFormatError]) -> bytes:
+    """One line without its 0x0A; a line over _MAX_LINE bytes is too_long."""
+    line = stream.readline(_MAX_LINE)
     if not line.endswith(b"\n"):
+        if len(line) == _MAX_LINE:
+            raise too_long(f"{what} over {_MAX_LINE} bytes")
         raise TruncatedFrame(f"stream ended inside {what}")
     return line[:-1]
 
@@ -176,7 +184,7 @@ def parse_y4m_header(stream) -> VideoHeader:
     """
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
-    line = _read_line(stream, "Y4M header")
+    line = _read_line(stream, "Y4M header", MalformedTag)
     fields = line.split(b" ")
     if fields[0] != _Y4M_MAGIC:
         raise MissingSignature(f"expected YUV4MPEG2 signature, got {fields[0][:16]!r}")
@@ -245,7 +253,8 @@ class Y4mReader:
             return None
         if marker != b"FRAME":
             raise MalformedFrameMarker(f"expected FRAME marker, got {marker!r}")
-        _read_line(self._stream, "FRAME parameter line")   # params ignored
+        _read_line(self._stream, "FRAME parameter line",   # params ignored
+                   MalformedFrameMarker)
         h, index = self.header, self._next_index
         n_luma, n_chroma = h.width * h.height, h.chroma_bytes
         if self._end is None:

@@ -16,10 +16,10 @@ from emonet.classifiers import (EmotionScores, cnn_train, evaluate,
 from emonet.config import PipelineConfig
 from emonet.glyphs import make_glyph_dataset, split_dataset
 from emonet.preprocess import bilinear_resize, load_detections
-from emonet.smtp_client import SmtpConfig, StubSmtpServer, dot_unstuff
 from emonet.video import (Frame, VideoHeader, Y4mReader, parse_pgm,
                           parse_y4m_header, write_pgm, write_y4m)
 
+from smtp_server import SessionServer, dot_unstuff, play
 from test_alerts import run_trace, scores_for
 from test_classifiers import bayes_oracle, random_lda_model
 from test_nn import (conv_oracle, dense_oracle, maxpool_oracle,
@@ -157,14 +157,14 @@ def toy_lda_model():
 
 def test_end_to_end_stream(toy_lda_model):
     """Y4M + sidecar + trained toy model => deterministic event log and
-    exactly one stub-SMTP session with a well-formed dialogue."""
+    exactly one scripted SMTP session with a well-formed dialogue."""
     video, sidecar = _e2e_video_and_sidecar()
     script = ["220 stub", "250 stub", "250 ok", "250 ok", "250 ok",
               "354 go", "250 queued", "221 bye"]
     logs = []
     session = None
     for attempt in range(2):
-        with StubSmtpServer(script) as server:
+        with SessionServer(play(script)) as server:
             config = PipelineConfig(
                 thresh=5, width=500, smtp_host="127.0.0.1",
                 smtp_port=server.port, alert_from="monitor@example.org",
@@ -175,7 +175,7 @@ def test_end_to_end_stream(toy_lda_model):
                                          event_log=log, clock=PINNED_CLOCK)
             logs.append(log.getvalue())
             if attempt == 0:
-                session = server.session
+                session = server.sessions[0]
         assert len(report.events) == 1
         assert report.emails_sent == 1 and report.smtp_failures == 0
     assert logs[0] == logs[1]
@@ -188,7 +188,7 @@ def test_end_to_end_stream(toy_lda_model):
     assert b"DATA\r\n" in session.raw
     assert b"\r\n.\r\n" in session.raw  # terminator line
     body = session.unstuffed_body()
-    assert smtp_client.dot_unstuff(smtp_client.dot_stuff(body)) == body
+    assert dot_unstuff(smtp_client.dot_stuff(body)) == body
     assert any(line == "label: sad" for line in body)
     ok("end-to-end")
 

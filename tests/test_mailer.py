@@ -3,10 +3,7 @@ that is opened ahead of the alert that uses it."""
 
 import select
 import socket
-import struct
-import threading
 import time
-from dataclasses import dataclass, field
 
 import pytest
 
@@ -14,6 +11,8 @@ from emonet import pipeline, smtp_client
 from emonet.config import PipelineConfig
 from emonet.smtp_client import ConnectFailed, Mailer, SmtpConfig, SmtpTimeout
 from emonet.video import Y4mReader
+from smtp_server import (SessionServer, greet_then_hang_up, hang_up, idle_timeout_421, play,
+                         reset, reset_after_ehlo, silent)
 from test_pipeline import PINNED_CLOCK, lda_model, make_video, sidecar  # noqa: F401
 from test_smtp import sample_event
 
@@ -21,119 +20,11 @@ SCRIPT = ["220 ready", "250 hi", "250 ok", "250 ok", "354 go", "250 queued", "22
 COMMANDS = ["EHLO emonet", "MAIL FROM:<m@x>", "RCPT TO:<ops@x>", "DATA", "QUIT"]
 
 
-@dataclass
-class Session:
-    commands: list[str] = field(default_factory=list)
-    messages: int = 0
-    frames: list[str] = field(default_factory=list)   # "frame: N" body lines
-    quit_answered_at: float | None = None             # time.monotonic()
-    talked_early: bool = False                        # input before the greeting
-
-
-def play(script, quit_delay=0.0):
-    """A session that plays script like StubSmtpServer: the greeting, then
-    one reply per command and a body until the lone '.'. QUIT always gets
-    the script's last reply, after quit_delay seconds."""
-    def serve(conn, reader, session):
-        replies = iter(script)
-        conn.sendall(next(replies).encode() + b"\r\n")
-        in_data = False
-        for raw in reader:
-            text = raw.decode().rstrip("\r\n")
-            if in_data:
-                if text == ".":
-                    in_data = False
-                    session.messages += 1
-                    conn.sendall(next(replies).encode() + b"\r\n")
-                elif text.startswith("frame: "):
-                    session.frames.append(text)
-                continue
-            session.commands.append(text)
-            if text == "QUIT":
-                time.sleep(quit_delay)
-                session.quit_answered_at = time.monotonic()
-                conn.sendall(script[-1].encode() + b"\r\n")
-                return
-            reply = next(replies)
-            conn.sendall(reply.encode() + b"\r\n")
-            in_data = reply.startswith("354")
-    return serve
-
-
-def hang_up(conn, reader, session):
-    """The server closed the connection while it sat idle."""
-
-
-def reset(conn, reader, session):
-    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-
-
-def greet_then_hang_up(conn, reader, session):
-    conn.sendall(b"220 ready\r\n")
-
-
-def idle_timeout_421(conn, reader, session):
-    conn.sendall(b"421 idle too long, closing\r\n")
-
-
 def greets_late(conn, reader, session):
     """Plays SCRIPT after 0.2 s of silence, noting any input that arrives
     before its greeting (RFC 5321 4.3.1: the client waits for it)."""
     session.talked_early = bool(select.select([conn], [], [], 0.2)[0])
     play(SCRIPT)(conn, reader, session)
-
-
-def silent(conn, reader, session):
-    """Accepts and never says a word; reads until the client hangs up."""
-    for raw in reader:
-        session.commands.append(raw.decode().rstrip("\r\n"))
-
-
-class SessionServer:
-    """Serves one scripted session per accepted connection, in accept order,
-    each on a thread of its own, and stops listening after the last one."""
-
-    def __init__(self, *handlers):
-        self.handlers = handlers
-        self.sessions = [Session() for _ in handlers]
-        self.accepted = 0
-        self._sock = socket.create_server(("127.0.0.1", 0))
-        self._sock.settimeout(10)
-        self.port = self._sock.getsockname()[1]
-        self._threads = [threading.Thread(target=self._accept, daemon=True)]
-
-    def __enter__(self):
-        self._threads[0].start()
-        return self
-
-    def __exit__(self, *exc):
-        self._sock.close()
-        for thread in self._threads:
-            thread.join(timeout=10)
-        return False
-
-    def _accept(self):
-        try:
-            for handler, session in zip(self.handlers, self.sessions):
-                conn, _ = self._sock.accept()
-                self.accepted += 1
-                thread = threading.Thread(target=self._serve, daemon=True,
-                                          args=(conn, handler, session))
-                self._threads.append(thread)
-                thread.start()
-        except OSError:
-            pass
-        finally:
-            self._sock.close()
-
-    @staticmethod
-    def _serve(conn, handler, session):
-        with conn, conn.makefile("rb") as reader:
-            conn.settimeout(10)
-            try:
-                handler(conn, reader, session)
-            except OSError:
-                pass
 
 
 def smtp_config(server, timeout=5.0) -> SmtpConfig:
@@ -334,12 +225,6 @@ class TestQuitReply:
             receipt = mailer.send(sample_event())
             mailer.close()
         assert [code for code, _ in receipt.transcript] == [220, 250, 250, 250, 354, 250]
-
-
-def reset_after_ehlo(conn, reader, session):
-    conn.sendall(b"220 ready\r\n")
-    session.commands.append(reader.readline().decode().rstrip("\r\n"))
-    reset(conn, reader, session)
 
 
 class TestConnectionReset:

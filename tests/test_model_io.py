@@ -57,6 +57,15 @@ class TestCnnRoundTrip:
             for key in got:
                 np.testing.assert_array_equal(got[key], want[key])
 
+    def test_layer_table_bytes(self, cnn_model):
+        """The layer codes are part of the format: conv 0, maxpool 1, dense 2,
+        sigmoid 3, softmax 4, whatever order nn lists the kinds in."""
+        rows = [(0, 3, 2, 0), (3, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 7), (4, 0, 0, 0)]
+        table = struct.pack("<HBB", 10, 1, 5) + b"".join(
+            struct.pack("<BHHH", *row) for row in rows)
+        offset = struct.calcsize("<4sHBQ")
+        assert model_io.save_model(cnn_model)[offset:offset + len(table)] == table
+
     def test_file_round_trip(self, cnn_model, tmp_path):
         path = tmp_path / "model.emn1"
         model_io.save_model_file(cnn_model, str(path))

@@ -67,16 +67,16 @@ class TestResize:
             r0, c0 = int(rng.integers(0, oh)), int(rng.integers(0, ow))
             region = (slice(r0, int(rng.integers(r0 + 1, oh + 1))),
                       slice(c0, int(rng.integers(c0 + 1, ow + 1))))
-            crop = img[preprocess.source_window(region, (h, w), (oh, ow))]
-            np.testing.assert_array_equal(
-                preprocess.bilinear_resize(crop, oh, ow, region, (h, w)),
-                preprocess.bilinear_resize(img, oh, ow)[region])
+            taps = preprocess.resample_taps(region, (h, w), (oh, ow))
+            crop = img[preprocess.taps_window(taps)]
+            np.testing.assert_array_equal(preprocess.resample_window(crop, taps),
+                                          preprocess.bilinear_resize(img, oh, ow)[region])
 
     def test_region_rejects_wrong_source_crop(self):
         img = np.zeros((20, 20), dtype=np.uint8)
-        region = (slice(2, 5), slice(2, 5))
+        taps = preprocess.resample_taps((slice(2, 5), slice(2, 5)), (20, 20), (10, 10))
         with pytest.raises(ValueError):
-            preprocess.bilinear_resize(img, 10, 10, region, (20, 20))
+            preprocess.resample_window(img, taps)
 
     def test_aspect_preserved_within_rounding(self):
         for h, w, target in [(480, 640, 500), (333, 777, 500), (7, 13, 9)]:

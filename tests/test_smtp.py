@@ -1,4 +1,4 @@
-"""SMTP client tests against the in-process scripted stub server."""
+"""SMTP client tests against the tests' scripted SMTP server."""
 
 import socket
 import threading
@@ -16,10 +16,9 @@ from emonet.smtp_client import (
     ConnectFailed,
     ProtocolError,
     SmtpConfig,
-    StubSmtpServer,
     dot_stuff,
-    dot_unstuff,
 )
+from smtp_server import SessionServer, dot_unstuff, play
 
 
 def sample_event() -> AlertEvent:
@@ -33,7 +32,7 @@ def sample_event() -> AlertEvent:
     )
 
 
-def config_for(server: StubSmtpServer, recipients=("ops@example.org",)) -> SmtpConfig:
+def config_for(server: SessionServer, recipients=("ops@example.org",)) -> SmtpConfig:
     return SmtpConfig(host="127.0.0.1", port=server.port,
                       sender="monitor@example.org", recipients=recipients,
                       timeout=5.0)
@@ -45,10 +44,10 @@ HAPPY_SCRIPT = ["220 stub ready", "250 stub", "250 ok", "250 ok",
 
 class TestHappyPath:
     def test_full_dialogue(self):
-        with StubSmtpServer(HAPPY_SCRIPT) as server:
+        with SessionServer(play(HAPPY_SCRIPT)) as server:
             receipt = smtp_client.send_alert(config_for(server), sample_event())
         assert receipt.accepted
-        assert server.session.commands == [
+        assert server.sessions[0].commands == [
             "EHLO emonet",
             "MAIL FROM:<monitor@example.org>",
             "RCPT TO:<ops@example.org>",
@@ -59,9 +58,9 @@ class TestHappyPath:
         assert codes == [220, 250, 250, 250, 354, 250, 221]
 
     def test_message_body_contents(self):
-        with StubSmtpServer(HAPPY_SCRIPT) as server:
+        with SessionServer(play(HAPPY_SCRIPT)) as server:
             receipt = smtp_client.send_alert(config_for(server), sample_event())
-        body = server.session.unstuffed_body()
+        body = server.sessions[0].unstuffed_body()
         assert body[0] == "From: monitor@example.org"
         assert body[1] == "To: ops@example.org"
         assert body[2] == "Subject: EMONET ALERT: sad"
@@ -75,16 +74,16 @@ class TestHappyPath:
     def test_two_recipients_two_rcpt_commands(self):
         script = ["220 ok", "250 ok", "250 ok", "250 ok", "250 ok",
                   "354 go", "250 queued", "221 bye"]
-        with StubSmtpServer(script) as server:
+        with SessionServer(play(script)) as server:
             cfg = config_for(server, recipients=("a@x.org", "b@x.org"))
             smtp_client.send_alert(cfg, sample_event())
-        rcpts = [c for c in server.session.commands if c.startswith("RCPT")]
+        rcpts = [c for c in server.sessions[0].commands if c.startswith("RCPT")]
         assert rcpts == ["RCPT TO:<a@x.org>", "RCPT TO:<b@x.org>"]
 
     def test_crlf_framing_on_the_wire(self):
-        with StubSmtpServer(HAPPY_SCRIPT) as server:
+        with SessionServer(play(HAPPY_SCRIPT)) as server:
             smtp_client.send_alert(config_for(server), sample_event())
-        raw = server.session.raw
+        raw = server.sessions[0].raw
         assert raw.endswith(b"QUIT\r\n")
         assert b"\r\n" in raw and b"\n\n" not in raw
 
@@ -100,25 +99,25 @@ class TestHappyPath:
             return real_sendall(sock, data, *args)
 
         monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
-        with StubSmtpServer(HAPPY_SCRIPT) as server:
+        with SessionServer(play(HAPPY_SCRIPT)) as server:
             smtp_client.send_alert(config_for(server), sample_event())
         after_354 = writes[writes.index(b"DATA\r\n") + 1:]
         assert after_354 == [after_354[0], b"QUIT\r\n"]
         assert after_354[0].endswith(b"\r\n.\r\n")
-        assert b"".join(writes) == server.session.raw
+        assert b"".join(writes) == server.sessions[0].raw
 
     def test_helo_fallback_when_ehlo_rejected(self):
         script = ["220 ok", "502 not implemented", "250 hi", "250 ok",
                   "250 ok", "354 go", "250 queued", "221 bye"]
-        with StubSmtpServer(script) as server:
+        with SessionServer(play(script)) as server:
             receipt = smtp_client.send_alert(config_for(server), sample_event())
         assert receipt.accepted
-        assert server.session.commands[:2] == ["EHLO emonet", "HELO emonet"]
+        assert server.sessions[0].commands[:2] == ["EHLO emonet", "HELO emonet"]
 
     def test_multiline_ehlo_reply_counts_once(self):
         script = ["220 ok", "250-stub greets you\r\n250 SIZE 1000000",
                   "250 ok", "250 ok", "354 go", "250 queued", "221 bye"]
-        with StubSmtpServer(script) as server:
+        with SessionServer(play(script)) as server:
             receipt = smtp_client.send_alert(config_for(server), sample_event())
         assert receipt.transcript[1] == (250, "stub greets you\nSIZE 1000000")
 
@@ -126,23 +125,23 @@ class TestHappyPath:
 class TestRejections:
     def test_rcpt_rejected_raises_with_phase(self):
         script = ["220 ok", "250 ok", "250 ok", "550 no such user", "221 bye"]
-        with StubSmtpServer(script) as server:
+        with SessionServer(play(script)) as server:
             with pytest.raises(ProtocolError) as exc:
                 smtp_client.send_alert(config_for(server), sample_event())
         assert exc.value.phase == "rcpt"
         assert exc.value.code == 550
         # the client still said goodbye
-        assert server.session.commands[-1] == "QUIT"
+        assert server.sessions[0].commands[-1] == "QUIT"
 
     def test_greeting_not_220(self):
-        with StubSmtpServer(["554 go away"]) as server:
+        with SessionServer(play(["554 go away"])) as server:
             with pytest.raises(ProtocolError) as exc:
                 smtp_client.send_alert(config_for(server), sample_event())
         assert exc.value.phase == "greeting"
 
     def test_data_rejected(self):
         script = ["220 ok", "250 ok", "250 ok", "250 ok", "451 try later"]
-        with StubSmtpServer(script) as server:
+        with SessionServer(play(script)) as server:
             with pytest.raises(ProtocolError) as exc:
                 smtp_client.send_alert(config_for(server), sample_event())
         assert exc.value.phase == "data"
@@ -197,13 +196,13 @@ class TestConfig:
 class TestQuitAfterAccept:
     @pytest.mark.parametrize("quit_reply", ["bogus", "554 no"])
     def test_failed_quit_exchange_keeps_the_accepted_message(self, quit_reply):
-        with StubSmtpServer(HAPPY_SCRIPT[:-1] + [quit_reply]) as server:
+        with SessionServer(play(HAPPY_SCRIPT[:-1] + [quit_reply])) as server:
             receipt = smtp_client.send_alert(config_for(server), sample_event())
         assert receipt.accepted
-        assert server.session.commands[-1] == "QUIT"
+        assert server.sessions[0].commands[-1] == "QUIT"
         assert [code for code, _ in receipt.transcript][:6] == [220, 250, 250, 250, 354, 250]
 
     def test_quit_reply_is_waited_for(self):
-        with StubSmtpServer(HAPPY_SCRIPT) as server:
+        with SessionServer(play(HAPPY_SCRIPT)) as server:
             receipt = smtp_client.send_alert(config_for(server), sample_event())
         assert receipt.transcript[-1] == (221, "bye")

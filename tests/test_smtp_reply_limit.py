@@ -2,54 +2,17 @@
 server that never ends a line or a reply cannot grow the client's memory
 without bound."""
 
-import socket
-import threading
 import time
 
 import pytest
 
 from emonet import smtp_client
 from emonet.smtp_client import MAX_REPLY_LINE, MAX_REPLY_LINES, ProtocolError, SmtpConfig
+from smtp_server import SessionServer, flood
 from test_smtp import sample_event
 
 
-class RawServer:
-    """Accepts one connection, sends `greeting` and then `filler` in a loop
-    until the client hangs up or `limit` bytes are out, then closes."""
-
-    def __init__(self, greeting: bytes, filler: bytes = b"", limit: int = 4 << 20):
-        self.greeting, self.filler, self.limit = greeting, filler, limit
-        self._sock = socket.create_server(("127.0.0.1", 0))
-        self.port = self._sock.getsockname()[1]
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._sock.close()
-        self._thread.join(timeout=5)
-        return False
-
-    def _serve(self):
-        self._sock.settimeout(10)
-        try:
-            conn, _ = self._sock.accept()
-        except OSError:
-            return
-        with conn:
-            try:
-                conn.sendall(self.greeting)
-                sent = len(self.greeting)
-                while self.filler and sent < self.limit:
-                    conn.sendall(self.filler)
-                    sent += len(self.filler)
-            except OSError:
-                pass
-
-
-def send_to(server: RawServer):
+def send_to(server: SessionServer):
     cfg = SmtpConfig(host="127.0.0.1", port=server.port, sender="a@x",
                      recipients=("b@x",), timeout=5.0)
     with pytest.raises(ProtocolError) as exc:
@@ -58,7 +21,7 @@ def send_to(server: RawServer):
 
 
 def test_endless_reply_line_is_a_protocol_error():
-    with RawServer(b"220 ", filler=b"x" * 4096) as server:
+    with SessionServer(flood(b"220 ", filler=b"x" * 4096)) as server:
         err = send_to(server)
     assert (err.phase, err.code) == ("greeting", 0)
     assert str(MAX_REPLY_LINE) in err.text
@@ -71,7 +34,7 @@ def test_longest_allowed_reply_line_is_read(octets, phase):
     the connection closed); one octet more is refused."""
     line = b"220 " + b"x" * (octets - 6) + b"\r\n"
     assert len(line) == octets
-    with RawServer(line) as server:
+    with SessionServer(flood(line)) as server:
         err = send_to(server)
     assert (err.phase, err.code) == (phase, 0)
 
@@ -79,7 +42,7 @@ def test_longest_allowed_reply_line_is_read(octets, phase):
 def test_endless_multiline_reply_is_a_protocol_error():
     """200,000 continuation lines (12.8 MB) are refused after MAX_REPLY_LINES."""
     line = b"220-" + b"x" * 58 + b"\r\n"
-    with RawServer(b"", filler=line, limit=200_000 * len(line)) as server:
+    with SessionServer(flood(b"", filler=line, limit=200_000 * len(line))) as server:
         start = time.monotonic()
         err = send_to(server)
         elapsed = time.monotonic() - start
@@ -94,6 +57,6 @@ def test_longest_allowed_multiline_reply_is_read(lines, phase):
     """A greeting of MAX_REPLY_LINES lines is accepted (the client goes on to
     EHLO and finds the connection closed); one line more is refused."""
     greeting = b"220-x\r\n" * (lines - 1) + b"220 ok\r\n"
-    with RawServer(greeting) as server:
+    with SessionServer(flood(greeting)) as server:
         err = send_to(server)
     assert (err.phase, err.code) == (phase, 0)

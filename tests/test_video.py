@@ -1,8 +1,10 @@
 """Y4M / PGM parser tests: round-trips, truncation, named errors."""
 
+import contextlib
 import io
 import itertools
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -249,8 +251,8 @@ class Unseekable:
     def read(self, n=-1):
         return self._inner.read(n)
 
-    def readline(self):
-        return self._inner.readline()
+    def readline(self, limit=-1):
+        return self._inner.readline(limit)
 
     def seekable(self):
         return False
@@ -490,3 +492,80 @@ class TestLyingHeader:
         np.testing.assert_array_equal(out.luma, frame.luma)
         with pytest.raises(video.TruncatedFrame):
             list(video.Y4mReader(Unseekable(data[:-1])))
+
+
+@contextlib.contextmanager
+def fed_pipe(data: bytes):
+    """The read end of an os.pipe, as a file, that a thread writes data into."""
+    r, w = os.pipe()
+
+    def feed():
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(w, view):]
+        except BrokenPipeError:       # the reader stopped early
+            pass
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        with open(r, "rb") as fh:
+            yield fh
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+class TestLineBound:
+    """A header or FRAME parameter line over video._MAX_LINE bytes is refused
+    with a named error, after reading no more than that, even from a stream
+    that never sends the 0x0A."""
+
+    HEADER = b"YUV4MPEG2 W4 H2 F25:1 Cmono"
+    LUMA = bytes(range(8))
+
+    def stream(self, on, data):
+        return contextlib.nullcontext(io.BytesIO(data)) if on == "bytes" else fed_pipe(data)
+
+    def long_lines(self, n):
+        """(data, the error a line over the bound raises): a header line, then
+        a FRAME parameter line, of n bytes with the 0x0A, padded by an X tag."""
+        def pad(k):
+            return b" X" + b"x" * (k - 3) + b"\n"
+
+        return [(self.HEADER + pad(n - len(self.HEADER)) + b"FRAME\n" + self.LUMA,
+                 video.MalformedTag),
+                (self.HEADER + b"\nFRAME" + pad(n) + self.LUMA, video.MalformedFrameMarker)]
+
+    @pytest.mark.parametrize("on", ["bytes", "pipe"])
+    def test_line_at_the_bound_decodes(self, on):
+        for data, _ in self.long_lines(video._MAX_LINE):
+            with self.stream(on, data) as stream:
+                (frame,) = video.Y4mReader(stream)
+                assert frame.luma.tobytes() == self.LUMA
+
+    @pytest.mark.parametrize("on", ["bytes", "pipe"])
+    def test_line_one_byte_over_the_bound_is_refused(self, on):
+        for data, error in self.long_lines(video._MAX_LINE + 1):
+            with self.stream(on, data) as stream:
+                with pytest.raises(error):
+                    list(video.Y4mReader(stream))
+
+    @pytest.mark.parametrize("on", ["bytes", "pipe"])
+    @pytest.mark.parametrize("error", [video.MalformedTag, video.MalformedFrameMarker])
+    def test_endless_line_is_refused_in_bounded_memory(self, on, error):
+        endless = b" X" + b"x" * 20_000_000
+        if error is video.MalformedFrameMarker:
+            endless = b"\nFRAME" + endless
+        with self.stream(on, self.HEADER + endless) as stream:
+            tracemalloc.start()
+            try:
+                with pytest.raises(error):
+                    list(video.Y4mReader(stream))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20
