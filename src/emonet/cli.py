@@ -80,7 +80,7 @@ def _cmd_run(args) -> int:
                           f"but roi_size is {config.roi_size}")
     with open(args.detections, "rb") as fh:
         detections = load_detections(fh.read())
-    log_fh = open(args.event_log, "w", encoding="utf-8") if args.event_log else None
+    log_fh = open(args.event_log, "a", encoding="utf-8") if args.event_log else None
     try:
         with open(args.video, "rb") as fh:
             reader = Y4mReader(fh)

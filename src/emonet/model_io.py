@@ -18,6 +18,7 @@ float32 on save (in-memory fits keep float64 for oracle-grade precision).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -167,12 +168,17 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
 
 
 def save_model_file(model, path: str) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
+    """Atomic write: temp file in the same directory, then rename; removed on failure."""
     data = save_model(model)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_model_file(path: str):

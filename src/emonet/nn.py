@@ -405,10 +405,10 @@ def param_shapes(input_side: int, layers: list[LayerSpec],
 
 
 def build_model(input_side: int, layers: list[LayerSpec], seed: int,
-                channels: int = 1, init_gain: float = INIT_GAIN) -> CnnModel:
+                channels: int = 1) -> CnnModel:
     """Shape-check the layer chain end to end and initialize parameters.
 
-    Weights are gain-scaled Glorot-uniform (+-gain*sqrt(6/(fan_in+fan_out)))
+    Weights are gain-scaled Glorot-uniform (+-INIT_GAIN*sqrt(6/(fan_in+fan_out)))
     from a seeded PRNG; biases start at zero.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -417,7 +417,7 @@ def build_model(input_side: int, layers: list[LayerSpec], seed: int,
         if key == "b":
             return np.zeros(shape, dtype=np.float32)
         # a k x k x C x F kernel has fans k*k*C and k*k*F; a dense window is 1
-        lim = init_gain * np.sqrt(6.0 / (math.prod(shape[:-2]) * (shape[-2] + shape[-1])))
+        lim = INIT_GAIN * np.sqrt(6.0 / (math.prod(shape[:-2]) * (shape[-2] + shape[-1])))
         return rng.uniform(-lim, lim, size=shape).astype(np.float32)
 
     params = [{key: init(key, shape) for key, shape in shapes.items()}

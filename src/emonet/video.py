@@ -1,13 +1,14 @@
 """Grayscale frame ingestion: YUV4MPEG2 (Y4M) streams and binary PGM images.
 
 Only the luma plane of a Y4M stream is consumed; 4:2:0 chroma planes are
-skipped. On a seekable stream the reader reads no pixels: it seeks past
-each frame's luma and chroma together, and the frame reads the rows it is
-asked for (Frame.crop) from the stream the first time they are used, so a
-frame stays readable only while its stream is open. A stream that cannot
-seek (a pipe) is read in bounded chunks, every byte, and its frames hold
-their whole luma plane. Both formats round-trip bit-exactly through the
-matching write functions, which the test suite leans on heavily.
+skipped. Every Frame holds one band of whole rows. On a seekable stream
+the reader reads no pixels: it seeks past each frame's planes, and the
+frame reads the rows it is asked for (Frame.crop) from the stream the
+first time they are used, so it stays readable only while its stream is
+open. A stream that cannot seek (a pipe) is read in bounded chunks, every
+byte, and its frames hold their whole luma plane from the start, as a
+frame built from an array does. Both formats round-trip bit-exactly
+through the matching write functions, which the test suite leans on.
 """
 
 from __future__ import annotations
@@ -74,74 +75,61 @@ class VideoHeader:
         return 2 * ((self.width + 1) // 2) * ((self.height + 1) // 2)
 
 
-@dataclass(frozen=True)
 class Frame:
-    """One grayscale frame; luma is a row-major (height, width) uint8 array."""
-    index: int
-    width: int
-    height: int
-    luma: np.ndarray
+    """One grayscale frame of height x width uint8 pixels, held as one band of whole rows.
 
-    def __post_init__(self):
-        if self.luma.shape != (self.height, self.width):
-            raise VideoFormatError(
-                f"luma shape {self.luma.shape} does not match {self.height}x{self.width}")
-
-    def crop(self, region: tuple[slice, slice]) -> np.ndarray:
-        """luma[region], for a (rows, cols) pair of slices."""
-        return self.luma[region]
-
-
-class _StreamFrame(Frame):
-    """A frame of a seekable Y4M stream that reads its rows when first used.
-
-    It keeps one band of whole rows: a crop inside the band is a slice of it,
-    and a crop outside it reads the union of the two. luma is the crop of the
-    whole plane. A read seeks to the rows and back, so it may come between
-    any two next_frame calls, but only while the stream is open; a stream
-    closed or shrunk since the frame was yielded is a FrameUnavailable or
-    TruncatedFrame.
+    Built from a (height, width) luma array, the band is the whole plane; built
+    by Y4mReader on a seekable stream (stream=, offset=), it is read from the
+    luma plane at offset by the first crop. A crop inside the band is a slice
+    of it, one outside it reads the union; luma is the crop of the whole plane.
+    A read seeks to the rows and back, so it may come between any two
+    next_frame calls, but only while the stream is open: a stream closed or
+    shrunk since is a FrameUnavailable or TruncatedFrame.
     """
 
-    def __init__(self, index: int, width: int, height: int, stream, offset: int):
-        for name, value in (("index", index), ("width", width), ("height", height)):
-            object.__setattr__(self, name, value)
+    def __init__(self, index: int, width: int, height: int, luma: np.ndarray | None = None,
+                 *, stream=None, offset: int = 0):
+        if luma is not None and luma.shape != (height, width):
+            raise VideoFormatError(f"luma shape {luma.shape} does not match {height}x{width}")
+        self.index, self.width, self.height = index, width, height
         self._stream, self._offset = stream, offset
-        self._band: tuple[int, np.ndarray] | None = None   # (first row, rows)
+        self._first, self._rows = 0, luma    # the band: its first row and its rows
+
+    def __repr__(self) -> str:
+        return f"Frame(index={self.index}, width={self.width}, height={self.height})"
 
     @property
     def luma(self) -> np.ndarray:
+        if self._rows is not None and len(self._rows) == self.height:
+            return self._rows
         return self.crop((slice(None), slice(None)))
 
     def crop(self, region: tuple[slice, slice]) -> np.ndarray:
+        """luma[region], for a (rows, cols) pair of slices."""
         rows, cols = region
         span = range(*rows.indices(self.height))
         if not span:
             return np.empty((0, self.width), dtype=np.uint8)[:, cols]
         lo, hi = min(span[0], span[-1]), max(span[0], span[-1]) + 1
-        band = self._band
-        if band is None or lo < band[0] or hi > band[0] + len(band[1]):
-            band = self._band = self._read_rows(lo, hi)
-        start, pixels = band
-        return pixels[lo - start:hi - start][::span.step, cols]
+        if self._rows is None or lo < self._first or hi > self._first + len(self._rows):
+            self._read_rows(lo, hi)
+        return self._rows[lo - self._first:hi - self._first][::span.step, cols]
 
-    def _read_rows(self, lo: int, hi: int) -> tuple[int, np.ndarray]:
-        if self._band is not None:
-            start, pixels = self._band
-            lo, hi = min(lo, start), max(hi, start + len(pixels))
+    def _read_rows(self, lo: int, hi: int) -> None:
+        if self._rows is not None:
+            lo, hi = min(lo, self._first), max(hi, self._first + len(self._rows))
         n = (hi - lo) * self.width
-        stream = self._stream
         try:
-            back = stream.tell()
-            stream.seek(self._offset + lo * self.width)
-            data = stream.read(n)
-            stream.seek(back)
+            back = self._stream.tell()
+            self._stream.seek(self._offset + lo * self.width)
+            data = self._stream.read(n)
+            self._stream.seek(back)
         except (OSError, ValueError) as exc:   # closed: ValueError; failed: OSError
             raise FrameUnavailable(f"frame {self.index}: rows {lo}..{hi - 1}: {exc}") from exc
         if len(data) != n:
             raise TruncatedFrame(f"frame {self.index}: wanted {n} bytes of rows {lo}..{hi - 1}, "
                                  f"got {len(data)}; the stream shrank")
-        return lo, np.frombuffer(data, dtype=np.uint8).reshape(hi - lo, self.width)
+        self._first, self._rows = lo, np.frombuffer(data, np.uint8).reshape(hi - lo, self.width)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +211,7 @@ def parse_y4m_header(stream) -> VideoHeader:
 
 
 class Y4mReader:
-    """Sequential Y4M frame reader; single-owner, frames are immutable.
+    """Sequential Y4M frame reader; single-owner, like the frames it yields.
 
     On a seekable stream no pixel is read here: each frame's luma and chroma
     are seeked past together, and the frame reads its rows from the stream
@@ -231,6 +219,10 @@ class Y4mReader:
     the stream is open. A seek past the end does not fail, so the reader
     keeps the stream's length, and a frame whose planes would reach beyond
     it is truncated. A stream that cannot seek is read, every byte.
+
+    A frame's pixel values never change, but what it holds does, as crop
+    widens its band: a frame is used by one thread at a time, like its
+    stream, and compares and hashes by identity.
     """
 
     def __init__(self, stream):
@@ -274,11 +266,11 @@ class Y4mReader:
             raise TruncatedFrame(
                 f"frame {index}: wanted {n_chroma} chroma bytes, got {got - n_luma}")
         if self._end is None:
-            frame = Frame(index=index, width=h.width, height=h.height,
-                          luma=np.frombuffer(luma, dtype=np.uint8).reshape(h.height, h.width))
+            frame = Frame(index, h.width, h.height,
+                          np.frombuffer(luma, dtype=np.uint8).reshape(h.height, h.width))
         else:
             self._stream.seek(stop)
-            frame = _StreamFrame(index, h.width, h.height, self._stream, offset)
+            frame = Frame(index, h.width, h.height, stream=self._stream, offset=offset)
         self._next_index += 1
         return frame
 

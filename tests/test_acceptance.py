@@ -15,12 +15,12 @@ from emonet.classifiers import (EmotionScores, cnn_train, evaluate,
                                 lda_predict, lda_train)
 from emonet.config import PipelineConfig
 from emonet.glyphs import make_glyph_dataset, split_dataset
-from emonet.preprocess import bilinear_resize, load_detections
+from emonet.preprocess import load_detections
 from emonet.video import (Frame, VideoHeader, Y4mReader, parse_pgm,
                           parse_y4m_header, write_pgm, write_y4m)
 
 from smtp_server import SessionServer, dot_unstuff, play
-from test_alerts import run_trace, scores_for
+from test_alerts import run_trace
 from test_classifiers import bayes_oracle, random_lda_model
 from test_nn import (conv_oracle, dense_oracle, maxpool_oracle,
                      tiny_fixture_model)

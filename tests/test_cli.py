@@ -9,7 +9,8 @@ from emonet.dataset import load_dataset_dir, save_dataset_dir
 from emonet.glyphs import draw_glyph, make_glyph_dataset
 from emonet.video import Frame, write_pgm
 
-from test_pipeline import make_video, sidecar  # noqa: F401  (shared builders)
+from test_pipeline import make_video
+from test_video import fed_pipe
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,53 @@ class TestRun:
         assert code == 0
         assert "events=1" in captured.out
         assert log.read_text().startswith("7 sad 4 ")
+
+    def test_event_log_is_appended_to(self, lda_model_path, tmp_path, capsys):
+        video = tmp_path / "clip.y4m"
+        video.write_bytes(make_video(["neutral"] * 4 + ["sad"] * 4, canvas=100))
+        dets = tmp_path / "clip.dets"
+        dets.write_text("# min_size=1x1\n" + "".join(f"{i} 10 10 28 28\n" for i in range(8)))
+        log = tmp_path / "events.log"
+        for _ in range(2):
+            assert cli.main(["run", "--video", str(video), "--detections", str(dets),
+                             "--model", lda_model_path, "--thresh", "3", "--width", "100",
+                             "--event-log", str(log)]) == 0
+        lines = log.read_text().splitlines()
+        assert len(lines) == 2 and all(line.startswith("7 sad 4 ") for line in lines)
+
+    def test_failed_video_open_keeps_the_event_log(self, lda_model_path, tmp_path, capsys):
+        dets = tmp_path / "clip.dets"
+        dets.write_text("# min_size=1x1\n0 10 10 28 28\n")
+        log = tmp_path / "events.log"
+        log.write_text("7 sad 4 2022-06-29T12:00:00+00:00\n")
+        code = cli.main(["run", "--video", str(tmp_path / "missing.y4m"),
+                         "--detections", str(dets), "--model", lda_model_path,
+                         "--thresh", "3", "--event-log", str(log)])
+        assert code == 2
+        assert log.read_text() == "7 sad 4 2022-06-29T12:00:00+00:00\n"
+
+    def test_run_over_a_pipe_matches_the_file(self, lda_model_path, tmp_path, capsys):
+        data = make_video(["neutral"] * 4 + ["sad"] * 6 + ["happy"] * 5, canvas=100)
+        video = tmp_path / "clip.y4m"
+        video.write_bytes(data)
+        dets = tmp_path / "clip.dets"
+        boxes = "".join(f"{i} 10 10 28 28\n" for i in range(15) if i != 6)   # frame 6: no face
+        dets.write_text("# min_size=1x1\n" + boxes)
+
+        def run(video_path, log):
+            assert cli.main(["run", "--video", video_path, "--detections", str(dets),
+                             "--model", lda_model_path, "--thresh", "2", "--width", "100",
+                             "--smooth-window", "3", "--event-log", str(log)]) == 0
+            # each alert line ends with the wall time of its run
+            return (capsys.readouterr().out,
+                    [line.rsplit(" ", 1)[0] for line in log.read_text().splitlines()])
+
+        from_file = run(str(video), tmp_path / "file.log")
+        with fed_pipe(data) as pipe:
+            assert not pipe.seekable()
+            from_pipe = run(f"/dev/fd/{pipe.fileno()}", tmp_path / "pipe.log")
+        assert from_pipe == from_file
+        assert "events=1" in from_file[0] and "frames_no_face=1" in from_file[0]
 
     def test_config_file_supplies_thresh(self, lda_model_path, tmp_path, capsys):
         video = tmp_path / "clip.y4m"

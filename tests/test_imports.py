@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package, the tests or the scripts imports is
+used in that module.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by `import` or `from ... import` must appear in the module as
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "emonet"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "emonet").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

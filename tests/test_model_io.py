@@ -73,6 +73,14 @@ class TestCnnRoundTrip:
         assert model_io.save_model(loaded) == model_io.save_model(cnn_model)
         assert not list(tmp_path.glob("*.tmp.*"))  # temp file was renamed away
 
+    def test_failed_write_leaves_only_the_target(self, cnn_model, tmp_path):
+        target = tmp_path / "model.emn1"
+        target.mkdir()                   # the rename onto a directory fails
+        with pytest.raises(IsADirectoryError):
+            model_io.save_model_file(cnn_model, str(target))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.emn1"]
+        assert target.is_dir() and not any(target.iterdir())
+
 
 class TestLdaRoundTrip:
     def test_second_round_trip_is_idempotent(self, lda_model):

@@ -388,6 +388,16 @@ class TestFrameCrop:
         np.testing.assert_array_equal(frame.luma, want)
         assert stream.bytes_read == 13 * 10 + 20 * 10
 
+    def test_repr_eq_and_hash_read_no_pixels(self):
+        frames = [make_frame(0, 640, 480)]
+        stream = CountingStream(video.write_y4m(VideoHeader(640, 480, 25, 1, "420"), frames))
+        frame = video.Y4mReader(stream).next_frame()
+        stream.bytes_read = 0
+        assert repr(frame) == "Frame(index=0, width=640, height=480)"
+        assert frame == frame and frame != frames[0]          # identity
+        assert {frame: 1}[frame] == 1
+        assert stream.bytes_read == 0
+
     def test_iteration_reads_no_pixels_on_a_seekable_stream(self):
         frames = [make_frame(i, 64, 48) for i in range(5)]
         data = video.write_y4m(VideoHeader(64, 48, 25, 1, "420"), frames)
