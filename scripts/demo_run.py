@@ -15,7 +15,7 @@ from emonet.classifiers import lda_train
 from emonet.config import PipelineConfig
 from emonet.glyphs import draw_glyph, make_glyph_dataset
 from emonet.preprocess import bilinear_resize, load_detections
-from emonet.smtp_client import format_alert_message
+from emonet.smtp_client import HELLO_NAME, format_alert_message
 from emonet.video import Frame, VideoHeader, Y4mReader, write_y4m
 
 
@@ -50,7 +50,7 @@ def main() -> None:
 
     def print_mail(smtp_config, event):
         print(f"--- alert mail for frame {event.frame_index} ---")
-        message_id = f"frame-{event.frame_index}@{smtp_config.hello_name}"
+        message_id = f"frame-{event.frame_index}@{HELLO_NAME}"
         for line in format_alert_message(smtp_config, event, message_id):
             print(line)
 

@@ -149,10 +149,6 @@ class LdaModel:
         return lda_posterior(self, (x.reshape(-1, p) - self.pca_mean) @ self.pca_basis)
 
 
-def default_pca_dim(p: int, n_classes: int = len(LABELS)) -> int:
-    return min(n_classes * 4, p)
-
-
 def pca_fit(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and top-d orthonormal covariance eigenvectors, descending variance.
 
@@ -210,8 +206,7 @@ def lda_fit(z: np.ndarray, y: np.ndarray, lam: float | None = None,
     return means, cov, priors
 
 
-def lda_train(x: np.ndarray, y: np.ndarray, d: int | None = None,
-              lam: float | None = None) -> LdaModel:
+def lda_train(x: np.ndarray, y: np.ndarray, d: int | None = None) -> LdaModel:
     """Fit the full PCA -> LDA stack on flat feature vectors."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
@@ -220,10 +215,10 @@ def lda_train(x: np.ndarray, y: np.ndarray, d: int | None = None,
     _require_every_label(y)
     p = x.shape[1]
     if d is None:
-        d = default_pca_dim(p)
+        d = min(4 * len(LABELS), p)
     mean, basis = pca_fit(x, d)
     z = (x - mean) @ basis
-    class_means, cov, priors = lda_fit(z, y, lam=lam, n_classes=len(LABELS))
+    class_means, cov, priors = lda_fit(z, y, n_classes=len(LABELS))
     return LdaModel(pca_mean=mean, pca_basis=basis, class_means=class_means,
                     covariance=cov, priors=priors)
 

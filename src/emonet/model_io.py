@@ -119,7 +119,8 @@ def save_model(model: CnnModel | LdaModel) -> bytes:
 def load_model(data: bytes) -> CnnModel | LdaModel:
     """Parse EMN1 bytes back into a model; rejects bad magic/version first.
 
-    The layer table must pass nn.param_shapes and the tensors must have the
+    The layer table must pass nn.param_shapes and end in a dense layer of
+    one unit per label (activations may follow). The tensors must have the
     shapes it gives, hold only finite values and end the data; any failure
     is a ModelFileError, raised here rather than at the first prediction.
     """
@@ -142,6 +143,9 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
             walk = param_shapes(input_side, layers, channels)
         except ShapeMismatchError as exc:
             raise ModelFileError(f"layer table: {exc}") from exc
+        shaped = [spec for spec in layers if spec.kind in ("conv", "maxpool", "dense")]
+        if not shaped or (shaped[-1].kind, shaped[-1].width) != ("dense", len(LABELS)):
+            raise ModelFileError(f"layer table must end in a dense layer of width {len(LABELS)}")
         arrays = _unpack_tensors(r)
         want = [shapes[key] for shapes in walk for key in sorted(shapes)]   # param_arrays order
         if [a.shape for a in arrays] != want:

@@ -5,16 +5,12 @@ Each frame's face box is looked up before any pixel work. Frames with no
 usable detection do none, and read no pixels when they come from a
 seekable Y4M stream (video.Y4mReader): they still advance the frame counter
 and the alert cooldown, so alert pacing does not depend on detector
-dropouts. A box
-wholly outside the frame is no usable detection either; the run report
-counts those frames. For a frame with a box, the ROI's own resample taps
-over the box come first, and only the working-width pixels they read are
-computed: on an axis where the box spans more than 2 * roi_size working
-pixels, 2 * roi_size rows (columns), otherwise the box's span. Only the
-source pixels those read are median-smoothed and resized, which gives the
-same ROI as smoothing and resizing the whole frame; a frame of a seekable
-stream reads just those source rows, when they are first smoothed
-(Frame.crop), so the stream must stay open for the whole run.
+dropouts. A box wholly outside the frame is no usable detection either;
+the run report counts those frames. For a frame with a box, only the source
+pixels its ROI reads (preprocess.roi_plan) are median-smoothed and resized,
+which gives the same ROI as smoothing and resizing the whole frame; a frame
+of a seekable stream reads just those source rows, when they are first
+smoothed (Frame.crop), so the stream must stay open for the whole run.
 With SMTP configured, each alert is mailed before the next frame is read,
 one SMTP session per alert. The run's smtp_client.Mailer opens a spare
 connection right after each accepted message and reads each QUIT reply
@@ -26,7 +22,6 @@ never fatal: monitoring availability beats delivery guarantees.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,9 +31,8 @@ import numpy as np
 from . import alerts, smtp_client
 from .classifiers import EmotionScores, LdaModel, cnn_predict, lda_predict
 from .config import PipelineConfig
-from .preprocess import (BoundingBox, DetectionSet, EmptyIntersection, Roi, clamp_box,
-                         extract_roi, resample_taps, resize_to_width, select_primary_face,
-                         taps_window, working_height)
+from .preprocess import (BoundingBox, DetectionSet, Roi, extract_roi, resize_to_width,
+                         roi_plan, select_primary_face)
 from .video import Frame, Y4mReader, temporal_smooth
 
 
@@ -82,54 +76,15 @@ def _predict(model, roi) -> EmotionScores:
 
 def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
               roi_size: int) -> Roi | None:
-    """The ROI of box, in working-width coordinates, in the median of frames,
-    or None when the box lies wholly outside the frame.
-
-    Equal to extract_roi(resize_to_width(temporal_smooth(frames), width), box,
-    roi_size), but computes the ROI's own taps over the clamped box first and
-    smooths and resizes only the working pixels they read. On an axis where
-    the box spans more than 2 * roi_size working pixels, those are the rows
-    (columns) of the lower taps followed by those of the upper taps, and the
-    ROI then reads the first roi_size and the last roi_size of them; on a
-    shorter axis, the box's whole span. That plan depends only on the box's
-    size and is computed once per size (_roi_plan).
-    """
-    in_shape = (frames[-1].height, frames[-1].width)
-    out_shape = (working_height(in_shape[1], in_shape[0], width), width)
-    try:
-        region = clamp_box(box, *out_shape)
-    except EmptyIntersection:
+    """The ROI of box in the median of frames, or None when the box misses
+    the frame; only the pixels roi_plan names are smoothed and resized."""
+    plan = roi_plan(box, (frames[-1].height, frames[-1].width), width, roi_size)
+    if plan is None:
         return None
-    picks, roi_taps = _roi_plan(tuple(s.stop - s.start for s in region), roi_size)
-    work = [axis if pick is None else axis.start + pick for axis, pick in zip(region, picks)]
-    taps = resample_taps(work, in_shape, out_shape)
-    smoothed = temporal_smooth(frames, taps_window(taps))
+    window, taps, roi_taps = plan
+    smoothed = temporal_smooth(frames, window)
     resized = resize_to_width(smoothed, width, taps)
     return extract_roi(resized, None, roi_size, roi_taps)
-
-
-@functools.lru_cache(maxsize=256)
-def _roi_plan(spans: tuple[int, int], roi_size: int):
-    """For a box of spans (rows, cols) working pixels: per axis, the offsets
-    into the box of the working pixels the ROI reads, or None for the whole
-    span, and the ROI's taps over those pixels.
-
-    Cached, since box sizes repeat from frame to frame; the arrays are
-    read-only.
-    """
-    picks, roi_taps = [], []
-    for n, (lo, hi, w) in zip(spans, resample_taps((slice(0, roi_size),) * 2, spans,
-                                                   (roi_size, roi_size))):
-        pick = None
-        if n > 2 * roi_size:
-            pick = np.concatenate((lo, hi))
-            pick.flags.writeable = False
-            lo, hi = np.arange(2 * roi_size).reshape(2, roi_size)
-        for a in (lo, hi, w):
-            a.flags.writeable = False
-        picks.append(pick)
-        roi_taps.append((lo, hi, w))
-    return tuple(picks), tuple(roi_taps)
 
 
 def run_stream(reader: Y4mReader, detections: DetectionSet, model,

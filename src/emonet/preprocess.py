@@ -1,4 +1,4 @@
-"""Frame preprocessing: working-width resize, face-box selection, ROI crop,
+"""Frame preprocessing: working-width resize, face-box selection, ROI plan and crop,
 fixed-size rescale and /255 normalization, plus the detections sidecar loader.
 
 Face detection itself is externalized: a text sidecar supplies per-frame
@@ -7,6 +7,7 @@ bounding boxes, and the detector parameters travel along as metadata.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +115,7 @@ def taps_window(taps: Taps) -> Region:
     """The source rows and columns that taps read.
 
     The taps of a slice never decrease. Index arrays may restart once, as
-    _face_roi's lower-then-upper indices do; their first lower tap and last
+    roi_plan's lower-then-upper indices do; their first lower tap and last
     upper tap are still the least and greatest.
     """
     return tuple(slice(int(lo[0]), int(hi[-1]) + 1) for lo, hi, _ in taps)
@@ -208,6 +209,51 @@ def extract_roi(frame: Frame, box: BoundingBox | None, roi_size: int = 28,
     else:
         resized = resample_window(frame.luma, taps)
     return Roi(pixels=(resized / 255.0).astype(np.float32))
+
+
+def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,
+             roi_size: int) -> tuple[Region, Taps, Taps] | None:
+    """For box, in working-width coordinates, of an in_shape (rows, cols)
+    source: the source window to smooth, the taps resampling it to the
+    working pixels the ROI reads, and the ROI's taps over those; None when
+    the box misses the frame. Where the clamped box spans more than
+    2 * roi_size working pixels on an axis, those are the rows (columns) of
+    the ROI's lower taps, then of its upper taps; otherwise its whole span.
+    The ROI equals extract_roi(resize_to_width(frame, width), box, roi_size).
+    """
+    out_shape = (working_height(in_shape[1], in_shape[0], width), width)
+    try:
+        region = clamp_box(box, *out_shape)
+    except EmptyIntersection:
+        return None
+    picks, roi_taps = _roi_plan(tuple(s.stop - s.start for s in region), roi_size)
+    work = [axis if pick is None else axis.start + pick for axis, pick in zip(region, picks)]
+    taps = resample_taps(work, in_shape, out_shape)
+    return taps_window(taps), taps, roi_taps
+
+
+@functools.lru_cache(maxsize=256)
+def _roi_plan(spans: tuple[int, int], roi_size: int):
+    """For a box of spans (rows, cols) working pixels: per axis, the offsets
+    into the box of the working pixels the ROI reads, or None for the whole
+    span, and the ROI's taps over those pixels.
+
+    Cached, since box sizes repeat from frame to frame; the arrays are
+    read-only.
+    """
+    picks, roi_taps = [], []
+    for n, (lo, hi, w) in zip(spans, resample_taps((slice(0, roi_size),) * 2, spans,
+                                                   (roi_size, roi_size))):
+        pick = None
+        if n > 2 * roi_size:
+            pick = np.concatenate((lo, hi))
+            pick.flags.writeable = False
+            lo, hi = np.arange(2 * roi_size).reshape(2, roi_size)
+        for a in (lo, hi, w):
+            a.flags.writeable = False
+        picks.append(pick)
+        roi_taps.append((lo, hi, w))
+    return tuple(picks), tuple(roi_taps)
 
 
 # ---------------------------------------------------------------------------

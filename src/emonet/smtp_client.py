@@ -21,6 +21,8 @@ from email.utils import format_datetime
 from .alerts import AlertEvent
 from .classifiers import LABELS
 
+HELLO_NAME = "emonet"   # the EHLO/HELO domain and the Message-ID's right-hand side
+
 
 class SmtpError(Exception):
     pass
@@ -57,7 +59,6 @@ class SmtpConfig:
     sender: str
     recipients: tuple[str, ...]
     port: int = 25
-    hello_name: str = "emonet"
     timeout: float = 10.0
 
     def __post_init__(self):
@@ -225,9 +226,9 @@ def _open(config: SmtpConfig) -> _Dialogue:
 def _hello(dialogue: _Dialogue, config: SmtpConfig) -> None:
     """Read the greeting and say EHLO, or HELO if the server refuses EHLO."""
     dialogue.expect(None, "greeting", 220)
-    code, text = dialogue.command(f"EHLO {config.hello_name}", "ehlo")
+    code, text = dialogue.command(f"EHLO {HELLO_NAME}", "ehlo")
     if 500 <= code < 600:
-        code, text = dialogue.command(f"HELO {config.hello_name}", "helo")
+        code, text = dialogue.command(f"HELO {HELLO_NAME}", "helo")
     if code != 250:
         raise ProtocolError("hello", code, text)
 
@@ -235,7 +236,7 @@ def _hello(dialogue: _Dialogue, config: SmtpConfig) -> None:
 def _transaction(dialogue: _Dialogue, config: SmtpConfig, event: AlertEvent) -> str:
     """Send one message over a greeted session; returns its Message-ID once
     the server has accepted it (the 250 after the end of data)."""
-    message_id = f"{uuid.uuid4().hex}@{config.hello_name}"
+    message_id = f"{uuid.uuid4().hex}@{HELLO_NAME}"
     dialogue.expect(f"MAIL FROM:<{config.sender}>", "mail", 250)
     for rcpt in config.recipients:
         dialogue.expect(f"RCPT TO:<{rcpt}>", "rcpt", 250, 251)

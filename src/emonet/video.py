@@ -279,9 +279,9 @@ class Y4mReader:
             yield frame
 
 
-def write_y4m(header: VideoHeader, frames, stream=None) -> bytes | None:
+def write_y4m(header: VideoHeader, frames) -> bytes:
     """Serialize frames as a Y4M stream; chroma planes are written as 0x80."""
-    out = stream if stream is not None else io.BytesIO()
+    out = io.BytesIO()
     tags = f"YUV4MPEG2 W{header.width} H{header.height} " \
            f"F{header.fps_numerator}:{header.fps_denominator}"
     if header.chroma == "mono":
@@ -294,17 +294,15 @@ def write_y4m(header: VideoHeader, frames, stream=None) -> bytes | None:
         out.write(b"FRAME\n")
         out.write(frame.luma.tobytes())
         out.write(chroma)
-    if stream is None:
-        return out.getvalue()
-    return None
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # PGM (binary P5, maxval 255)
 # ---------------------------------------------------------------------------
 
-def parse_pgm(data: bytes, index: int = 0) -> Frame:
-    """Parse a binary P5 PGM with maxval 255; '#' comments allowed in the header."""
+def parse_pgm(data: bytes) -> Frame:
+    """Parse a binary P5 PGM with maxval 255 as frame 0; '#' comments allowed in the header."""
     if not data.startswith(b"P5"):
         raise BadMagic(f"not a binary PGM: starts with {data[:2]!r}")
     pos = 2
@@ -337,7 +335,7 @@ def parse_pgm(data: bytes, index: int = 0) -> Frame:
     pixels = data[pos:pos + n]
     if len(pixels) != n:
         raise TruncatedPixels(f"wanted {n} pixel bytes, got {len(pixels)}")
-    return Frame(index=index, width=width, height=height,
+    return Frame(index=0, width=width, height=height,
                  luma=np.frombuffer(pixels, dtype=np.uint8).reshape(height, width))
 
 

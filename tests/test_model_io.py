@@ -181,6 +181,13 @@ HOSTILE = {
     "cnn_zero_channels": lambda cnn, lda: _replaced(
         cnn, channels=0, params=[{**cnn.params[0], "k": np.zeros((3, 3, 0, 2))}] + cnn.params[1:]),
     "cnn_trailing_bytes": lambda cnn, lda: model_io.save_model(cnn) + b"\0",
+    "cnn_three_classes": lambda cnn, lda: _replaced(
+        cnn, layers=cnn.layers[:3] + [nn.LayerSpec("dense", width=3), nn.LayerSpec("softmax")],
+        params=cnn.params[:3] + [{"w": cnn.params[3]["w"][:, :3], "b": cnn.params[3]["b"][:3]},
+                                 {}]),
+    "cnn_no_dense": lambda cnn, lda: _replaced(
+        cnn, layers=[nn.LayerSpec("conv", kernel_size=1, filters=1)],
+        params=[{"k": np.ones((1, 1, 1, 1)), "b": np.zeros(1)}]),
 }
 
 

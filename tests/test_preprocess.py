@@ -155,6 +155,25 @@ class TestExtractRoi:
         np.testing.assert_allclose(roi.pixels, naive, atol=1e-6)
 
 
+class TestRoiPlan:
+    """The ROI's taps are cached per box size and shared by every later frame
+    with that size, so an in-place edit would corrupt all their ROIs."""
+
+    @pytest.mark.parametrize("side", [94, 40])   # picked working pixels, the box's whole span
+    def test_cached_roi_taps_are_shared_and_read_only(self, side):
+        first = preprocess.roi_plan(BoundingBox(200, 100, side, side), (720, 1280), 500, 28)
+        again = preprocess.roi_plan(BoundingBox(17, 33, side, side), (720, 1280), 500, 28)
+        for axis, axis_again in zip(first[2], again[2]):
+            for taps, taps_again in zip(axis, axis_again):
+                assert taps is taps_again
+                with pytest.raises(ValueError, match="read-only"):
+                    taps[0] = 1
+
+    @pytest.mark.parametrize("box", [BoundingBox(500, 10, 20, 20), BoundingBox(10, 281, 20, 20)])
+    def test_box_outside_frame_has_no_plan(self, box):
+        assert preprocess.roi_plan(box, (720, 1280), 500, 28) is None
+
+
 class TestLoadDetections:
     def test_single_record(self):
         ds = preprocess.load_detections(b"0 5 5 60 60\n")
