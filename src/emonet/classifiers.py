@@ -16,9 +16,6 @@ from . import nn
 LABELS: tuple[str, ...] = (
     "angry", "disgust", "scared", "happy", "sad", "surprised", "neutral")
 
-LABEL_INDEX: dict[str, int] = {name: i for i, name in enumerate(LABELS)}
-
-
 class EmptyClass(ValueError):
     pass
 

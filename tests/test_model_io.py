@@ -163,6 +163,14 @@ def _replaced(model, **fields) -> bytes:
     return model_io.save_model(dataclasses.replace(model, **fields))
 
 
+def _lopsided(d: int) -> np.ndarray:
+    """A singular d x d matrix whose lower triangle is positive-definite, so
+    that a Cholesky factorization alone accepts it."""
+    cov = np.eye(d)
+    cov[1, 0], cov[0, 1] = 0.5, 2.0
+    return cov
+
+
 HOSTILE = {
     "rank_above_four": lambda cnn, lda: _lda_blob(((1,) * 181, [0.0])),
     "extents_overflow_int64": lambda cnn, lda: _lda_blob(((2**32 - 1,) * 4, [])),
@@ -173,6 +181,10 @@ HOSTILE = {
         lda, class_means=lda.class_means[:6], priors=np.full(6, 1 / 6)),
     "lda_negative_prior": lambda cnn, lda: _replaced(lda, priors=-lda.priors),
     "lda_nan_covariance": lambda cnn, lda: _replaced(lda, covariance=lda.covariance * np.nan),
+    "lda_zero_covariance": lambda cnn, lda: _replaced(
+        lda, covariance=np.zeros_like(lda.covariance)),
+    "lda_asymmetric_covariance": lambda cnn, lda: _replaced(
+        lda, covariance=_lopsided(len(lda.covariance))),
     "cnn_inf_weight": lambda cnn, lda: _replaced(
         cnn, params=[{k: v + np.inf for k, v in p.items()} for p in cnn.params]),
     "cnn_kernel_size_disagrees": lambda cnn, lda: _replaced(

@@ -129,12 +129,12 @@ class TestConv:
         x = np.arange(16, dtype=np.float32).reshape(4, 4, 1)
         k = np.ones((1, 1, 1, 1), dtype=np.float32)
         b = np.zeros(1, dtype=np.float32)
-        np.testing.assert_array_equal(nn.conv2d_forward(x, k, b), x)
+        np.testing.assert_array_equal(nn._conv_batch(x[None], k, b)[0], x)
 
     def test_output_shape_valid_padding(self):
         x = np.zeros((4, 4, 1), dtype=np.float32)
         k = np.zeros((3, 3, 1, 5), dtype=np.float32)
-        out = nn.conv2d_forward(x, k, np.zeros(5, dtype=np.float32))
+        out = nn._conv_batch(x[None], k, np.zeros(5, dtype=np.float32))[0]
         assert out.shape == (2, 2, 5)
 
     def test_random_matches_oracle(self):
@@ -142,7 +142,7 @@ class TestConv:
         x = rng.random((6, 6, 2)).astype(np.float32)
         k = rng.uniform(-0.5, 0.5, (3, 3, 2, 4)).astype(np.float32)
         b = rng.uniform(-1, 1, 4).astype(np.float32)
-        np.testing.assert_allclose(nn.conv2d_forward(x, k, b),
+        np.testing.assert_allclose(nn._conv_batch(x[None], k, b)[0],
                                    conv_oracle(x, k, b), atol=1e-6)
 
     def test_100_random_shapes_match_oracle(self):
@@ -155,7 +155,7 @@ class TestConv:
             x = rng.random((h, w, c)).astype(np.float32)
             k = rng.uniform(-0.5, 0.5, (ks, ks, c, f)).astype(np.float32)
             b = rng.uniform(-1, 1, f).astype(np.float32)
-            np.testing.assert_allclose(nn.conv2d_forward(x, k, b),
+            np.testing.assert_allclose(nn._conv_batch(x[None], k, b)[0],
                                        conv_oracle(x, k, b), atol=1e-6)
 
     def test_backward_60_random_shapes_match_oracle(self):
@@ -203,25 +203,25 @@ class TestConv:
         x = np.zeros((4, 4, 2), dtype=np.float32)
         k = np.zeros((3, 3, 1, 5), dtype=np.float32)
         with pytest.raises(nn.ShapeMismatchError) as exc:
-            nn.conv2d_forward(x, k, np.zeros(5, dtype=np.float32))
+            nn._conv_batch(x[None], k, np.zeros(5, dtype=np.float32))
         assert "(3, 3, 1, 5)" in str(exc.value) and "(4, 4, 2)" in str(exc.value)
 
 
 class TestMaxpool:
     def test_constant_input_first_index_wins(self):
         x = np.full((4, 4, 1), 3.0, dtype=np.float32)
-        out, mask = nn.maxpool2_forward(x)
-        assert np.all(out == 3.0)
-        assert np.all(mask == 0)
+        out, mask = nn._maxpool_batch(x[None])
+        assert np.all(out[0] == 3.0)
+        assert np.all(mask[0] == 0)
 
     def test_ramp_by_hand(self):
         x = np.arange(1, 17, dtype=np.float32).reshape(4, 4, 1)
-        out, _ = nn.maxpool2_forward(x)
+        out = nn._maxpool_batch(x[None])[0][0]
         np.testing.assert_array_equal(out[:, :, 0], [[6, 8], [14, 16]])
 
     def test_odd_row_col_dropped(self):
         x = np.random.default_rng(1).random((5, 5, 2)).astype(np.float32)
-        out, _ = nn.maxpool2_forward(x)
+        out = nn._maxpool_batch(x[None])[0][0]
         assert out.shape == (2, 2, 2)
 
     def test_100_random_shapes_match_oracle(self):
@@ -230,25 +230,25 @@ class TestMaxpool:
             h, w = rng.integers(2, 11, size=2)
             c = int(rng.integers(1, 4))
             x = rng.random((h, w, c)).astype(np.float32)
-            out, _ = nn.maxpool2_forward(x)
+            out = nn._maxpool_batch(x[None])[0][0]
             np.testing.assert_allclose(out, maxpool_oracle(x), atol=1e-6)
 
     def test_too_small_plane_rejected(self):
         with pytest.raises(nn.ShapeMismatchError):
-            nn.maxpool2_forward(np.zeros((1, 4, 1), dtype=np.float32))
+            nn._maxpool_batch(np.zeros((1, 4, 1), dtype=np.float32)[None])
 
 
 class TestDense:
     def test_identity_weights(self):
         x = np.arange(5, dtype=np.float32)
-        out = nn.dense_forward(x, np.eye(5, dtype=np.float32),
-                               np.zeros(5, dtype=np.float32))
+        out = nn._dense_batch(x[None], np.eye(5, dtype=np.float32),
+                              np.zeros(5, dtype=np.float32))[0]
         np.testing.assert_array_equal(out, x)
 
     def test_zero_input_gives_bias(self):
         b = np.array([1, -2, 3], dtype=np.float32)
-        out = nn.dense_forward(np.zeros(4, dtype=np.float32),
-                               np.zeros((4, 3), dtype=np.float32), b)
+        out = nn._dense_batch(np.zeros(4, dtype=np.float32)[None],
+                              np.zeros((4, 3), dtype=np.float32), b)[0]
         np.testing.assert_array_equal(out, b)
 
     def test_random_10_to_7_matches_oracle(self):
@@ -256,7 +256,7 @@ class TestDense:
         x = rng.random(10).astype(np.float32)
         w = rng.uniform(-0.5, 0.5, (10, 7)).astype(np.float32)
         b = rng.uniform(-1, 1, 7).astype(np.float32)
-        np.testing.assert_allclose(nn.dense_forward(x, w, b),
+        np.testing.assert_allclose(nn._dense_batch(x[None], w, b)[0],
                                    dense_oracle(x, w, b), atol=1e-6)
 
     def test_100_random_shapes_match_oracle(self):
@@ -266,47 +266,47 @@ class TestDense:
             x = rng.random(n).astype(np.float32)
             w = rng.uniform(-0.5, 0.5, (n, m)).astype(np.float32)
             b = rng.uniform(-1, 1, m).astype(np.float32)
-            np.testing.assert_allclose(nn.dense_forward(x, w, b),
+            np.testing.assert_allclose(nn._dense_batch(x[None], w, b)[0],
                                        dense_oracle(x, w, b), atol=1e-6)
 
     def test_width_mismatch(self):
         with pytest.raises(nn.ShapeMismatchError):
-            nn.dense_forward(np.zeros(4, dtype=np.float32),
-                             np.zeros((5, 3), dtype=np.float32),
-                             np.zeros(3, dtype=np.float32))
+            nn._dense_batch(np.zeros(4, dtype=np.float32)[None],
+                            np.zeros((5, 3), dtype=np.float32),
+                            np.zeros(3, dtype=np.float32))
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_case_k7(self):
-        probs, loss, _ = nn.softmax_cross_entropy(np.zeros(7, dtype=np.float32), 3)
-        np.testing.assert_allclose(probs, np.full(7, 1 / 7), atol=1e-7)
+        probs, loss, _ = nn._cross_entropy_batch(np.zeros(7, dtype=np.float32)[None], [3])
+        np.testing.assert_allclose(probs[0], np.full(7, 1 / 7), atol=1e-7)
         assert loss == pytest.approx(np.log(7), rel=1e-6)
 
     def test_huge_logit_no_overflow(self):
-        probs, _, _ = nn.softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
+        probs = nn._cross_entropy_batch(np.array([1000.0, 0.0])[None], [0])[0][0]
         assert probs[0] == pytest.approx(1.0) and np.all(np.isfinite(probs))
 
     def test_dlogits_matches_finite_difference(self):
         rng = np.random.default_rng(5)
         logits = rng.standard_normal(7)
         label = 2
-        _, _, d = nn.softmax_cross_entropy(logits, label)
+        d = nn._cross_entropy_batch(logits[None], [label])[2][0]
         eps = 1e-3
         for i in range(7):
             lp = logits.copy(); lp[i] += eps
             lm = logits.copy(); lm[i] -= eps
-            numeric = (nn.softmax_cross_entropy(lp, label)[1]
-                       - nn.softmax_cross_entropy(lm, label)[1]) / (2 * eps)
+            numeric = (nn._cross_entropy_batch(lp[None], [label])[1]
+                       - nn._cross_entropy_batch(lm[None], [label])[1]) / (2 * eps)
             assert abs(d[i] - numeric) < 1e-4
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
-            nn.softmax_cross_entropy(np.zeros(7), 7)
+            nn._cross_entropy_batch(np.zeros(7)[None], [7])
 
     @settings(max_examples=50)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=9))
     def test_probs_sum_to_one_and_bounded(self, logits):
-        probs, _, _ = nn.softmax_cross_entropy(np.array(logits, dtype=np.float64), 0)
+        probs = nn._cross_entropy_batch(np.array(logits, dtype=np.float64)[None], [0])[0][0]
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs >= 0) and np.all(probs <= 1)
 
@@ -348,26 +348,26 @@ def zero_weight_model(side=8):
 
 class TestModel:
     def test_zero_weights_uniform_scores(self):
-        probs = nn.model_forward(zero_weight_model(), np.zeros((8, 8), dtype=np.float32))
+        probs = zero_weight_model().predict_proba(np.zeros((8, 8), dtype=np.float32))[0]
         np.testing.assert_allclose(probs, np.full(7, 1 / 7), atol=1e-7)
 
     def test_forward_deterministic(self):
         m = tiny_fixture_model()
         x = np.random.default_rng(1).random((8, 8)).astype(np.float32)
-        a = nn.model_forward(m, x)
-        b = nn.model_forward(m, x)
+        a = m.predict_proba(x)[0]
+        b = m.predict_proba(x)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_scores_sum_to_one(self):
         m = tiny_fixture_model()
         rng = np.random.default_rng(2)
         for _ in range(20):
-            probs = nn.model_forward(m, rng.random((8, 8)).astype(np.float32))
+            probs = m.predict_proba(rng.random((8, 8)).astype(np.float32))[0]
             assert abs(float(probs.sum()) - 1.0) < 1e-9
 
     def test_input_shape_mismatch(self):
         with pytest.raises(nn.ShapeMismatchError):
-            nn.model_forward(tiny_fixture_model(), np.zeros((9, 9), dtype=np.float32))
+            tiny_fixture_model().predict_proba(np.zeros((9, 9), dtype=np.float32))
 
     def test_build_rejects_inconsistent_stack(self):
         with pytest.raises(nn.ShapeMismatchError):
@@ -440,8 +440,8 @@ class TestGradientCheck:
 @pytest.mark.parametrize("n", [1, 3], ids=lambda n: f"n={n}")
 def test_sgd_step_descends_the_batch_mean_loss(n):
     """An lr=1 step moves each parameter by minus the central difference of
-    the mean of -log p(y_i | x_i) over the batch, computed from model_forward
-    alone, so a wrong scale on the step's loss gradient shows."""
+    the mean of -log p(y_i | x_i) over the batch, computed from one-sample
+    predict_proba alone, so a wrong scale on the step's loss gradient shows."""
     m = two_conv_fixture_model(0)
     for p in m.params:
         for key in p:
@@ -451,7 +451,7 @@ def test_sgd_step_descends_the_batch_mean_loss(n):
     y = rng.integers(0, 7, n)
 
     def mean_loss():
-        return np.mean([-np.log(nn.model_forward(m, x[i])[y[i]]) for i in range(n)])
+        return np.mean([-np.log(m.predict_proba(x[i])[0][y[i]]) for i in range(n)])
 
     eps = 1e-5
     before, numeric = [], []

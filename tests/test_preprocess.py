@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emonet import preprocess
 from emonet.preprocess import BoundingBox
@@ -225,6 +227,23 @@ class TestLoadDetections:
         data = b"# min_size=1x1\n3 0 0 5 5\n3 1 1 6 6\n"
         ds = preprocess.load_detections(data)
         assert len(ds.for_frame(3)) == 2
+
+
+# the sidecar's own vocabulary, and non-ASCII text: a sign, space or digit
+# outside ASCII, and the character that replaces an undecodable byte
+_SIDECAR_TEXT = st.lists(st.sampled_from(
+    [*"0123456789+-x#=", " ", "\t", "\n", "\r", "scale_factor", "min_neighbors", "min_size",
+     "\u00e9", "\u00a0", "\u2212", "\u0663", "\ufffd"]), max_size=60).map("".join)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200), _SIDECAR_TEXT, _SIDECAR_TEXT.map(str.encode)))
+def test_any_sidecar_loads_or_raises_detections_error(data):
+    try:
+        ds = preprocess.load_detections(data)
+    except preprocess.DetectionsError:
+        return
+    assert all(min(b.fX, b.fY, b.fW, b.fH) >= 0 for boxes in ds.boxes.values() for b in boxes)
 
 
 class TestBoxScaling:
