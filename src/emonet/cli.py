@@ -53,7 +53,7 @@ def _cmd_predict(args) -> int:
     with open(args.image, "rb") as fh:
         frame = parse_pgm(fh.read())
     roi = extract_roi(frame, BoundingBox(0, 0, frame.width, frame.height), model.input_side)
-    print(format_scores(EmotionScores(probs=model.predict_proba(roi.pixels)[0])))
+    print(format_scores(EmotionScores(probs=model.predict_proba(roi)[0])))
     return EXIT_OK
 
 

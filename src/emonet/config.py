@@ -52,6 +52,7 @@ class PipelineConfig:
                                   "CR, LF, '<' and '>'")
         try:
             self.alert_policy()
+            self.smtp_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -61,7 +62,8 @@ class PipelineConfig:
                            cooldown_frames=self.cooldown)
 
     def smtp_config(self) -> SmtpConfig | None:
-        """SMTP settings if fully configured, else None (alerts log-only)."""
+        """SMTP settings if fully configured, else None (alerts log-only);
+        SmtpConfig owns their validation."""
         if not (self.smtp_host and self.alert_from and self.alert_to):
             return None
         return SmtpConfig(host=self.smtp_host, port=self.smtp_port,

@@ -28,7 +28,7 @@ def load_dataset_dir(path: str, roi_size: int = 28) -> tuple[np.ndarray, np.ndar
             with open(os.path.join(label_dir, name), "rb") as fh:
                 frame = parse_pgm(fh.read())
             xs.append(extract_roi(frame, BoundingBox(0, 0, frame.width, frame.height),
-                                  roi_size).pixels)
+                                  roi_size))
             ys.append(idx)
     return np.stack(xs), np.array(ys, dtype=np.int64)
 

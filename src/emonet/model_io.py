@@ -122,7 +122,8 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
     The layer table must pass nn.param_shapes and end in a dense layer of
     one unit per label (activations may follow). The tensors must have the
     shapes it gives, hold only finite values and end the data. An LDA
-    covariance must equal its transpose and pass a Cholesky factorization
+    model's p input values must be a square image, and its covariance must
+    equal its transpose and pass a Cholesky factorization
     (which reads only its lower triangle). Any failure is a ModelFileError,
     raised here rather than at the first prediction.
     """
@@ -165,6 +166,8 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
         if p < 1 or d < 1 or got != [(p,), (p, d), (k, d), (d, d), (k,)]:
             raise ModelFileError(f"LDA tensor shapes {got}, expected (p,), (p, d), "
                                  f"({k}, d), (d, d), ({k},)")
+        if math.isqrt(p) ** 2 != p:
+            raise ModelFileError(f"LDA input of {p} values is not a square image")
         mean, basis, class_means, cov, priors = (a.astype(np.float64) for a in arrays)
         if np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-5:
             raise ModelFileError(f"LDA priors {priors} are not a probability vector")

@@ -59,8 +59,6 @@ class ShapeMismatchError(ValueError):
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + exp(-x)), overflow-safe."""
     x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        x = x.astype(np.float64)
     # exp() only ever sees non-positive arguments: z = exp(-|x|), taken as
     # min(x, -x) so that a NaN keeps its sign bit. The result is 1 / (1 + z)
     # for x >= 0 and z / (1 + z) otherwise, so one division serves both. The

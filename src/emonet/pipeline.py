@@ -31,8 +31,8 @@ import numpy as np
 from . import alerts, smtp_client
 from .classifiers import EmotionScores, LdaModel, cnn_predict, lda_predict
 from .config import PipelineConfig
-from .preprocess import (BoundingBox, DetectionSet, Roi, extract_roi, resize_to_width,
-                         roi_plan, select_primary_face)
+from .preprocess import (BoundingBox, DetectionSet, extract_roi, resize_to_width, roi_plan,
+                         select_primary_face)
 from .video import Frame, Y4mReader, temporal_smooth
 
 
@@ -70,12 +70,12 @@ class RunReport:
 def _predict(model, roi) -> EmotionScores:
     # not model.predict_proba: perfbench/tracing.py times prediction by patching these two names
     if isinstance(model, LdaModel):
-        return lda_predict(model, roi.pixels)
-    return cnn_predict(model, roi.pixels)
+        return lda_predict(model, roi)
+    return cnn_predict(model, roi)
 
 
 def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
-              roi_size: int) -> Roi | None:
+              roi_size: int) -> np.ndarray | None:
     """The ROI of box in the median of frames, or None when the box misses
     the frame; only the pixels roi_plan names are smoothed and resized."""
     plan = roi_plan(box, (frames[-1].height, frames[-1].width), width, roi_size)

@@ -58,16 +58,6 @@ class DetectionMeta:
     min_size: tuple[int, int] = (60, 60)
 
 
-@dataclass(frozen=True)
-class Roi:
-    """Square grayscale face crop with values normalized into [0, 1]."""
-    pixels: np.ndarray  # (side, side) float32
-
-    @property
-    def side(self) -> int:
-        return self.pixels.shape[0]
-
-
 Region = tuple[slice, slice]   # (rows, cols) of a frame, explicit start and stop
 
 
@@ -196,8 +186,9 @@ def clamp_box(box: BoundingBox, height: int, width: int) -> Region:
 
 
 def extract_roi(frame: Frame, box: BoundingBox | None, roi_size: int = 28,
-                taps: Taps | None = None) -> Roi:
-    """Clamped crop, bilinear rescale to roi_size^2, then divide by 255.
+                taps: Taps | None = None) -> np.ndarray:
+    """Clamped crop, bilinear rescale to roi_size^2, then divide by 255:
+    the face crop as a (roi_size, roi_size) float32 array in [0, 1].
 
     With taps, the ROI's own resample taps computed beforehand, frame holds
     exactly the pixels they read, as resample_window takes them, and box is
@@ -208,7 +199,7 @@ def extract_roi(frame: Frame, box: BoundingBox | None, roi_size: int = 28,
         resized = bilinear_resize(crop, roi_size, roi_size)
     else:
         resized = resample_window(frame.luma, taps)
-    return Roi(pixels=(resized / 255.0).astype(np.float32))
+    return (resized / 255.0).astype(np.float32)
 
 
 def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,

@@ -62,17 +62,16 @@ class SmtpConfig:
     timeout: float = 10.0
 
     def __post_init__(self):
+        # socket.create_connection encodes the host so; a failure there is
+        # a UnicodeError, not an SmtpError
+        try:
+            self.host.encode("idna")
+        except UnicodeError as exc:
+            raise ValueError(f"smtp host {self.host!r}: {exc}") from None
         if not self.recipients:
             raise ValueError("recipient list must be nonempty")
         if not 0 < self.timeout < math.inf:
             raise ValueError("timeout must be positive and finite")
-
-
-@dataclass(frozen=True)
-class DeliveryReceipt:
-    accepted: bool
-    transcript: tuple[tuple[int, str], ...]
-    message_id: str
 
 
 def dot_stuff(lines: list[str]) -> list[str]:
@@ -114,7 +113,6 @@ class _Dialogue:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.reader = sock.makefile("rb")
-        self.transcript: list[tuple[int, str]] = []
 
     def read_reply(self, phase: str) -> tuple[int, str]:
         """Read one (possibly multi-line 250-.../250 ...) reply."""
@@ -136,9 +134,7 @@ class _Dialogue:
             code = int(line[:3])
             texts.append(line[4:] if len(line) > 4 else "")
             if len(line) < 4 or line[3] != "-":
-                reply = (code, "\n".join(texts))
-                self.transcript.append(reply)
-                return reply
+                return code, "\n".join(texts)
             if len(texts) == MAX_REPLY_LINES:
                 raise ProtocolError(phase, 0, f"reply over {MAX_REPLY_LINES} lines")
 
@@ -233,9 +229,10 @@ def _hello(dialogue: _Dialogue, config: SmtpConfig) -> None:
         raise ProtocolError("hello", code, text)
 
 
-def _transaction(dialogue: _Dialogue, config: SmtpConfig, event: AlertEvent) -> str:
-    """Send one message over a greeted session; returns its Message-ID once
-    the server has accepted it (the 250 after the end of data)."""
+def _transaction(dialogue: _Dialogue, config: SmtpConfig, event: AlertEvent) -> None:
+    """Send one message, with a fresh <uuid4 hex@emonet> Message-ID, over a
+    greeted session; returns once the server has accepted it (the 250 after
+    the end of data)."""
     message_id = f"{uuid.uuid4().hex}@{HELLO_NAME}"
     dialogue.expect(f"MAIL FROM:<{config.sender}>", "mail", 250)
     for rcpt in config.recipients:
@@ -247,26 +244,24 @@ def _transaction(dialogue: _Dialogue, config: SmtpConfig, event: AlertEvent) -> 
     body = "".join(line + "\r\n" for line in
                    dot_stuff(format_alert_message(config, event, message_id)))
     dialogue.expect(body + ".", "data-end", 250)
-    return message_id
 
 
-def send_alert(config: SmtpConfig, event: AlertEvent) -> DeliveryReceipt:
-    """Deliver one alert email over a session of its own; returns the receipt
-    with the server transcript.
+def send_alert(config: SmtpConfig, event: AlertEvent) -> None:
+    """Deliver one alert email over a session of its own; returns once the
+    QUIT reply is read (or has timed out), and raises SmtpError if the
+    message was not accepted.
 
     One reconnect is attempted after a failed connect; a server rejection
     (ProtocolError) is never retried. The connection is always quit or
     closed, even on errors. Once the server has accepted the message, a
-    failed QUIT exchange is ignored: the transcript then ends at that 250.
+    failed QUIT exchange is ignored.
     """
     dialogue = _open(config)
     with dialogue.aborting():
         _hello(dialogue, config)
-        message_id = _transaction(dialogue, config, event)
+        _transaction(dialogue, config, event)
     dialogue.quit()
     dialogue.finish(time.monotonic() + config.timeout)
-    return DeliveryReceipt(accepted=True, transcript=tuple(dialogue.transcript),
-                           message_id=message_id)
 
 
 class Mailer:
@@ -319,10 +314,10 @@ class Mailer:
             _hello(dialogue, self.config)
         return dialogue
 
-    def send(self, event: AlertEvent) -> DeliveryReceipt:
+    def send(self, event: AlertEvent) -> None:
         """Deliver one alert; returns once the server has accepted it and a
-        spare connection for the next one has been tried. The receipt's
-        transcript ends at that 250: the QUIT reply is read later."""
+        spare connection for the next one has been tried, and raises
+        SmtpError if it was not accepted. The QUIT reply is read later."""
         if self._quitting is not None:
             # its reply is read only if it is already here, so that a late
             # one delays no alert; a server serving one session at a time
@@ -331,13 +326,10 @@ class Mailer:
             self._quitting = None
         dialogue = self._greeted()
         with dialogue.aborting():
-            message_id = _transaction(dialogue, self.config, event)
-        receipt = DeliveryReceipt(accepted=True, transcript=tuple(dialogue.transcript),
-                                  message_id=message_id)
+            _transaction(dialogue, self.config, event)
         dialogue.quit()
         self._quitting = dialogue
         self._spare = self._open_spare()
-        return receipt
 
     def close(self) -> None:
         """Read the last QUIT reply, then the spare's greeting, and quit the

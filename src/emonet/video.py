@@ -81,7 +81,7 @@ class Frame:
     Built from a (height, width) luma array, the band is the whole plane; built
     by Y4mReader on a seekable stream (stream=, offset=), it is read from the
     luma plane at offset by the first crop. A crop inside the band is a slice
-    of it, one outside it reads the union; luma is the crop of the whole plane.
+    of it, one outside it reads the union; luma widens the band to the whole plane.
     A read seeks to the rows and back, so it may come between any two
     next_frame calls, but only while the stream is open: a stream closed or
     shrunk since is a FrameUnavailable or TruncatedFrame.
@@ -100,20 +100,25 @@ class Frame:
 
     @property
     def luma(self) -> np.ndarray:
-        if self._rows is not None and len(self._rows) == self.height:
-            return self._rows
-        return self.crop((slice(None), slice(None)))
+        if self._rows is None or len(self._rows) != self.height:
+            self._read_rows(0, self.height)
+        return self._rows
 
     def crop(self, region: tuple[slice, slice]) -> np.ndarray:
-        """luma[region], for a (rows, cols) pair of slices."""
+        """luma[region], for a (rows, cols) pair of slices: rows is
+        slice(lo, hi) with int 0 <= lo <= hi <= height and no step but 1,
+        cols any slice. Other rows raise ValueError."""
         rows, cols = region
-        span = range(*rows.indices(self.height))
-        if not span:
+        lo, hi = getattr(rows, "start", None), getattr(rows, "stop", None)
+        if not (type(lo) is int and type(hi) is int and rows.step in (None, 1)
+                and 0 <= lo <= hi <= self.height):
+            raise ValueError(f"rows must be slice(lo, hi) with 0 <= lo <= hi <= "
+                             f"{self.height}, got {rows!r}")
+        if lo == hi:
             return np.empty((0, self.width), dtype=np.uint8)[:, cols]
-        lo, hi = min(span[0], span[-1]), max(span[0], span[-1]) + 1
         if self._rows is None or lo < self._first or hi > self._first + len(self._rows):
             self._read_rows(lo, hi)
-        return self._rows[lo - self._first:hi - self._first][::span.step, cols]
+        return self._rows[lo - self._first:hi - self._first, cols]
 
     def _read_rows(self, lo: int, hi: int) -> None:
         if self._rows is not None:

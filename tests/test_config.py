@@ -184,6 +184,21 @@ class TestMailAddresses:
         with pytest.raises(ConfigError):
             build_config(parse_config_text(f"thresh=5\nalert_to=ok@x,{bad}\n"), env={})
 
+    @pytest.mark.parametrize("bad", ["a..b", "a" * 64 + ".example.org", "."])
+    def test_host_the_idna_codec_rejects_is_refused(self, bad):
+        # the codec's UnicodeError is no SmtpError: it would end the run at the first alert
+        mail = {cfg.ENV_ALERT_FROM: "cam@x.org", cfg.ENV_ALERT_TO: "ops@x.org"}
+        with pytest.raises(ConfigError):
+            build_config(parse_config_text(f"thresh=5\nsmtp_host={bad}\n"), env=mail)
+        with pytest.raises(ConfigError):
+            build_config({"thresh": "5"}, env={**mail, cfg.ENV_SMTP_HOST: bad})
+
+    def test_host_label_of_63_characters_accepted(self):
+        host = "a" * 63 + ".example.org"
+        c = build_config({"thresh": "5", "smtp_host": host},
+                         env={cfg.ENV_ALERT_FROM: "cam@x.org", cfg.ENV_ALERT_TO: "ops@x.org"})
+        assert c.smtp_config().host == host
+
     def test_plain_addresses_accepted(self):
         c = build_config({"thresh": "5", "smtp_host": "mail.x"},
                          env={cfg.ENV_ALERT_FROM: "cam@x.org", cfg.ENV_ALERT_TO: "a@x.org, b@x.org"})

@@ -179,6 +179,8 @@ HOSTILE = {
     "lda_shapes_disagree": lambda cnn, lda: _replaced(lda, class_means=lda.class_means[:, :3]),
     "lda_six_classes": lambda cnn, lda: _replaced(
         lda, class_means=lda.class_means[:6], priors=np.full(6, 1 / 6)),
+    "lda_not_square": lambda cnn, lda: _replaced(
+        lda, pca_mean=lda.pca_mean[:-1], pca_basis=lda.pca_basis[:-1]),
     "lda_negative_prior": lambda cnn, lda: _replaced(lda, priors=-lda.priors),
     "lda_nan_covariance": lambda cnn, lda: _replaced(lda, covariance=lda.covariance * np.nan),
     "lda_zero_covariance": lambda cnn, lda: _replaced(

@@ -123,7 +123,6 @@ class TestRunStream:
 
         def fake_send(cfg, event):
             sent.append((cfg.host, event.frame_index))
-            return smtp_client.DeliveryReceipt(True, (), "mid@test")
 
         report = pipeline.run_stream(Y4mReader(make_video(labels)), sidecar(6),
                                      lda_model, config, clock=PINNED_CLOCK,
@@ -184,7 +183,7 @@ def capture_rois(monkeypatch):
     rois = []
 
     def fake_predict(model, roi):
-        rois.append(roi.pixels)
+        rois.append(roi)
         return NEUTRAL
 
     monkeypatch.setattr(pipeline, "_predict", fake_predict)
@@ -193,7 +192,7 @@ def capture_rois(monkeypatch):
 
 def full_frame_roi(frames, box, width, roi_size):
     """The ROI as the whole-frame composition computes it: the oracle."""
-    return extract_roi(resize_to_width(temporal_smooth(frames), width), box, roi_size).pixels
+    return extract_roi(resize_to_width(temporal_smooth(frames), width), box, roi_size)
 
 
 class TestBoxFirst:
@@ -378,7 +377,7 @@ class TestRowsOnDemand:
         real_predict = pipeline._predict
 
         def spy(model, roi):
-            rois.append(roi.pixels)
+            rois.append(roi)
             return real_predict(model, roi)
 
         monkeypatch.setattr(pipeline, "_predict", spy)

@@ -119,19 +119,19 @@ class TestExtractRoi:
     def test_uniform_gray_normalizes(self):
         frame = frame_from(np.full((50, 50), 128))
         roi = preprocess.extract_roi(frame, BoundingBox(5, 5, 30, 30), 28)
-        np.testing.assert_allclose(roi.pixels, 128 / 255.0, atol=1e-6)
-        assert roi.side == 28
+        np.testing.assert_allclose(roi, 128 / 255.0, atol=1e-6)
+        assert roi.shape == (28, 28)
 
     def test_full_white_maps_to_one(self):
         frame = frame_from(np.full((40, 40), 255))
         roi = preprocess.extract_roi(frame, BoundingBox(0, 0, 40, 40), 28)
-        np.testing.assert_allclose(roi.pixels, 1.0, atol=1e-6)
+        np.testing.assert_allclose(roi, 1.0, atol=1e-6)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(2)
         frame = frame_from(rng.integers(0, 256, (60, 80)))
         roi = preprocess.extract_roi(frame, BoundingBox(10, 5, 40, 45), 28)
-        assert roi.pixels.min() >= 0.0 and roi.pixels.max() <= 1.0
+        assert roi.min() >= 0.0 and roi.max() <= 1.0
 
     def test_clamped_crop_matches_manual_slice(self):
         rng = np.random.default_rng(3)
@@ -140,7 +140,7 @@ class TestExtractRoi:
         roi = preprocess.extract_roi(frame, box, 8)
         manual = frame.luma[25:30, 20:30].astype(np.float64)
         expected = bilinear_oracle(manual, 8, 8) / 255.0
-        np.testing.assert_allclose(roi.pixels, expected, atol=1e-6)
+        np.testing.assert_allclose(roi, expected, atol=1e-6)
 
     def test_empty_intersection(self):
         frame = frame_from(np.zeros((10, 10)))
@@ -154,7 +154,7 @@ class TestExtractRoi:
         roi = preprocess.extract_roi(frame, box, 28)
         crop = frame.luma[12:36, 8:38].astype(np.float64)
         naive = bilinear_oracle(crop, 28, 28) / 255.0
-        np.testing.assert_allclose(roi.pixels, naive, atol=1e-6)
+        np.testing.assert_allclose(roi, naive, atol=1e-6)
 
 
 class TestRoiPlan:

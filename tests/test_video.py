@@ -336,9 +336,15 @@ class CountingStream(io.BytesIO):
         return got
 
 
-row_slices = st.builds(slice, st.one_of(st.none(), st.integers(-12, 12)),
+col_slices = st.builds(slice, st.one_of(st.none(), st.integers(-12, 12)),
                        st.one_of(st.none(), st.integers(-12, 12)),
                        st.sampled_from([None, 1, 2, -1, -3]))
+
+
+def row_slices(height):
+    """The rows Frame.crop takes: slice(lo, hi), 0 <= lo <= hi <= height, step 1."""
+    return st.integers(0, height).flatmap(
+        lambda lo: st.builds(slice, st.just(lo), st.integers(lo, height), st.sampled_from([None, 1])))
 
 
 class TestFrameCrop:
@@ -347,8 +353,10 @@ class TestFrameCrop:
 
     @settings(max_examples=150, deadline=None)
     @given(w=st.integers(1, 9), h=st.integers(1, 9), chroma=st.sampled_from(["mono", "420"]),
-           crops=st.lists(st.tuples(st.integers(0, 2), row_slices, row_slices), max_size=8))
-    def test_crop_and_luma_match_eager_decode(self, tmp_path_factory, w, h, chroma, crops):
+           draw=st.data())
+    def test_crop_and_luma_match_eager_decode(self, tmp_path_factory, w, h, chroma, draw):
+        crops = draw.draw(st.lists(st.tuples(st.integers(0, 2), row_slices(h), col_slices),
+                                   max_size=8))
         frames = [make_frame(i, w, h, seed=9) for i in range(3)]
         data = video.write_y4m(VideoHeader(w, h, 25, 1, chroma), frames)
         eager = decode_eager(data)
@@ -387,6 +395,19 @@ class TestFrameCrop:
         assert stream.bytes_read == 13 * 10
         np.testing.assert_array_equal(frame.luma, want)
         assert stream.bytes_read == 13 * 10 + 20 * 10
+
+    @pytest.mark.parametrize("rows", [slice(None, 4), slice(2, None), slice(None), slice(-1, 4),
+                                      slice(2, 21), slice(5, 3), slice(2, 8, 2),
+                                      slice(8, 2, -1), slice(np.int64(2), 8), slice(2.0, 8), 3])
+    @pytest.mark.parametrize("kind", ["array", "stream"])
+    def test_rows_other_than_an_in_frame_step_1_slice_are_rejected(self, kind, rows):
+        frames = [make_frame(0, 10, 20, seed=4)]
+        stream = CountingStream(video.write_y4m(VideoHeader(10, 20, 25, 1, "mono"), frames))
+        frame = frames[0] if kind == "array" else video.Y4mReader(stream).next_frame()
+        stream.bytes_read = 0
+        with pytest.raises(ValueError, match="rows must be slice"):
+            frame.crop((rows, slice(None)))
+        assert stream.bytes_read == 0
 
     def test_repr_eq_and_hash_read_no_pixels(self):
         frames = [make_frame(0, 640, 480)]
