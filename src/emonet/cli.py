@@ -7,11 +7,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import model_io, pipeline
 from .classifiers import LABELS, EmotionScores, cnn_train, evaluate, lda_train
-from .config import ConfigError, build_config, load_config_file
+from .config import build_config, load_config_file
 from .dataset import load_dataset_dir
 from .preprocess import BoundingBox, extract_roi, load_detections
 from .video import VideoFormatError, Y4mReader, parse_pgm
@@ -29,10 +30,15 @@ def format_scores(scores: EmotionScores) -> str:
 
 
 def _cmd_train(args) -> int:
-    if args.epochs < 1:
-        print("error: --epochs must be >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
-    x, y = load_dataset_dir(args.data, roi_size=args.roi_size)
+    # each flag must fit the training loop and the EMN1 file (side u16, seed u64)
+    for ok, rule in ((args.epochs >= 1, "--epochs must be >= 1"),
+                     (1 <= args.roi_size <= 0xFFFF, "--roi-size must be in 1..65535"),
+                     (math.isfinite(args.lr), "--lr must be a finite number"),
+                     (0 <= args.seed < 2**64, "--seed must be in 0..2**64-1")):
+        if not ok:
+            print(f"error: {rule}", file=sys.stderr)
+            return EXIT_VALIDATION
+    x, y = load_dataset_dir(args.data, args.roi_size)
     if args.model_kind == "lda":
         model = lda_train(x, y)
         print("fitted PCA+LDA model "
@@ -51,15 +57,15 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = model_io.load_model_file(args.model)
     with open(args.image, "rb") as fh:
-        frame = parse_pgm(fh.read())
-    roi = extract_roi(frame, BoundingBox(0, 0, frame.width, frame.height), model.input_side)
+        img = parse_pgm(fh.read())
+    roi = extract_roi(img, BoundingBox(0, 0, img.shape[1], img.shape[0]), model.input_side)
     print(format_scores(EmotionScores(probs=model.predict_proba(roi)[0])))
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     model = model_io.load_model_file(args.model)
-    x, y = load_dataset_dir(args.data, roi_size=model.input_side)
+    x, y = load_dataset_dir(args.data, model.input_side)
     accuracy, confusion = evaluate(model, x, y)
     print(f"accuracy: {accuracy * 100.0:.2f}")
     print("confusion (rows true, cols predicted):")
@@ -69,15 +75,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides = dict(thresh=args.thresh, cooldown=args.cooldown,
-                     width=args.width, roi_size=args.roi_size,
+    overrides = dict(thresh=args.thresh, cooldown=args.cooldown, width=args.width,
                      smooth_window=args.smooth_window)
     config = (load_config_file(args.config, **overrides) if args.config
               else build_config(**overrides))
     model = model_io.load_model_file(args.model)
-    if model.input_side != config.roi_size:
-        raise ConfigError(f"model takes {model.input_side}x{model.input_side} input, "
-                          f"but roi_size is {config.roi_size}")
     with open(args.detections, "rb") as fh:
         detections = load_detections(fh.read())
     log_fh = open(args.event_log, "a", encoding="utf-8") if args.event_log else None
@@ -128,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresh", type=int)
     p.add_argument("--cooldown", type=int)
     p.add_argument("--width", type=int)
-    p.add_argument("--roi-size", type=int)
     p.add_argument("--smooth-window", type=int)
     p.add_argument("--event-log", help="file to append alert lines to")
     p.set_defaults(func=_cmd_run)

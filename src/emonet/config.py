@@ -24,7 +24,6 @@ class ConfigError(ValueError):
 class PipelineConfig:
     thresh: int
     width: int = 500
-    roi_size: int = 28
     monitored_labels: frozenset[str] = DEFAULT_MONITORED
     cooldown: int = 0
     smooth_window: int = 1               # 1 disables temporal smoothing
@@ -35,8 +34,8 @@ class PipelineConfig:
     alert_to: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.width < 1 or self.roi_size < 1:
-            raise ConfigError("width and roi_size must be >= 1")
+        if self.width < 1:
+            raise ConfigError("width must be >= 1")
         if self.smooth_window not in (1, 3, 5):
             raise ConfigError("smooth_window must be 1, 3 or 5")
         if self.detections_coords not in ("original", "resized"):
@@ -90,7 +89,7 @@ def _split_list(text: str) -> tuple[str, ...]:
 
 # one parser per PipelineConfig field, applied to file and environment text
 _PARSERS = {
-    "thresh": int, "width": int, "roi_size": int, "cooldown": int,
+    "thresh": int, "width": int, "cooldown": int,
     "smooth_window": int, "smtp_port": int,
     "detections_coords": str, "smtp_host": str, "alert_from": str,
     "monitored_labels": lambda text: frozenset(_split_list(text)),
@@ -128,5 +127,10 @@ def build_config(file_values: dict[str, str] | None = None,
 
 def load_config_file(path: str, env: dict[str, str] | None = None,
                      **overrides) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_config(parse_config_text(fh.read()), env=env, **overrides)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return build_config(parse_config_text(text), env=env, **overrides)

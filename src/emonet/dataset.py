@@ -12,10 +12,10 @@ import numpy as np
 
 from .classifiers import LABELS, EmptyClass
 from .preprocess import BoundingBox, extract_roi
-from .video import Frame, parse_pgm, write_pgm
+from .video import parse_pgm, write_pgm
 
 
-def load_dataset_dir(path: str, roi_size: int = 28) -> tuple[np.ndarray, np.ndarray]:
+def load_dataset_dir(path: str, roi_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Load all label subdirectories; raises EmptyClass for a missing label."""
     xs, ys = [], []
     for idx, label in enumerate(LABELS):
@@ -26,9 +26,8 @@ def load_dataset_dir(path: str, roi_size: int = 28) -> tuple[np.ndarray, np.ndar
             raise EmptyClass(f"no samples for label {label!r} in {path}")
         for name in files:
             with open(os.path.join(label_dir, name), "rb") as fh:
-                frame = parse_pgm(fh.read())
-            xs.append(extract_roi(frame, BoundingBox(0, 0, frame.width, frame.height),
-                                  roi_size))
+                img = parse_pgm(fh.read())
+            xs.append(extract_roi(img, BoundingBox(0, 0, img.shape[1], img.shape[0]), roi_size))
             ys.append(idx)
     return np.stack(xs), np.array(ys, dtype=np.int64)
 
@@ -42,8 +41,6 @@ def save_dataset_dir(x: np.ndarray, y: np.ndarray, path: str) -> None:
         os.makedirs(label_dir, exist_ok=True)
         luma = np.clip(np.rint(np.asarray(img, dtype=np.float64) * 255.0),
                        0, 255).astype(np.uint8)
-        frame = Frame(index=counters[label], width=luma.shape[1],
-                      height=luma.shape[0], luma=luma)
         with open(os.path.join(label_dir, f"{counters[label]:05d}.pgm"), "wb") as fh:
-            fh.write(write_pgm(frame))
+            fh.write(write_pgm(luma))
         counters[label] += 1

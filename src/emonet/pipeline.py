@@ -8,8 +8,9 @@ and the alert cooldown, so alert pacing does not depend on detector
 dropouts. A box wholly outside the frame is no usable detection either;
 the run report counts those frames. For a frame with a box, only the source
 pixels its ROI reads (preprocess.roi_plan) are median-smoothed and resized,
-which gives the same ROI as smoothing and resizing the whole frame; a frame
-of a seekable stream reads just those source rows, when they are first
+which gives the same ROI, of the model's input_side, as smoothing and
+resizing the whole frame; the stages pass plain arrays. A frame of a
+seekable stream reads just those source rows, when they are first
 smoothed (Frame.crop), so the stream must stay open for the whole run.
 With SMTP configured, each alert is mailed before the next frame is read,
 one SMTP session per alert. The run's smtp_client.Mailer opens a spare
@@ -75,16 +76,16 @@ def _predict(model, roi) -> EmotionScores:
 
 
 def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
-              roi_size: int) -> np.ndarray | None:
-    """The ROI of box in the median of frames, or None when the box misses
-    the frame; only the pixels roi_plan names are smoothed and resized."""
-    plan = roi_plan(box, (frames[-1].height, frames[-1].width), width, roi_size)
+              side: int) -> np.ndarray | None:
+    """The side x side ROI of box in the median of frames, or None when the box
+    misses the frame; only the pixels roi_plan names are smoothed and resized."""
+    plan = roi_plan(box, (frames[-1].height, frames[-1].width), width, side)
     if plan is None:
         return None
     window, taps, roi_taps = plan
     smoothed = temporal_smooth(frames, window)
     resized = resize_to_width(smoothed, width, taps)
-    return extract_roi(resized, None, roi_size, roi_taps)
+    return extract_roi(resized, None, side, roi_taps)
 
 
 def run_stream(reader: Y4mReader, detections: DetectionSet, model,
@@ -92,16 +93,18 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
                clock=alerts._utc_now, send=None, warn=None) -> RunReport:
     """Process every frame of a Y4M stream; returns the run report.
 
+    The ROI side is model.input_side, read once before the first frame.
     With smooth_window=k, frame i is classified from the median of frames
     i-k+1..i, which is centred on frame i-(k-1)/2, cropped by frame i's box;
     the first k-1 frames are classified unsmoothed. Each frame's pixels are
     taken through Frame.crop of its ROI's source window, so a frame of a
     seekable stream reads the rows each median needs, once, while it is in
-    the window. event_log, when given,
-    receives one line per alert (flushed as written). With SMTP configured,
-    each alert is delivered by send(smtp_config, event), by default through
-    the run's smtp_client.Mailer; a run that never alerts opens no socket.
+    the window. event_log, when given, receives one line per alert (flushed
+    as written). With SMTP configured, each alert is delivered by
+    send(smtp_config, event), by default through the run's Mailer; a run
+    that never alerts opens no socket.
     """
+    side = model.input_side
     policy = config.alert_policy()
     state = alerts.CounterState()
     report = RunReport(state=state)
@@ -125,7 +128,7 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
                 roi = None
                 if box is not None:
                     frames = list(window) if len(window) == config.smooth_window else [frame]
-                    roi = _face_roi(frames, box, config.width, config.roi_size)
+                    roi = _face_roi(frames, box, config.width, side)
                     report.boxes_outside_frame += roi is None
                 if roi is None:
                     alerts.tick(state, policy, frame.index)

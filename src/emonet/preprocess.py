@@ -1,4 +1,4 @@
-"""Frame preprocessing: working-width resize, face-box selection, ROI plan and crop,
+"""Image preprocessing: working-width resize, face-box selection, ROI plan and crop,
 fixed-size rescale and /255 normalization, plus the detections sidecar loader.
 
 Face detection itself is externalized: a text sidecar supplies per-frame
@@ -11,8 +11,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .video import Frame
 
 
 class DetectionsError(ValueError):
@@ -146,23 +144,22 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return resample_window(img[taps_window(taps)], taps)
 
 
-def resize_to_width(frame: Frame, target_width: int, taps: Taps | None = None) -> Frame:
-    """Aspect-preserving bilinear resize to the working width.
+def resize_to_width(img: np.ndarray, target_width: int, taps: Taps | None = None) -> np.ndarray:
+    """Aspect-preserving bilinear resize of a uint8 image to the working width.
 
     With taps, the resample_taps of some rows and columns of the
-    working-size frame (a region, or index arrays), only those pixels are
-    computed, in the order the taps list them, and the Frame returned holds
-    just them; frame is then the taps_window crop of the source.
+    working-size image (a region, or index arrays), only those pixels are
+    computed, in the order the taps list them, and the array returned holds
+    just them; img is then the taps_window crop of the source.
     """
     if target_width < 1:
         raise ValueError(f"target width must be >= 1, got {target_width}")
     if taps is None:
-        out_h = working_height(frame.width, frame.height, target_width)
-        resized = bilinear_resize(frame.luma, out_h, target_width)
+        out_h = working_height(img.shape[1], img.shape[0], target_width)
+        resized = bilinear_resize(img, out_h, target_width)
     else:
-        resized = resample_window(frame.luma, taps)
-    luma = np.clip(np.rint(resized), 0, 255).astype(np.uint8)
-    return Frame(index=frame.index, width=luma.shape[1], height=luma.shape[0], luma=luma)
+        resized = resample_window(img, taps)
+    return np.clip(np.rint(resized), 0, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -185,32 +182,32 @@ def clamp_box(box: BoundingBox, height: int, width: int) -> Region:
     return slice(y0, y1), slice(x0, x1)
 
 
-def extract_roi(frame: Frame, box: BoundingBox | None, roi_size: int = 28,
+def extract_roi(img: np.ndarray, box: BoundingBox | None, roi_size: int,
                 taps: Taps | None = None) -> np.ndarray:
-    """Clamped crop, bilinear rescale to roi_size^2, then divide by 255:
-    the face crop as a (roi_size, roi_size) float32 array in [0, 1].
+    """Crop of box clamped to the uint8 image img, bilinear rescale to the
+    model's side roi_size, then divide by 255: a float32 array in [0, 1].
 
-    With taps, the ROI's own resample taps computed beforehand, frame holds
+    With taps, the ROI's own resample taps computed beforehand, img holds
     exactly the pixels they read, as resample_window takes them, and box is
     not used.
     """
     if taps is None:
-        crop = frame.luma[clamp_box(box, frame.height, frame.width)]
-        resized = bilinear_resize(crop, roi_size, roi_size)
+        resized = bilinear_resize(img[clamp_box(box, *img.shape)], roi_size, roi_size)
     else:
-        resized = resample_window(frame.luma, taps)
+        resized = resample_window(img, taps)
     return (resized / 255.0).astype(np.float32)
 
 
 def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,
              roi_size: int) -> tuple[Region, Taps, Taps] | None:
     """For box, in working-width coordinates, of an in_shape (rows, cols)
-    source: the source window to smooth, the taps resampling it to the
-    working pixels the ROI reads, and the ROI's taps over those; None when
-    the box misses the frame. Where the clamped box spans more than
+    source image: the source window to smooth, the taps resampling it to
+    the working pixels the ROI reads, and the ROI's taps over those; None
+    when the box misses the frame. Where the clamped box spans more than
     2 * roi_size working pixels on an axis, those are the rows (columns) of
     the ROI's lower taps, then of its upper taps; otherwise its whole span.
-    The ROI equals extract_roi(resize_to_width(frame, width), box, roi_size).
+    Through resize_to_width and extract_roi, the plan gives the ROI
+    extract_roi(resize_to_width(img, width), box, roi_size) of source img.
     """
     out_shape = (working_height(in_shape[1], in_shape[0], width), width)
     try:

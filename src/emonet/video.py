@@ -1,13 +1,13 @@
 """Grayscale frame ingestion: YUV4MPEG2 (Y4M) streams and binary PGM images.
 
 Only the luma plane of a Y4M stream is consumed; 4:2:0 chroma planes are
-skipped. Every Frame holds one band of whole rows. On a seekable stream
-the reader reads no pixels: it seeks past each frame's planes, and the
-frame reads the rows it is asked for (Frame.crop) from the stream the
-first time they are used, so it stays readable only while its stream is
-open. A stream that cannot seek (a pipe) is read in bounded chunks, every
-byte, and its frames hold their whole luma plane from the start, as a
-frame built from an array does. Both formats round-trip bit-exactly
+skipped. A Frame is a decoded Y4M frame, held as one band of whole rows:
+on a seekable stream the reader reads no pixels, and the frame reads the
+rows it is asked for (Frame.crop) when they are first used, so it stays
+readable only while its stream is open. A stream that cannot seek is read
+in bounded chunks, and its frames hold their whole luma plane, as a frame
+built from an array does. The PGM codec and the temporal median take and
+return (height, width) uint8 arrays. Both formats round-trip bit-exactly
 through the matching write functions, which the test suite leans on.
 """
 
@@ -306,8 +306,8 @@ def write_y4m(header: VideoHeader, frames) -> bytes:
 # PGM (binary P5, maxval 255)
 # ---------------------------------------------------------------------------
 
-def parse_pgm(data: bytes) -> Frame:
-    """Parse a binary P5 PGM with maxval 255 as frame 0; '#' comments allowed in the header."""
+def parse_pgm(data: bytes) -> np.ndarray:
+    """A binary P5 PGM, maxval 255, '#' comments allowed, as a (height, width) uint8 array."""
     if not data.startswith(b"P5"):
         raise BadMagic(f"not a binary PGM: starts with {data[:2]!r}")
     pos = 2
@@ -340,13 +340,12 @@ def parse_pgm(data: bytes) -> Frame:
     pixels = data[pos:pos + n]
     if len(pixels) != n:
         raise TruncatedPixels(f"wanted {n} pixel bytes, got {len(pixels)}")
-    return Frame(index=0, width=width, height=height,
-                 luma=np.frombuffer(pixels, dtype=np.uint8).reshape(height, width))
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
 
 
-def write_pgm(frame: Frame) -> bytes:
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    return header + frame.luma.tobytes()
+def write_pgm(img: np.ndarray) -> bytes:
+    """A binary P5 PGM, maxval 255, of a (height, width) uint8 array."""
+    return f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii") + img.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +359,13 @@ _MEDIAN_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)),
 
 
 def temporal_smooth(frames: list[Frame],
-                    region: tuple[slice, slice] | None = None) -> Frame:
-    """Per-pixel median over an odd window of 1, 3 or 5 same-size frames.
-
-    The output keeps the index of the middle frame. A window of 1 is the
-    identity; disabled by default in the pipeline. region, a (rows, cols)
-    pair of slices, restricts the work to that rectangle, and the Frame
-    returned is then just the rectangle; each frame's pixels are then taken
-    through Frame.crop, so a frame of a seekable stream reads only the rows
-    of region.
+                    region: tuple[slice, slice] | None = None) -> np.ndarray:
+    """Per-pixel median over an odd window of 1, 3 or 5 same-size frames, as
+    a uint8 array. A window of 1 with no region returns the frame's luma.
+    region, a (rows, cols) pair of slices, restricts the work to that
+    rectangle, and the array returned is just the rectangle; each frame's
+    pixels are then taken through Frame.crop, so a frame of a seekable
+    stream reads only the rows of region.
     """
     k = len(frames)
     if k not in (1, 3, 5):
@@ -380,10 +377,9 @@ def temporal_smooth(frames: list[Frame],
                 f"frame {f.index} is {f.width}x{f.height}, "
                 f"window expects {mid.width}x{mid.height}")
     if k == 1 and region is None:
-        return mid
+        return mid.luma
     planes = [f.luma if region is None else f.crop(region) for f in frames]
     for i, j in _MEDIAN_NETWORKS.get(k, ()):
         a, b = planes[i], planes[j]
         planes[i], planes[j] = np.minimum(a, b), np.maximum(a, b)
-    med = planes[k // 2]
-    return Frame(index=mid.index, width=med.shape[1], height=med.shape[0], luma=med)
+    return planes[k // 2]

@@ -237,8 +237,8 @@ def test_parser_round_trips_and_errors():
         with pytest.raises(video.TruncatedFrame):
             for _ in reader:
                 pass
-    pgm = write_pgm(frames[0])
-    np.testing.assert_array_equal(parse_pgm(pgm).luma, frames[0].luma)
+    pgm = write_pgm(frames[0].luma)
+    np.testing.assert_array_equal(parse_pgm(pgm), frames[0].luma)
     with pytest.raises(video.TruncatedPixels):
         parse_pgm(pgm[:-5])
     with pytest.raises(video.MissingSignature):

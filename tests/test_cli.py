@@ -5,9 +5,10 @@ import pytest
 
 from emonet import cli, model_io, nn
 from emonet.classifiers import EmotionScores, cnn_predict, evaluate
+from emonet.config import ConfigError, load_config_file
 from emonet.dataset import load_dataset_dir, save_dataset_dir
 from emonet.glyphs import draw_glyph, make_glyph_dataset
-from emonet.video import Frame, write_pgm
+from emonet.video import write_pgm
 
 from test_pipeline import make_video
 from test_video import fed_pipe
@@ -78,7 +79,7 @@ class TestTrainPredictEval:
     def test_predict_reports_argmax(self, lda_model_path, tmp_path, capsys):
         img = np.clip(np.rint(draw_glyph("happy") * 255.0), 0, 255).astype(np.uint8)
         path = tmp_path / "sample.pgm"
-        path.write_bytes(write_pgm(Frame(0, 28, 28, img)))
+        path.write_bytes(write_pgm(img))
         code = cli.main(["predict", "--image", str(path),
                          "--model", lda_model_path])
         captured = capsys.readouterr()
@@ -98,7 +99,7 @@ class TestTrainPredictEval:
     def test_predict_with_cnn_model(self, cnn_model_path, tmp_path, capsys):
         img = np.clip(np.rint(draw_glyph("sad") * 255.0), 0, 255).astype(np.uint8)
         path = tmp_path / "sample.pgm"
-        path.write_bytes(write_pgm(Frame(0, 28, 28, img)))
+        path.write_bytes(write_pgm(img))
         code = cli.main(["predict", "--image", str(path),
                          "--model", cnn_model_path])
         captured = capsys.readouterr()
@@ -113,15 +114,26 @@ class TestTrainPredictEval:
         captured = capsys.readouterr()
         assert code == 0
         model = model_io.load_model_file(cnn_model_path)
-        accuracy, confusion = evaluate(model, *load_dataset_dir(dataset_dir))
+        accuracy, confusion = evaluate(model, *load_dataset_dir(dataset_dir, model.input_side))
         lines = captured.out.splitlines()
         assert lines[0] == f"accuracy: {accuracy * 100.0:.2f}"
         assert [list(map(int, line.split()[1:])) for line in lines[2:]] == confusion.tolist()
 
-    def test_bad_epochs_is_validation_error(self, dataset_dir, tmp_path):
-        code = cli.main(["train", "--data", dataset_dir, "--epochs", "0",
-                         "--out", str(tmp_path / "m.emn1")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"), ("--roi-size", "0"), ("--roi-size", "-3"), ("--roi-size", "65536"),
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
+        ("--seed", "-1"), ("--seed", "18446744073709551616")])
+    def test_bad_train_flag_is_validation_error(self, dataset_dir, tmp_path, capsys,
+                                                monkeypatch, flag, value):
+        def no_read(*args):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset_dir", no_read)
+        out = tmp_path / "m.emn1"
+        code = cli.main(["train", "--data", dataset_dir, f"{flag}={value}", "--out", str(out)])
         assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRun:
@@ -252,23 +264,42 @@ class TestExitCodes:
 
 
 class TestModelSize:
-    def test_run_refuses_model_of_other_size_before_first_frame(self, dataset_dir,
-                                                                 tmp_path, capsys):
+    """run takes the ROI side from the model; no flag or config key names it."""
+
+    def test_run_crops_to_the_models_side(self, dataset_dir, tmp_path, capsys):
         model = str(tmp_path / "lda8.emn1")
         assert cli.main(["train", "--data", dataset_dir, "--model-kind", "lda",
                          "--roi-size", "8", "--out", model]) == 0
+        assert model_io.load_model_file(model).input_side == 8
         video = tmp_path / "clip.y4m"
         video.write_bytes(make_video(["sad"] * 3, canvas=100))
         dets = tmp_path / "clip.dets"
         dets.write_text("# min_size=1x1\n" + "".join(f"{i} 10 10 28 28\n" for i in range(3)))
-        log = tmp_path / "events.log"
         capsys.readouterr()
         code = cli.main(["run", "--video", str(video), "--detections", str(dets),
-                         "--model", model, "--thresh", "1", "--event-log", str(log)])
+                         "--model", model, "--thresh", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "frames_seen=3 classified=3" in out and "frames_no_face=0" in out
+
+    def test_roi_size_config_key_is_unknown(self, lda_model_path, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("thresh=5\nroi_size=28\n")
+        with pytest.raises(ConfigError, match="unknown config key 'roi_size'"):
+            load_config_file(str(conf), env={})
+        code = cli.main(["run", "--video", str(tmp_path / "clip.y4m"),
+                         "--detections", str(tmp_path / "clip.dets"),
+                         "--model", lda_model_path, "--config", str(conf)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "roi_size is 28" in err and "8x8" in err
-        assert not log.exists()          # refused at set-up, before any frame
+        assert "unknown config key 'roi_size'" in capsys.readouterr().err
+
+    def test_run_roi_size_flag_is_a_usage_error(self, lda_model_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--video", str(tmp_path / "clip.y4m"),
+                      "--detections", str(tmp_path / "clip.dets"),
+                      "--model", lda_model_path, "--thresh", "1", "--roi-size", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --roi-size 8" in capsys.readouterr().err
 
 
 class TestLyingVideoHeader:

@@ -1,6 +1,7 @@
 """Configuration parsing, merge precedence, and validation tests."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ class TestParse:
 class TestBuild:
     def test_defaults(self):
         c = build_config({"thresh": "5"}, env={})
-        assert (c.width, c.roi_size, c.cooldown, c.smooth_window) == (500, 28, 0, 1)
+        assert (c.width, c.cooldown, c.smooth_window) == (500, 0, 1)
         assert c.detections_coords == "original"
         assert c.smtp_config() is None
 
@@ -126,6 +127,14 @@ class TestLoadTimeRules:
         with pytest.raises(ConfigError):
             build_config({"thresh": "5"}, env={cfg.ENV_SMTP_PORT: str(port)})
 
+    def test_file_that_is_not_utf8_names_its_path(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"thresh=5\nsmtp_host=caf\xe9.example\n")   # Latin-1
+        with pytest.raises(ConfigError) as exc:
+            cfg.load_config_file(str(path), env={})
+        assert str(exc.value).startswith(f"{path}: not UTF-8 text")
+        assert "at byte 22" in str(exc.value)
+
     def test_alert_policy_carries_the_fields(self):
         c = PipelineConfig(thresh=4, cooldown=9, monitored_labels=frozenset({"sad"}))
         policy = c.alert_policy()
@@ -150,7 +159,8 @@ def test_any_text_builds_a_runnable_config_or_raises_config_error(values, env):
         c = build_config(values, env=env)
     except ConfigError:
         return
-    report = pipeline.run_stream(iter(()), DetectionSet(), model=None, config=c)
+    report = pipeline.run_stream(iter(()), DetectionSet(), model=SimpleNamespace(input_side=28),
+                                 config=c)
     assert report.state.frames_seen == 0
     assert 1 <= c.smtp_port <= 65535
     c.smtp_config()

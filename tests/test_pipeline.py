@@ -2,6 +2,7 @@
 
 import io
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,6 +191,12 @@ def capture_rois(monkeypatch):
     return rois
 
 
+def model_of_side(side):
+    """A model as run_stream sees it once capture_rois has replaced the
+    classifier: only its input side is read."""
+    return SimpleNamespace(input_side=side)
+
+
 def full_frame_roi(frames, box, width, roi_size):
     """The ROI as the whole-frame composition computes it: the oracle."""
     return extract_roi(resize_to_width(temporal_smooth(frames), width), box, roi_size)
@@ -221,7 +228,7 @@ class TestBoxFirst:
                         fx += bw
                     lines.append(f"{i} {fx} {fy} {fw} {fh}")
             dets = load_detections("\n".join(lines) + "\n")
-            config = PipelineConfig(thresh=5, width=width, roi_size=roi_size, smooth_window=k,
+            config = PipelineConfig(thresh=5, width=width, smooth_window=k,
                                     detections_coords=coords)
             expected, outside_frames = [], 0
             for i, frame in enumerate(frames):
@@ -238,7 +245,8 @@ class TestBoxFirst:
                     outside_frames += 1     # the run skips the frame and counts it
             del rois[:]
             reader = Y4mReader(write_y4m(VideoHeader(w, h, 25, 1, "mono"), frames))
-            report = pipeline.run_stream(reader, dets, None, config, clock=PINNED_CLOCK)
+            report = pipeline.run_stream(reader, dets, model_of_side(roi_size), config,
+                                         clock=PINNED_CLOCK)
             assert report.boxes_outside_frame == outside_frames
             assert report.state.frames_seen == n
             outside += outside_frames > 0
@@ -257,8 +265,8 @@ class TestBoxFirst:
         for k in (1, 3, 5):
             del rois[:]
             config = PipelineConfig(thresh=5, width=20, smooth_window=k)
-            pipeline.run_stream(Y4mReader(data), sidecar(8, at=(2, 2), side=10), None,
-                                config, clock=PINNED_CLOCK)
+            pipeline.run_stream(Y4mReader(data), sidecar(8, at=(2, 2), side=10),
+                                model_of_side(28), config, clock=PINNED_CLOCK)
             shown = [int(round(float(r[0, 0]) * 255)) // 20 for r in rois]
             assert shown == [i if i < k - 1 else i - (k - 1) // 2 for i in range(8)]
 
@@ -322,7 +330,7 @@ class TestRoiTapsFirst:
 
         def spy(*args, **kwargs):
             out = real_resize(*args, **kwargs)
-            resized.append(out.luma.shape)
+            resized.append(out.shape)
             return out
 
         monkeypatch.setattr(pipeline, "resize_to_width", spy)
@@ -336,9 +344,10 @@ class TestRoiTapsFirst:
         lines = ["# min_size=1x1"] + [f"{i} {x} {y} {side} {side}"
                                       for i, (x, y) in enumerate(spots)]
         dets = load_detections("\n".join(lines) + "\n")
-        config = PipelineConfig(thresh=5, width=500, roi_size=28, smooth_window=k)
+        config = PipelineConfig(thresh=5, width=500, smooth_window=k)
         data = write_y4m(VideoHeader(1280, 720, 25, 1, "mono"), frames)
-        pipeline.run_stream(Y4mReader(data), dets, None, config, clock=PINNED_CLOCK)
+        pipeline.run_stream(Y4mReader(data), dets, model_of_side(28), config,
+                            clock=PINNED_CLOCK)
         assert len(rois) == len(frames)
         out_shape = (working_height(1280, 720, 500), 500)
         for i, got in enumerate(rois):
@@ -393,7 +402,7 @@ class TestRowsOnDemand:
         lines = ["# min_size=1x1"] + [f"{i} {500 + i % 3} {300 - i % 2} 240 240"
                                       for i in range(len(labels)) if i not in skip]
         dets = load_detections("\n".join(lines) + "\n")
-        config = PipelineConfig(thresh=2, cooldown=2, width=500, roi_size=28, smooth_window=k,
+        config = PipelineConfig(thresh=2, cooldown=2, width=500, smooth_window=k,
                                 detections_coords="original")
         data = write_y4m(VideoHeader(1280, 720, 25, 1, "420"), frames)
         path = tmp_path / "clip.y4m"

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from emonet import preprocess
 from emonet.preprocess import BoundingBox
-from emonet.video import Frame
 
 
-def frame_from(arr, index=0):
-    arr = np.asarray(arr, dtype=np.uint8)
-    return Frame(index=index, width=arr.shape[1], height=arr.shape[0], luma=arr)
+def frame_from(arr):
+    """A frame as the stages take it: a (height, width) uint8 array."""
+    return np.asarray(arr, dtype=np.uint8)
 
 
 def bilinear_oracle(img, out_h, out_w):
@@ -40,12 +39,12 @@ class TestResize:
     def test_exact_halving(self):
         frame = frame_from(np.zeros((800, 1000)))
         out = preprocess.resize_to_width(frame, 500)
-        assert (out.width, out.height) == (500, 400)
+        assert out.shape == (400, 500) and out.dtype == np.uint8
 
     def test_identity_width(self):
         frame = frame_from(np.random.default_rng(0).integers(0, 256, (10, 12)))
         out = preprocess.resize_to_width(frame, 12)
-        np.testing.assert_array_equal(out.luma, frame.luma)
+        np.testing.assert_array_equal(out, frame)
 
     def test_checkerboard_upscale_matches_oracle(self):
         img = np.array([[0, 255], [255, 0]], dtype=np.float64)
@@ -84,7 +83,8 @@ class TestResize:
         for h, w, target in [(480, 640, 500), (333, 777, 500), (7, 13, 9)]:
             frame = frame_from(np.zeros((h, w)))
             out = preprocess.resize_to_width(frame, target)
-            assert abs(out.height - h * target / w) <= 0.5 + 1e-9
+            assert out.shape[1] == target
+            assert abs(out.shape[0] - h * target / w) <= 0.5 + 1e-9
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ class TestExtractRoi:
         frame = frame_from(rng.integers(0, 256, (30, 30)))
         box = BoundingBox(20, 25, 20, 20)  # extends past both edges
         roi = preprocess.extract_roi(frame, box, 8)
-        manual = frame.luma[25:30, 20:30].astype(np.float64)
+        manual = frame[25:30, 20:30].astype(np.float64)
         expected = bilinear_oracle(manual, 8, 8) / 255.0
         np.testing.assert_allclose(roi, expected, atol=1e-6)
 
@@ -152,7 +152,7 @@ class TestExtractRoi:
         frame = frame_from(rng.integers(0, 256, (64, 64)))
         box = BoundingBox(8, 12, 30, 24)
         roi = preprocess.extract_roi(frame, box, 28)
-        crop = frame.luma[12:36, 8:38].astype(np.float64)
+        crop = frame[12:36, 8:38].astype(np.float64)
         naive = bilinear_oracle(crop, 28, 28) / 255.0
         np.testing.assert_allclose(roi, naive, atol=1e-6)
 

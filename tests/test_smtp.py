@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emonet import smtp_client
@@ -16,8 +16,10 @@ from emonet.alerts import AlertEvent
 from emonet.classifiers import EmotionScores
 from emonet.smtp_client import (
     ConnectFailed,
+    Mailer,
     ProtocolError,
     SmtpConfig,
+    SmtpError,
     dot_stuff,
 )
 from smtp_server import SessionServer, dot_unstuff, play
@@ -221,3 +223,53 @@ class TestQuitAfterAccept:
             smtp_client.send_alert(config_for(server), sample_event())
             returned_at = time.monotonic()
         assert returned_at >= server.sessions[0].quit_answered_at
+
+
+# A reply: a code, a separator and printable ASCII text. The codes mix the
+# ones the client expects with refusals, an unknown code and malformed ones;
+# the "-" separator starts a continuation that the script never finishes.
+REPLY = st.builds(lambda code, sep, text: code + sep + text,
+                  st.sampled_from(["220", "221", "250", "251", "354", "421", "450", "500",
+                                   "550", "999", "2x0", "25", ""]),
+                  st.sampled_from([" ", "x", "-", ""]),
+                  st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=12))
+# Random scripts rarely get a message accepted, so half of them are
+# HAPPY_SCRIPT with up to two of its replies swapped for random ones.
+SCRIPTS = st.one_of(
+    st.lists(REPLY, min_size=1, max_size=9),
+    st.dictionaries(st.integers(0, len(HAPPY_SCRIPT) - 1), REPLY, max_size=2).map(
+        lambda swaps: [swaps.get(i, reply) for i, reply in enumerate(HAPPY_SCRIPT)]))
+
+
+def delivered_or_refused(deliver, script) -> None:
+    """deliver(config) against a server playing script either returns, with
+    exactly one message accepted, or raises SmtpError."""
+    with SessionServer(play(script)) as server:
+        cfg = SmtpConfig(host="127.0.0.1", port=server.port, sender="a@x",
+                         recipients=("b@x",), timeout=0.2)
+        try:
+            deliver(cfg)
+        except SmtpError:
+            return
+    assert server.sessions[0].messages == 1
+
+
+class TestAnyReplies:
+    """A guard: these properties held when they were written. A 0.2 s
+    client timeout bounds each example that stalls on an open reply."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(SCRIPTS)
+    def test_send_alert_delivers_or_raises_smtp_error(self, script):
+        delivered_or_refused(lambda cfg: smtp_client.send_alert(cfg, sample_event()), script)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(SCRIPTS)
+    def test_mailer_first_send_delivers_or_raises_smtp_error(self, script):
+        def first_send(cfg):
+            mailer = Mailer(cfg)
+            try:
+                mailer.send(sample_event())
+            finally:
+                mailer.close()
+        delivered_or_refused(first_send, script)
