@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from . import model_io, pipeline
+from . import model_io, nn, pipeline
 from .classifiers import LABELS, EmotionScores, cnn_train, evaluate, lda_train
 from .config import build_config, load_config_file
 from .dataset import load_dataset_dir
@@ -38,6 +38,8 @@ def _cmd_train(args) -> int:
         if not ok:
             print(f"error: {rule}", file=sys.stderr)
             return EXIT_VALIDATION
+    if args.model_kind == "cnn":   # a side too small for the layer stack raises here
+        nn.param_shapes(args.roi_size, nn.emotion_layer_stack())
     x, y = load_dataset_dir(args.data, args.roi_size)
     if args.model_kind == "lda":
         model = lda_train(x, y)
@@ -96,8 +98,14 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # argparse's own exit status, 2, means an I/O failure here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="emonet",
         description="Facial-emotion monitoring: classification and alerting")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, VideoFormatError, model_io.ModelFileError,

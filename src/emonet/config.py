@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass
 
 from .alerts import DEFAULT_MONITORED, AlertPolicy
-from .smtp_client import SmtpConfig
+from .smtp_client import SmtpConfig, check_port_and_addresses
 
 ENV_SMTP_HOST = "EMONET_SMTP_HOST"
 ENV_SMTP_PORT = "EMONET_SMTP_PORT"
@@ -40,16 +40,9 @@ class PipelineConfig:
             raise ConfigError("smooth_window must be 1, 3 or 5")
         if self.detections_coords not in ("original", "resized"):
             raise ConfigError("detections_coords must be 'original' or 'resized'")
-        if not 1 <= self.smtp_port <= 65535:
-            raise ConfigError(f"smtp_port {self.smtp_port} outside 1..65535")
-        # the addresses go verbatim into MAIL FROM:<...> and RCPT TO:<...>;
-        # a line break there would start an SMTP command of its own, and the
-        # client sends commands as ASCII
-        for address in (self.alert_from or "", *self.alert_to):
-            if not address.isascii() or any(ch in address for ch in "\r\n<>"):
-                raise ConfigError(f"mail address {address!r} is not ASCII without "
-                                  "CR, LF, '<' and '>'")
         try:
+            # a partial SMTP section builds no SmtpConfig, so check it here too
+            check_port_and_addresses(self.smtp_port, (self.alert_from or "", *self.alert_to))
             self.alert_policy()
             self.smtp_config()
         except ValueError as exc:

@@ -2,7 +2,7 @@
 fixed-size rescale and /255 normalization, plus the detections sidecar loader.
 
 Face detection itself is externalized: a text sidecar supplies per-frame
-bounding boxes, and the detector parameters travel along as metadata.
+bounding boxes.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ class BoundingBox:
             fX=int(round(self.fX * factor)), fY=int(round(self.fY * factor)),
             fW=max(1, int(round(self.fW * factor))),
             fH=max(1, int(round(self.fH * factor))))
-
-
-@dataclass(frozen=True)
-class DetectionMeta:
-    scale_factor: float = 1.0
-    min_neighbors: int = 12
-    min_size: tuple[int, int] = (60, 60)
 
 
 Region = tuple[slice, slice]   # (rows, cols) of a frame, explicit start and stop
@@ -251,7 +244,6 @@ def _roi_plan(spans: tuple[int, int], roi_size: int):
 @dataclass
 class DetectionSet:
     boxes: dict[int, list[BoundingBox]] = field(default_factory=dict)
-    meta: DetectionMeta = DetectionMeta()
     dropped_below_min_size: int = 0
 
     def for_frame(self, index: int) -> list[BoundingBox]:
@@ -263,19 +255,19 @@ def _parse_size(text: str) -> tuple[int, int]:
     return int(w), int(h)
 
 
-_META_PARSERS = {"scale_factor": float, "min_neighbors": int, "min_size": _parse_size}
+_HEADER_PARSERS = {"scale_factor": float, "min_neighbors": int, "min_size": _parse_size}
 
 
-def _parse_meta(line: str, lineno: int) -> DetectionMeta:
-    kwargs = {}
+def _parse_header(line: str, lineno: int) -> dict:
+    values = {}
     for tok in line.lstrip("#").split():
         key, eq, val = tok.partition("=")
-        if eq and key in _META_PARSERS:
+        if eq and key in _HEADER_PARSERS:
             try:
-                kwargs[key] = _META_PARSERS[key](val)
+                values[key] = _HEADER_PARSERS[key](val)
             except ValueError:
                 raise MalformedLine(lineno, f"bad header value {tok!r}") from None
-    return DetectionMeta(**kwargs)
+    return values
 
 
 _FIELD_MAX = 2**31 - 1   # a record field above this cannot be a frame index or a pixel
@@ -284,23 +276,25 @@ _FIELD_MAX = 2**31 - 1   # a record field above this cannot be a frame index or 
 def load_detections(data: bytes | str) -> DetectionSet:
     """Parse the sidecar: one `frame_index fX fY fW fH` record per line.
 
-    An optional `# scale_factor=.. min_neighbors=.. min_size=WxH` header is
-    captured verbatim as metadata; boxes smaller than min_size are dropped
-    and counted. A field above 2**31 - 1 is a MalformedLine: scaling such a
-    box to the working width would overflow a float frames later.
+    An optional `# scale_factor=.. min_neighbors=.. min_size=WxH` header has
+    each of its values checked, and only min_size (default 60x60) is used:
+    boxes smaller than it are dropped and counted. A field above 2**31 - 1
+    is a MalformedLine: scaling such a box to the working width would
+    overflow a float frames later.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii", "replace")
     result = DetectionSet()
-    meta_seen = False
+    min_w, min_h = 60, 60
+    header_seen = False
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if not meta_seen and "=" in line:
-                result.meta = _parse_meta(line, lineno)
-                meta_seen = True
+            if not header_seen and "=" in line:
+                min_w, min_h = _parse_header(line, lineno).get("min_size", (min_w, min_h))
+                header_seen = True
             continue
         parts = line.split()
         if len(parts) != 5:
@@ -313,7 +307,6 @@ def load_detections(data: bytes | str) -> DetectionSet:
             raise NegativeField(f"line {lineno}: negative field in {line!r}")
         if max(frame_index, fx, fy, fw, fh) > _FIELD_MAX:
             raise MalformedLine(lineno, f"field above {_FIELD_MAX} in {line!r}")
-        min_w, min_h = result.meta.min_size
         if fw < min_w or fh < min_h:
             result.dropped_below_min_size += 1
             continue

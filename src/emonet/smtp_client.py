@@ -53,6 +53,18 @@ class ServerHungUp(ProtocolError):
         super().__init__(phase, 0, text)
 
 
+def check_port_and_addresses(port: int, addresses) -> None:
+    """Raise ValueError unless port is in 1..65535 and every address is ASCII
+    without CR, LF, '<' and '>': the addresses go verbatim into MAIL FROM:<...>
+    and RCPT TO:<...>, where a line break would start a command of its own."""
+    if not 1 <= port <= 65535:
+        raise ValueError(f"smtp port {port} outside 1..65535")
+    for address in addresses:
+        if not address.isascii() or any(ch in address for ch in "\r\n<>"):
+            raise ValueError(f"mail address {address!r} is not ASCII without "
+                             "CR, LF, '<' and '>'")
+
+
 @dataclass(frozen=True)
 class SmtpConfig:
     host: str
@@ -70,6 +82,7 @@ class SmtpConfig:
             raise ValueError(f"smtp host {self.host!r}: {exc}") from None
         if not self.recipients:
             raise ValueError("recipient list must be nonempty")
+        check_port_and_addresses(self.port, (self.sender, *self.recipients))
         if not 0 < self.timeout < math.inf:
             raise ValueError("timeout must be positive and finite")
 

@@ -376,8 +376,6 @@ def temporal_smooth(frames: list[Frame],
             raise VideoFormatError(
                 f"frame {f.index} is {f.width}x{f.height}, "
                 f"window expects {mid.width}x{mid.height}")
-    if k == 1 and region is None:
-        return mid.luma
     planes = [f.luma if region is None else f.crop(region) for f in frames]
     for i, j in _MEDIAN_NETWORKS.get(k, ()):
         a, b = planes[i], planes[j]

@@ -47,8 +47,8 @@ def test_gradient_check():
     """Central differences vs analytic gradient on the tiny fixture model."""
     model = tiny_fixture_model(seed=3)
     x = np.random.default_rng(4).random((8, 8)).astype(np.float32)
-    report = nn.gradient_check(model, (x, 3), epsilon=1e-3)
-    assert report.max_relative_error < 1e-4
+    err = nn.gradient_check(model, (x, 3), epsilon=1e-3)
+    assert err < 1e-4
     ok("gradient-check")
 
 

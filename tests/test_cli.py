@@ -1,7 +1,14 @@
 """CLI tests: subcommand behavior, report grammar, exit codes."""
 
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emonet import cli, model_io, nn
 from emonet.classifiers import EmotionScores, cnn_predict, evaluate
@@ -135,6 +142,19 @@ class TestTrainPredictEval:
         assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_cnn_side_the_layer_stack_cannot_take_is_refused_before_reading(
+            self, dataset_dir, tmp_path, capsys, monkeypatch):
+        def no_read(*args):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset_dir", no_read)
+        out = tmp_path / "m.emn1"
+        code = cli.main(["train", "--data", dataset_dir, "--roi-size", "8", "--epochs", "1",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: layer 5: maxpool needs H, W >= 2")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRun:
     def test_end_to_end_run(self, lda_model_path, tmp_path, capsys):
@@ -262,6 +282,19 @@ class TestExitCodes:
                          "--model", lda_model_path, "--thresh", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["run", "--bogus"], ["train", "--epochs", "x"], ["fit"]])
+    def test_usage_error_is_validation_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: emonet run")
+
 
 class TestModelSize:
     """run takes the ROI side from the model; no flag or config key names it."""
@@ -298,7 +331,7 @@ class TestModelSize:
             cli.main(["run", "--video", str(tmp_path / "clip.y4m"),
                       "--detections", str(tmp_path / "clip.dets"),
                       "--model", lda_model_path, "--thresh", "1", "--roi-size", "8"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "unrecognized arguments: --roi-size 8" in capsys.readouterr().err
 
 
@@ -317,3 +350,66 @@ class TestLyingVideoHeader:
         assert code == 2
         assert err.startswith("error: frame 0: wanted 9000000000000000000 luma bytes")
         assert "Traceback" not in err
+
+
+_spec = importlib.util.spec_from_file_location(
+    "demo_run", Path(__file__).resolve().parents[1] / "scripts" / "demo_run.py")
+demo_run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(demo_run)
+
+# One edit: what it does, where (taken modulo the span edited) and its bytes.
+EDITS = st.lists(st.tuples(st.sampled_from(("flip", "delete", "insert", "truncate")),
+                           st.integers(0, 2**20), st.binary(min_size=1, max_size=4)),
+                 min_size=1, max_size=3)
+
+
+def edited(data: bytes, edits, header_only: bool) -> bytes:
+    """data with each edit applied in turn: a bit flip, a deletion, an
+    insertion or a truncation, within the first line when header_only."""
+    out = bytearray(data)
+    for kind, pos, blob in edits:
+        at = pos % max(out.find(b"\n") + 1 if header_only else len(out), 1)
+        if kind == "flip" and at < len(out):
+            out[at] ^= 1 << blob[0] % 8
+        elif kind == "delete":
+            del out[at:at + len(blob)]
+        elif kind == "insert":
+            out[at:at] = blob
+        elif kind == "truncate":
+            del out[at:]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def run_inputs(dataset_dir, lda_model_path, tmp_path_factory):
+    """The demo's clip and sidecar, small, and an LDA and a 1-epoch CNN model."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cnn = str(root / "cnn.emn1")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--data", dataset_dir, "--epochs", "1", "--out", cnn]) == 0
+    video, sidecar = demo_run.build_clip(["neutral"] * 3 + ["sad"] * 3, canvas_w=160,
+                                         canvas_h=120, at=(8, 8), side=96)
+    return root, {"lda": lda_model_path, "cnn": cnn}, video, sidecar
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(("lda", "cnn")), window=st.sampled_from(("1", "3", "5")),
+       video_edits=st.none() | st.tuples(EDITS, st.booleans()),
+       sidecar_edits=st.none() | st.tuples(EDITS, st.booleans()))
+def test_any_edited_clip_or_sidecar_exits_cleanly(run_inputs, kind, window, video_edits,
+                                                  sidecar_edits):
+    """A guard: it held when it was written. emonet run on the demo's clip
+    and sidecar, each with a few bytes flipped, deleted, inserted or cut
+    (anywhere, or in the first line only), returns 0, 1 or 2 and prints no
+    traceback."""
+    root, models, video, sidecar = run_inputs
+    (root / "clip.y4m").write_bytes(edited(video, *video_edits) if video_edits else video)
+    (root / "clip.dets").write_bytes(edited(sidecar, *sidecar_edits) if sidecar_edits
+                                     else sidecar)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--video", str(root / "clip.y4m"),
+                         "--detections", str(root / "clip.dets"), "--model", models[kind],
+                         "--thresh", "2", "--smooth-window", window])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -186,12 +186,12 @@ class TestLoadDetections:
         assert ds.for_frame(0) == []
         assert ds.dropped_below_min_size == 1
 
-    def test_header_metadata_recorded_verbatim(self):
-        data = b"# scale_factor=1.0 min_neighbors=12 min_size=60x60\n0 1 2 70 80\n"
+    def test_header_naming_all_keys_loads_and_applies_min_size(self):
+        data = b"# scale_factor=1.0 min_neighbors=12 min_size=60x60\n0 1 2 70 80\n1 3 4 59 80\n"
         ds = preprocess.load_detections(data)
-        assert ds.meta.scale_factor == 1.0
-        assert ds.meta.min_neighbors == 12
-        assert ds.meta.min_size == (60, 60)
+        assert ds.for_frame(0) == [BoundingBox(1, 2, 70, 80)]
+        assert ds.for_frame(1) == []
+        assert ds.dropped_below_min_size == 1
 
     def test_custom_min_size(self):
         data = b"# min_size=4x4\n0 0 0 5 5\n1 0 0 3 3\n"

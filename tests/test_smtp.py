@@ -209,6 +209,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             SmtpConfig(host="h", sender="a@x", recipients=("b@x",), timeout=0)
 
+    @pytest.mark.parametrize("sender, recipients", [
+        ("a>\r\nRSET", ("b@x",)), ("\u00e9@x", ("b@x",)), ("a@x", ("b@x", "<c@x>")),
+        ("a@x", ("b@x\nQUIT",))])
+    def test_address_not_sendable_verbatim_rejected(self, sender, recipients):
+        # each would go into MAIL FROM:<...> or RCPT TO:<...> as it is: a line
+        # break starts a command of its own, and a non-ASCII one cannot be sent
+        with pytest.raises(ValueError, match="mail address"):
+            SmtpConfig(host="h", sender=sender, recipients=recipients)
+
+    @pytest.mark.parametrize("port", [0, -1, 65536, 65536 + 25])
+    def test_port_outside_tcp_range_rejected(self, port):
+        # the socket layer takes a port modulo 2**16, so 65561 would reach port 25
+        with pytest.raises(ValueError, match="outside 1..65535"):
+            SmtpConfig(host="h", sender="a@x", recipients=("b@x",), port=port)
+
 
 class TestQuitAfterAccept:
     @pytest.mark.parametrize("quit_reply", ["bogus", "554 no"])
