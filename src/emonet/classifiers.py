@@ -7,7 +7,8 @@ classifiers emit probability vectors over that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,6 +131,8 @@ class LdaModel:
     class_means: np.ndarray   # (K, d)
     covariance: np.ndarray    # (d, d), regularized SPD
     priors: np.ndarray        # (K,), sums to 1
+    # lda_posterior's linear map (_discriminant); not part of the value
+    _linear: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def input_side(self) -> int:
@@ -223,21 +226,36 @@ def lda_train(x: np.ndarray, y: np.ndarray, d: int | None = None) -> LdaModel:
 def lda_posterior(model: LdaModel, z: np.ndarray) -> np.ndarray:
     """Bayes posterior over classes in the projected space, log-space stable.
 
-    Pr(Y=k | z) = pi_k N(z; mu_k, Sigma) / sum_l pi_l N(z; mu_l, Sigma);
-    the shared normalizing constant of the Gaussian cancels. z is one
-    projected sample (d,) or a batch (..., d); the result is (..., K).
+    Pr(Y=k | z) = pi_k N(z; mu_k, Sigma) / sum_l pi_l N(z; mu_l, Sigma). The
+    Gaussian's normalizing constant is shared, and so, with one covariance for
+    every class, is the z^T Sigma^-1 z term of each exponent; both cancel.
+    What is left is the linear discriminant
+    delta_k(z) = z^T Sigma^-1 mu_k - mu_k^T Sigma^-1 mu_k / 2 + log pi_k,
+    scored as z @ B + c with the model's _discriminant. z is one projected
+    sample (d,) or a batch (..., d); the result is (..., K). The product is
+    an einsum, not BLAS, so a batch row equals that sample scored alone.
     """
-    z = np.asarray(z, dtype=np.float64)
-    diffs = z[..., None, :] - model.class_means        # (..., K, d)
-    flat = diffs.reshape(-1, diffs.shape[-1])
-    solved = np.linalg.solve(model.covariance, flat.T).T.reshape(diffs.shape)
-    mahal = np.einsum("...kd,...kd->...k", diffs, solved)
-    with np.errstate(divide="ignore"):
-        log_post = np.log(model.priors) - 0.5 * mahal
+    b, c = _discriminant(model)
+    log_post = np.einsum("...d,dk->...k", np.asarray(z, dtype=np.float64), b)
+    log_post += c
     log_post -= log_post.max(axis=-1, keepdims=True)
     post = np.exp(log_post)
     post /= post.sum(axis=-1, keepdims=True)
     return post
+
+
+def _discriminant(model: LdaModel) -> tuple[np.ndarray, np.ndarray]:
+    """B = Sigma^-1 M^T (d, K) and c_k = log pi_k - mu_k^T Sigma^-1 mu_k / 2,
+    computed at the model's first score and kept on it while its means,
+    covariance and priors are the very arrays they came from."""
+    arrays = (model.class_means, model.covariance, model.priors)
+    if model._linear and all(map(operator.is_, arrays, model._linear[0])):
+        return model._linear[1]
+    b = np.linalg.solve(model.covariance, model.class_means.T)
+    with np.errstate(divide="ignore"):
+        c = np.log(model.priors) - 0.5 * np.einsum("kd,dk->k", model.class_means, b)
+    model._linear = (arrays, (b, c))
+    return b, c
 
 
 def lda_predict(model: LdaModel, x: np.ndarray) -> EmotionScores:

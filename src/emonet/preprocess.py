@@ -201,6 +201,10 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,
     the ROI's lower taps, then of its upper taps; otherwise its whole span.
     Through resize_to_width and extract_roi, the plan gives the ROI
     extract_roi(resize_to_width(img, width), box, roi_size) of source img.
+
+    Nothing is computed per box that depends only on sizes: the working
+    pixels' taps are picked from the per-geometry tables of _tap_table, and
+    the ROI's from the per-box-size plan of _roi_plan.
     """
     out_shape = (working_height(in_shape[1], in_shape[0], width), width)
     try:
@@ -209,8 +213,23 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,
         return None
     picks, roi_taps = _roi_plan(tuple(s.stop - s.start for s in region), roi_size)
     work = [axis if pick is None else axis.start + pick for axis, pick in zip(region, picks)]
-    taps = resample_taps(work, in_shape, out_shape)
+    taps = tuple(tuple(a[span] for a in _tap_table(n_in, n_out))
+                 for span, n_in, n_out in zip(work, in_shape, out_shape))
     return taps_window(taps), taps, roi_taps
+
+
+@functools.lru_cache(maxsize=64)
+def _tap_table(n_in: int, n_out: int) -> AxisTaps:
+    """The taps of every output of an n_in -> n_out resample along one axis.
+
+    Cached, since a stream's frame geometry is fixed whatever its boxes do;
+    the arrays are read-only. Each output's taps depend only on its index, so
+    a slice or index array of the table is _taps of that span, byte for byte.
+    """
+    table = _taps(n_in, n_out, slice(0, n_out))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,6 +1,8 @@
 """Classifier tests: label order, CNN wrapper, PCA/LDA with a high-precision
 Bayes oracle."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -278,6 +280,36 @@ class TestLdaPosterior:
             np.testing.assert_allclose(row, classifiers.lda_posterior(model, zi),
                                        rtol=0, atol=1e-15)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_batch_rows_are_byte_equal_to_samples_scored_alone(self):
+        model, x, _ = noisy_glyph_lda()
+        z = (x.reshape(len(x), -1) - model.pca_mean) @ model.pca_basis
+        alone = [classifiers.lda_posterior(model, zi).tobytes() for zi in z]
+        assert [row.tobytes() for row in model.predict_proba(x)] == alone
+        stacked = classifiers.lda_posterior(model, z.reshape(7, 10, -1))
+        assert [row.tobytes() for row in stacked.reshape(len(z), -1)] == alone
+
+    def test_replaced_or_reassigned_model_scores_with_its_own_constants(self):
+        """Each model's linear map is made at its first score and kept on it;
+        a model made from it, or given new arrays, must not reuse it."""
+        model, x, _ = noisy_glyph_lda()
+        base = model.predict_proba(x)
+        priors = np.arange(1.0, 8.0) / 28.0
+        means = model.class_means[::-1].copy()
+        variants = [dataclasses.replace(model, priors=priors),
+                    dataclasses.replace(model, class_means=means)]
+        reassigned = dataclasses.replace(model)
+        reassigned.predict_proba(x)
+        reassigned.priors = priors
+        variants.append(reassigned)
+        for variant in variants:
+            fresh = LdaModel(pca_mean=variant.pca_mean, pca_basis=variant.pca_basis,
+                             class_means=variant.class_means,
+                             covariance=variant.covariance, priors=variant.priors)
+            probs = variant.predict_proba(x)
+            assert probs.tobytes() == fresh.predict_proba(x).tobytes()
+            assert probs.tobytes() != base.tobytes()
+        assert model.predict_proba(x).tobytes() == base.tobytes()
 
     def test_sample_of_wrong_size_rejected(self):
         model, _, _ = noisy_glyph_lda()

@@ -176,6 +176,68 @@ class TestRoiPlan:
         assert preprocess.roi_plan(box, (720, 1280), 500, 28) is None
 
 
+def _assert_same_taps(got, want):
+    """Taps equal byte for byte, axis by axis, with the same dtypes and shapes."""
+    assert len(got) == len(want)
+    for got_axis, want_axis in zip(got, want):
+        for a, b in zip(got_axis, want_axis, strict=True):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _geometry_and_spans(draw):
+    n_in, n_out = draw(st.integers(1, 2000)), draw(st.integers(1, 2000))
+    lo = draw(st.integers(0, n_out - 1))
+    span = slice(lo, draw(st.integers(lo + 1, n_out)))
+    picks = draw(st.lists(st.integers(0, n_out - 1), min_size=1, max_size=60))
+    return n_in, n_out, span, np.array(picks, dtype=np.intp)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=_geometry_and_spans())
+def test_tap_table_gives_resample_taps_byte_for_byte(case):
+    n_in, n_out, span, picks = case
+    table = preprocess._tap_table(n_in, n_out)
+    assert not any(a.flags.writeable for a in table)
+    for index in (span, picks):
+        want = preprocess.resample_taps((index, index), (n_in, n_in), (n_out, n_out))[0]
+        _assert_same_taps([tuple(a[index] for a in table)], [want])
+
+
+@st.composite
+def _frame_and_box(draw):
+    in_shape = draw(st.integers(1, 800)), draw(st.integers(1, 1400))
+    width = draw(st.integers(1, 600))
+    height = preprocess.working_height(in_shape[1], in_shape[0], width)
+    # from well before each edge to well past the other, so boxes clip at every edge
+    box = BoundingBox(draw(st.integers(-2 * width, width)), draw(st.integers(-2 * height, height)),
+                      draw(st.integers(1, 3 * width)), draw(st.integers(1, 3 * height)))
+    return box, in_shape, width, draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=_frame_and_box())
+def test_roi_plan_taps_match_resample_taps_of_the_picked_pixels(case):
+    """roi_plan's taps come from the tap tables; resample_taps of the same
+    working pixels, whole spans or _roi_plan's picks, is the oracle."""
+    box, in_shape, width, roi_size = case
+    out_shape = (preprocess.working_height(in_shape[1], in_shape[0], width), width)
+    plan = preprocess.roi_plan(box, in_shape, width, roi_size)
+    try:
+        region = preprocess.clamp_box(box, *out_shape)
+    except preprocess.EmptyIntersection:
+        assert plan is None
+        return
+    picks, roi_taps = preprocess._roi_plan(tuple(s.stop - s.start for s in region), roi_size)
+    work = [axis if pick is None else axis.start + pick for axis, pick in zip(region, picks)]
+    want = preprocess.resample_taps(work, in_shape, out_shape)
+    window, taps, plan_roi_taps = plan
+    _assert_same_taps(taps, want)
+    assert window == preprocess.taps_window(want)
+    assert plan_roi_taps is roi_taps
+
+
 class TestLoadDetections:
     def test_single_record(self):
         ds = preprocess.load_detections(b"0 5 5 60 60\n")
