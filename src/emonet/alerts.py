@@ -5,6 +5,8 @@ monitored counter strictly exceeds the threshold and no cooldown is
 pending, one alert fires, that counter resets, and a cooldown window
 opens. When the cooldown expires, monitored counters start fresh, so a
 sustained abnormal state re-alerts at a bounded rate instead of storming.
+The run summary counts each label's frames apart from these counters, so
+its counts and shares never reset.
 """
 
 from __future__ import annotations
@@ -55,7 +57,11 @@ class AlertEvent:
 @dataclass
 class CounterState:
     """Mutable per-stream monitoring state; single-owner."""
+    # alert counters: reset at each alert and when a cooldown ends
     counters: dict[str, int] = field(
+        default_factory=lambda: {name: 0 for name in LABELS})
+    # classified frames per argmax label over the whole stream
+    totals: dict[str, int] = field(
         default_factory=lambda: {name: 0 for name in LABELS})
     frames_seen: int = 0
     classified_frames: int = 0
@@ -100,6 +106,7 @@ def ingest(state: CounterState, policy: AlertPolicy, frame_index: int,
     state.frames_seen += 1
     state.classified_frames += 1
     label = scores.label
+    state.totals[label] += 1
     state.counters[label] += 1
     if (label in policy.monitored_labels
             and state.cooldown_remaining == 0
@@ -115,14 +122,16 @@ def ingest(state: CounterState, policy: AlertPolicy, frame_index: int,
 
 
 def summarize(state: CounterState) -> dict[str, object]:
-    """Counters and per-label frame shares (percent, two decimals)."""
+    """Per-label frame totals, their shares of the frames seen (percent, two
+    decimals), and the live alert counters."""
     seen = state.frames_seen
     shares = {
-        name: f"{(state.counters[name] / seen * 100.0 if seen else 0.0):.2f}"
+        name: f"{(state.totals[name] / seen * 100.0 if seen else 0.0):.2f}"
         for name in LABELS}
     return {
         "frames_seen": seen,
         "classified_frames": state.classified_frames,
+        "totals": dict(state.totals),
         "counters": dict(state.counters),
         "shares_pct": shares,
     }
@@ -132,5 +141,6 @@ def render_summary(state: CounterState) -> str:
     s = summarize(state)
     lines = [f"frames_seen={s['frames_seen']} classified={s['classified_frames']}"]
     for name in LABELS:
-        lines.append(f"{name}: count={s['counters'][name]} share={s['shares_pct'][name]}%")
+        lines.append(f"{name}: count={s['totals'][name]} share={s['shares_pct'][name]}% "
+                     f"counter={s['counters'][name]}")
     return "\n".join(lines)

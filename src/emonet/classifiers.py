@@ -47,13 +47,6 @@ class EmotionScores:
     def label(self) -> str:
         return LABELS[self.argmax]
 
-    @classmethod
-    def from_percentages(cls, pct: dict[str, float]) -> "EmotionScores":
-        """Percentages are kept verbatim (no renormalization) so published
-        score vectors round-trip exactly through the report formatter."""
-        probs = np.array([pct[name] for name in LABELS], dtype=np.float64) / 100.0
-        return cls(probs=probs)
-
 
 @dataclass(frozen=True)
 class EpochStats:
@@ -238,10 +231,7 @@ def lda_posterior(model: LdaModel, z: np.ndarray) -> np.ndarray:
     b, c = _discriminant(model)
     log_post = np.einsum("...d,dk->...k", np.asarray(z, dtype=np.float64), b)
     log_post += c
-    log_post -= log_post.max(axis=-1, keepdims=True)
-    post = np.exp(log_post)
-    post /= post.sum(axis=-1, keepdims=True)
-    return post
+    return nn.softmax(log_post)
 
 
 def _discriminant(model: LdaModel) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from . import model_io, nn, pipeline
 from .classifiers import LABELS, EmotionScores, cnn_train, evaluate, lda_train
 from .config import build_config, load_config_file
 from .dataset import load_dataset_dir
-from .preprocess import BoundingBox, extract_roi, load_detections
+from .preprocess import extract_roi, load_detections
 from .video import VideoFormatError, Y4mReader, parse_pgm
 
 EXIT_OK = 0
@@ -60,7 +60,7 @@ def _cmd_predict(args) -> int:
     model = model_io.load_model_file(args.model)
     with open(args.image, "rb") as fh:
         img = parse_pgm(fh.read())
-    roi = extract_roi(img, BoundingBox(0, 0, img.shape[1], img.shape[0]), model.input_side)
+    roi = extract_roi(img, model.input_side)
     print(format_scores(EmotionScores(probs=model.predict_proba(roi)[0])))
     return EXIT_OK
 

@@ -1,7 +1,7 @@
 """Dataset-on-disk layout: one directory per label name, PGM files inside.
 
-Each image becomes a sample through the live pipeline's extract_roi, with
-the whole image as the box: resized to the ROI side and divided by 255.
+Each image becomes a sample through extract_roi, as `emonet predict` takes
+one: the whole image resized to the ROI side and divided by 255.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from .classifiers import LABELS, EmptyClass
-from .preprocess import BoundingBox, extract_roi
+from .preprocess import extract_roi
 from .video import parse_pgm, write_pgm
 
 
@@ -27,7 +27,7 @@ def load_dataset_dir(path: str, roi_size: int) -> tuple[np.ndarray, np.ndarray]:
         for name in files:
             with open(os.path.join(label_dir, name), "rb") as fh:
                 img = parse_pgm(fh.read())
-            xs.append(extract_roi(img, BoundingBox(0, 0, img.shape[1], img.shape[0]), roi_size))
+            xs.append(extract_roi(img, roi_size))
             ys.append(idx)
     return np.stack(xs), np.array(ys, dtype=np.int64)
 

@@ -120,7 +120,8 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
     """Parse EMN1 bytes back into a model; rejects bad magic/version first.
 
     The layer table must pass nn.param_shapes and end in a dense layer of
-    one unit per label (activations may follow). The tensors must have the
+    one unit per label (activations may follow), and take one input
+    channel, as every ROI has. The tensors must have the
     shapes it gives, hold only finite values and end the data. An LDA
     model's p input values must be a square image, and its covariance must
     equal its transpose and pass a Cholesky factorization
@@ -135,6 +136,8 @@ def load_model(data: bytes) -> CnnModel | LdaModel:
         raise VersionUnsupported(f"format version {version} unsupported")
     if kind == _KIND_CNN:
         input_side, channels, n_layers = r.unpack("HBB")
+        if channels != 1:
+            raise ModelFileError(f"CNN takes {channels} input channels; an ROI has 1")
         layers = []
         for _ in range(n_layers):
             code, k, f, w = r.unpack("BHHH")

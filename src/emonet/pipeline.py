@@ -84,8 +84,7 @@ def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
         return None
     window, taps, roi_taps = plan
     smoothed = temporal_smooth(frames, window)
-    resized = resize_to_width(smoothed, width, taps)
-    return extract_roi(resized, None, side, roi_taps)
+    return extract_roi(resize_to_width(smoothed, taps), side, roi_taps)
 
 
 def run_stream(reader: Y4mReader, detections: DetectionSet, model,

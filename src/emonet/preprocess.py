@@ -1,5 +1,6 @@
-"""Image preprocessing: working-width resize, face-box selection, ROI plan and crop,
-fixed-size rescale and /255 normalization, plus the detections sidecar loader.
+"""Image preprocessing: face-box selection, the ROI plan of a box, the
+working-width resize of the pixels the plan names, the ROI's rescale to the
+model's side with /255 normalization, plus the detections sidecar loader.
 
 Face detection itself is externalized: a text sidecar supplies per-frame
 bounding boxes.
@@ -137,22 +138,14 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return resample_window(img[taps_window(taps)], taps)
 
 
-def resize_to_width(img: np.ndarray, target_width: int, taps: Taps | None = None) -> np.ndarray:
-    """Aspect-preserving bilinear resize of a uint8 image to the working width.
-
-    With taps, the resample_taps of some rows and columns of the
-    working-size image (a region, or index arrays), only those pixels are
-    computed, in the order the taps list them, and the array returned holds
-    just them; img is then the taps_window crop of the source.
+def resize_to_width(img: np.ndarray, taps: Taps) -> np.ndarray:
+    """Bilinear resize of a uint8 image to the working width, at just the
+    pixels taps name: the resample_taps of some rows and columns of the
+    working-size image (a region, or index arrays). img is the taps_window
+    crop of the source; the uint8 array returned holds those pixels, in the
+    order the taps list them.
     """
-    if target_width < 1:
-        raise ValueError(f"target width must be >= 1, got {target_width}")
-    if taps is None:
-        out_h = working_height(img.shape[1], img.shape[0], target_width)
-        resized = bilinear_resize(img, out_h, target_width)
-    else:
-        resized = resample_window(img, taps)
-    return np.clip(np.rint(resized), 0, 255).astype(np.uint8)
+    return np.clip(np.rint(resample_window(img, taps)), 0, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +168,15 @@ def clamp_box(box: BoundingBox, height: int, width: int) -> Region:
     return slice(y0, y1), slice(x0, x1)
 
 
-def extract_roi(img: np.ndarray, box: BoundingBox | None, roi_size: int,
-                taps: Taps | None = None) -> np.ndarray:
-    """Crop of box clamped to the uint8 image img, bilinear rescale to the
-    model's side roi_size, then divide by 255: a float32 array in [0, 1].
+def extract_roi(img: np.ndarray, roi_size: int, taps: Taps | None = None) -> np.ndarray:
+    """Bilinear rescale of the uint8 image img to the model's side roi_size,
+    then divide by 255: a float32 array in [0, 1].
 
     With taps, the ROI's own resample taps computed beforehand, img holds
-    exactly the pixels they read, as resample_window takes them, and box is
-    not used.
+    exactly the pixels they read, as resample_window takes them.
     """
     if taps is None:
-        resized = bilinear_resize(img[clamp_box(box, *img.shape)], roi_size, roi_size)
+        resized = bilinear_resize(img, roi_size, roi_size)
     else:
         resized = resample_window(img, taps)
     return (resized / 255.0).astype(np.float32)
@@ -199,8 +190,9 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,
     when the box misses the frame. Where the clamped box spans more than
     2 * roi_size working pixels on an axis, those are the rows (columns) of
     the ROI's lower taps, then of its upper taps; otherwise its whole span.
-    Through resize_to_width and extract_roi, the plan gives the ROI
-    extract_roi(resize_to_width(img, width), box, roi_size) of source img.
+    Through resize_to_width and extract_roi, the plan gives the ROI of
+    source img resized whole to the working width (bilinear_resize, rounded
+    to uint8) and cropped to clamp_box of box.
 
     Nothing is computed per box that depends only on sizes: the working
     pixels' taps are picked from the per-geometry tables of _tap_table, and

@@ -121,9 +121,8 @@ def test_alert_state_machine_traces():
     policy = AlertPolicy(thresh=5, cooldown_frames=10)
     _, events = run_trace(["sad"] * 30, policy)
     assert [e.frame_index for e in events] == [6, 22]
-    fig3 = EmotionScores.from_percentages({
-        "angry": 0.82, "disgust": 0.15, "scared": 7.89, "happy": 22.18,
-        "sad": 8.10, "surprised": 1.33, "neutral": 53.85})
+    fig3 = EmotionScores(   # percentages in LABELS order
+        probs=np.array([0.82, 0.15, 7.89, 22.18, 8.10, 1.33, 53.85]) / 100.0)
     state = CounterState()
     ev = alerts.ingest(state, AlertPolicy(thresh=1), 1, fig3,
                        clock=PINNED_CLOCK)

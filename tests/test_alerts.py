@@ -16,10 +16,9 @@ def scores_for(label: str) -> EmotionScores:
     return EmotionScores(probs=probs / probs.sum())
 
 
-REFERENCE_SCORES = EmotionScores.from_percentages({
-    "angry": 0.82, "disgust": 0.15, "scared": 7.89, "happy": 22.18,
-    "sad": 8.10, "surprised": 1.33, "neutral": 53.85,
-})
+# percentages in LABELS order
+REFERENCE_SCORES = EmotionScores(
+    probs=np.array([0.82, 0.15, 7.89, 22.18, 8.10, 1.33, 53.85]) / 100.0)
 
 PINNED_CLOCK = lambda: datetime(2022, 6, 29, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -170,6 +169,23 @@ class TestSummary:
         assert s["shares_pct"]["happy"] == "30.00"
         assert s["shares_pct"]["sad"] == "20.00"
         assert s["shares_pct"]["neutral"] == "50.00"
+
+    @pytest.mark.parametrize("trace, policy, alerted_at", [
+        (["neutral"] * 14 + ["sad"] * 6, AlertPolicy(thresh=5), [20]),
+        (["neutral"] * 14 + ["sad"] * 16, AlertPolicy(thresh=2, cooldown_frames=4), [17, 24]),
+    ])
+    def test_counts_survive_alert_and_cooldown_resets(self, trace, policy, alerted_at):
+        # an alert, and a cooldown's end, reset the live counter, not the count
+        state, events = run_trace(trace, policy)
+        assert [e.frame_index for e in events] == alerted_at
+        s = alerts.summarize(state)
+        sad, neutral = trace.count("sad"), trace.count("neutral")
+        assert s["totals"]["sad"] == sad and s["totals"]["neutral"] == neutral
+        assert s["shares_pct"]["sad"] == f"{sad / len(trace) * 100:.2f}"
+        lines = alerts.render_summary(state).splitlines()
+        assert (f"sad: count={sad} share={s['shares_pct']['sad']}% "
+                f"counter={state.counters['sad']}") in lines
+        assert state.counters["sad"] < sad
 
     def test_event_log_line_format(self):
         policy = AlertPolicy(thresh=1)

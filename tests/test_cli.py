@@ -52,10 +52,9 @@ def cnn_model_path(tmp_path_factory):
 
 class TestFormatScores:
     def test_reference_report(self):
-        scores = EmotionScores.from_percentages({
-            "angry": 0.82, "disgust": 0.15, "scared": 7.89, "happy": 22.18,
-            "sad": 8.10, "surprised": 1.33, "neutral": 53.85,
-        })
+        # the paper's Figure 3 percentages, in LABELS order
+        scores = EmotionScores(
+            probs=np.array([0.82, 0.15, 7.89, 22.18, 8.10, 1.33, 53.85]) / 100.0)
         text = cli.format_scores(scores)
         assert text.splitlines() == [
             "angry=0.82%",

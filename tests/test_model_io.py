@@ -192,6 +192,8 @@ HOSTILE = {
     "cnn_kernel_size_disagrees": lambda cnn, lda: _replaced(
         cnn, layers=[nn.LayerSpec("conv", kernel_size=5, filters=2)] + cnn.layers[1:]),
     "cnn_channels_disagree": lambda cnn, lda: _replaced(cnn, channels=3),
+    "cnn_three_channels": lambda cnn, lda: model_io.save_model(
+        nn.build_model(cnn.input_side, cnn.layers, seed=cnn.seed, channels=3)),
     "cnn_zero_channels": lambda cnn, lda: _replaced(
         cnn, channels=0, params=[{**cnn.params[0], "k": np.zeros((3, 3, 0, 2))}] + cnn.params[1:]),
     "cnn_trailing_bytes": lambda cnn, lda: model_io.save_model(cnn) + b"\0",

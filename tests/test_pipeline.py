@@ -11,9 +11,8 @@ from emonet import pipeline, smtp_client
 from emonet.classifiers import LABELS, EmotionScores, lda_train
 from emonet.config import PipelineConfig
 from emonet.glyphs import draw_glyph, make_glyph_dataset
-from emonet.preprocess import (EmptyIntersection, bilinear_resize, clamp_box, extract_roi,
-                               load_detections, resize_to_width, select_primary_face,
-                               working_height)
+from emonet.preprocess import (EmptyIntersection, bilinear_resize, clamp_box, load_detections,
+                               select_primary_face, working_height)
 from emonet.video import Frame, VideoHeader, Y4mReader, temporal_smooth, write_y4m
 
 PINNED_CLOCK = lambda: datetime(2022, 6, 29, 12, 0, 0, tzinfo=timezone.utc)
@@ -198,8 +197,15 @@ def model_of_side(side):
 
 
 def full_frame_roi(frames, box, width, roi_size):
-    """The ROI as the whole-frame composition computes it: the oracle."""
-    return extract_roi(resize_to_width(temporal_smooth(frames), width), box, roi_size)
+    """The ROI as the whole-frame composition computes it: the oracle. The
+    median of frames is resized whole to the working width and rounded to
+    uint8; box's clamped crop of that is rescaled to roi_size and divided by 255."""
+    smoothed = temporal_smooth(frames)
+    h, w = smoothed.shape
+    resized = np.clip(np.rint(bilinear_resize(smoothed, working_height(w, h, width), width)),
+                      0, 255).astype(np.uint8)
+    crop = resized[clamp_box(box, *resized.shape)]
+    return (bilinear_resize(crop, roi_size, roi_size) / 255.0).astype(np.float32)
 
 
 class TestBoxFirst:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emonet import preprocess
+from emonet.config import PipelineConfig
 from emonet.preprocess import BoundingBox
 
 
@@ -35,15 +36,29 @@ def bilinear_oracle(img, out_h, out_w):
     return out
 
 
+def resize_whole(frame, target_width):
+    """All of frame through resize_to_width, given the taps of every pixel of
+    its aspect-preserving resize to target_width."""
+    h, w = frame.shape
+    out_shape = (preprocess.working_height(w, h, target_width), target_width)
+    taps = preprocess.resample_taps(tuple(slice(0, n) for n in out_shape), frame.shape, out_shape)
+    return preprocess.resize_to_width(frame[preprocess.taps_window(taps)], taps)
+
+
+def roi_of_box(frame, box, roi_size):
+    """extract_roi of box's crop of frame, clamped to it."""
+    return preprocess.extract_roi(frame[preprocess.clamp_box(box, *frame.shape)], roi_size)
+
+
 class TestResize:
     def test_exact_halving(self):
         frame = frame_from(np.zeros((800, 1000)))
-        out = preprocess.resize_to_width(frame, 500)
+        out = resize_whole(frame, 500)
         assert out.shape == (400, 500) and out.dtype == np.uint8
 
     def test_identity_width(self):
         frame = frame_from(np.random.default_rng(0).integers(0, 256, (10, 12)))
-        out = preprocess.resize_to_width(frame, 12)
+        out = resize_whole(frame, 12)
         np.testing.assert_array_equal(out, frame)
 
     def test_checkerboard_upscale_matches_oracle(self):
@@ -82,13 +97,14 @@ class TestResize:
     def test_aspect_preserved_within_rounding(self):
         for h, w, target in [(480, 640, 500), (333, 777, 500), (7, 13, 9)]:
             frame = frame_from(np.zeros((h, w)))
-            out = preprocess.resize_to_width(frame, target)
+            out = resize_whole(frame, target)
             assert out.shape[1] == target
             assert abs(out.shape[0] - h * target / w) <= 0.5 + 1e-9
 
     def test_bad_target_rejected(self):
+        # the working width is checked once, where a run is configured
         with pytest.raises(ValueError):
-            preprocess.resize_to_width(frame_from(np.zeros((4, 4))), 0)
+            PipelineConfig(thresh=5, width=0)
 
 
 class TestSelectPrimaryFace:
@@ -118,26 +134,26 @@ class TestSelectPrimaryFace:
 class TestExtractRoi:
     def test_uniform_gray_normalizes(self):
         frame = frame_from(np.full((50, 50), 128))
-        roi = preprocess.extract_roi(frame, BoundingBox(5, 5, 30, 30), 28)
+        roi = roi_of_box(frame, BoundingBox(5, 5, 30, 30), 28)
         np.testing.assert_allclose(roi, 128 / 255.0, atol=1e-6)
         assert roi.shape == (28, 28)
 
     def test_full_white_maps_to_one(self):
         frame = frame_from(np.full((40, 40), 255))
-        roi = preprocess.extract_roi(frame, BoundingBox(0, 0, 40, 40), 28)
+        roi = roi_of_box(frame, BoundingBox(0, 0, 40, 40), 28)
         np.testing.assert_allclose(roi, 1.0, atol=1e-6)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(2)
         frame = frame_from(rng.integers(0, 256, (60, 80)))
-        roi = preprocess.extract_roi(frame, BoundingBox(10, 5, 40, 45), 28)
+        roi = roi_of_box(frame, BoundingBox(10, 5, 40, 45), 28)
         assert roi.min() >= 0.0 and roi.max() <= 1.0
 
     def test_clamped_crop_matches_manual_slice(self):
         rng = np.random.default_rng(3)
         frame = frame_from(rng.integers(0, 256, (30, 30)))
         box = BoundingBox(20, 25, 20, 20)  # extends past both edges
-        roi = preprocess.extract_roi(frame, box, 8)
+        roi = roi_of_box(frame, box, 8)
         manual = frame[25:30, 20:30].astype(np.float64)
         expected = bilinear_oracle(manual, 8, 8) / 255.0
         np.testing.assert_allclose(roi, expected, atol=1e-6)
@@ -145,13 +161,13 @@ class TestExtractRoi:
     def test_empty_intersection(self):
         frame = frame_from(np.zeros((10, 10)))
         with pytest.raises(preprocess.EmptyIntersection):
-            preprocess.extract_roi(frame, BoundingBox(50, 50, 5, 5), 8)
+            roi_of_box(frame, BoundingBox(50, 50, 5, 5), 8)
 
     def test_composition_matches_naive_pipeline(self):
         rng = np.random.default_rng(9)
         frame = frame_from(rng.integers(0, 256, (64, 64)))
         box = BoundingBox(8, 12, 30, 24)
-        roi = preprocess.extract_roi(frame, box, 28)
+        roi = roi_of_box(frame, box, 28)
         crop = frame[12:36, 8:38].astype(np.float64)
         naive = bilinear_oracle(crop, 28, 28) / 255.0
         np.testing.assert_allclose(roi, naive, atol=1e-6)
