@@ -38,7 +38,7 @@ def main() -> None:
     for h in history:
         print(f"epoch {h.epoch}: loss={h.mean_loss:.4f} "
               f"accuracy={h.train_accuracy * 100.0:.2f}%")
-    train_acc = history[-1].train_accuracy
+    train_acc, _ = evaluate(cnn, xtr, ytr)
     test_acc, _ = evaluate(cnn, xte, yte)
     print(f"cnn: train={train_acc * 100.0:.2f}% test={test_acc * 100.0:.2f}% "
           f"({time.monotonic() - t0:.1f}s)")

@@ -50,6 +50,9 @@ class EmotionScores:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's figures from its own SGD batches, each scored by its
+    step's forward pass before that step's update: the mean of the
+    batches' mean losses, and the share of samples their batch got right."""
     epoch: int
     mean_loss: float
     train_accuracy: float
@@ -89,7 +92,9 @@ def cnn_train(x: np.ndarray, y: np.ndarray, epochs: int, lr: float = 0.1,
     """Train the emotion CNN with plain SGD; bit-deterministic per seed.
 
     x is (n, side, side) float32 in [0, 1]; y holds label indices. Every
-    label class must be represented at least once.
+    label class must be represented at least once. Each epoch's loss and
+    accuracy come from its SGD steps, every batch scored before its
+    update (EpochStats); evaluate gives the trained model's accuracy.
     """
     x = np.asarray(x, dtype=np.float32)
     y = np.asarray(y, dtype=np.int64)
@@ -102,13 +107,14 @@ def cnn_train(x: np.ndarray, y: np.ndarray, epochs: int, lr: float = 0.1,
     history: list[EpochStats] = []
     for epoch in range(epochs):
         order = rng.permutation(len(x))
-        losses = []
+        losses, hits = [], 0
         for start in range(0, len(x), batch_size):
             idx = order[start:start + batch_size]
-            losses.append(nn.model_backward_and_step(model, x[idx], y[idx], lr))
-        acc = float(np.mean(_batch_argmax(model, x) == y))
+            loss, batch_hits = nn.model_backward_and_step(model, x[idx], y[idx], lr)
+            losses.append(loss)
+            hits += batch_hits
         history.append(EpochStats(epoch=epoch, mean_loss=float(np.mean(losses)),
-                                  train_accuracy=acc))
+                                  train_accuracy=hits / len(x)))
     return model, history
 
 

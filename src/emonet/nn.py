@@ -24,7 +24,7 @@ before it.
 Max-pool and sigmoid are built from branch-free ufuncs (np.maximum,
 comparisons, one division) rather than np.where or argmax, and the pool's
 backward pass is one scatter through the flat index of each window's
-winner. A forward pass that keeps no caches (prediction, accuracy passes,
+winner. A forward pass that keeps no caches (prediction, evaluation,
 the gradient check's loss) builds no winner mask: it takes each window's
 max, and finds the winner only when some max is a zero or NaN, whose bits
 may differ from the winner's. It also casts the float32 parameters of
@@ -490,26 +490,30 @@ def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):
     return grads
 
 
-def _loss_and_grads(model: CnnModel, xb: np.ndarray, labels) -> tuple[float, list]:
-    """Mean cross-entropy of a batch and its per-layer parameter gradients."""
+def _loss_and_grads(model: CnnModel, xb: np.ndarray, labels) -> tuple[float, int, list]:
+    """Mean cross-entropy of a batch, its hit count (argmax ties go to the
+    lowest index) and its per-layer parameter gradients."""
     logits, caches = _forward_batch(model, xb, keep_cache=True)
-    _, loss, dlogits = _cross_entropy_batch(logits, labels)
-    return loss, _backward_batch(model, caches, dlogits)
+    p, loss, dlogits = _cross_entropy_batch(logits, labels)
+    hits = int(np.count_nonzero(np.argmax(p, axis=1) == labels))
+    return loss, hits, _backward_batch(model, caches, dlogits)
 
 
 def model_backward_and_step(model: CnnModel, inputs: np.ndarray,
-                            labels: np.ndarray, learning_rate: float) -> float:
-    """One SGD step on a batch; updates parameters in place, returns mean loss."""
+                            labels: np.ndarray, learning_rate: float) -> tuple[float, int]:
+    """One SGD step on a batch; updates parameters in place. Returns the
+    batch's mean loss and hit count (samples whose label the softmax ranks
+    first), both from this step's forward pass, before the update."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("batch must be nonempty")
     xb = _as_batch(model, inputs).astype(np.float32, copy=False)
-    loss, grads = _loss_and_grads(model, xb, labels)
+    loss, hits, grads = _loss_and_grads(model, xb, labels)
     for p, g in zip(model.params, grads):
         for key, grad in g.items():
             p[key] = (p[key].astype(np.float64)
                       - learning_rate * grad.astype(np.float64)).astype(p[key].dtype)
-    return loss
+    return loss, hits
 
 
 def gradient_check(model: CnnModel, sample: tuple[np.ndarray, int],
@@ -528,7 +532,7 @@ def gradient_check(model: CnnModel, sample: tuple[np.ndarray, int],
                                  for p in model.params])
     xb = _as_batch(m64, np.asarray(x, dtype=np.float64))
     labels = [label]
-    _, grads = _loss_and_grads(m64, xb, labels)
+    _, _, grads = _loss_and_grads(m64, xb, labels)
 
     worst = 0.0
     for p, g in zip(m64.params, grads):

@@ -123,9 +123,35 @@ class TestCnnWrapper:
         m1, h1 = classifiers.cnn_train(x, y, epochs=3, seed=9, layers=layers)
         m2, h2 = classifiers.cnn_train(x, y, epochs=3, seed=9, layers=layers)
         assert [h.mean_loss for h in h1] == [h.mean_loss for h in h2]
+        assert [h.train_accuracy for h in h1] == [h.train_accuracy for h in h2]
         for pa, pb in zip(m1.params, m2.params):
             for key in pa:
                 np.testing.assert_array_equal(pa[key], pb[key])
+
+    POOLED = [nn.LayerSpec("conv", kernel_size=3, filters=2), nn.LayerSpec("sigmoid"),
+              nn.LayerSpec("maxpool"), nn.LayerSpec("dense", width=7), nn.LayerSpec("softmax")]
+
+    def test_train_never_rescores_the_training_set(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cnn_train ran a separate accuracy pass")
+
+        monkeypatch.setattr(classifiers, "_batch_argmax", refuse)
+        x = np.random.default_rng(5).random((21, 10, 10)).astype(np.float32)
+        y = np.tile(np.arange(7), 3).astype(np.int64)
+        _, history = classifiers.cnn_train(x, y, epochs=2, seed=5, layers=self.POOLED)
+        assert all(0.0 <= h.train_accuracy <= 1.0 for h in history)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 32])
+    def test_train_accuracy_at_lr_zero_is_the_models_accuracy(self, batch_size):
+        # 40 samples: batches of 3 and of 32 leave a partial last batch
+        x = np.random.default_rng(5).random((40, 10, 10)).astype(np.float32)
+        y = np.tile(np.arange(7), 6)[:40].astype(np.int64)
+        m, history = classifiers.cnn_train(x, y, epochs=2, lr=0.0, seed=5,
+                                           batch_size=batch_size, layers=self.POOLED)
+        acc, confusion = classifiers.evaluate(m, x, y)
+        assert np.count_nonzero(confusion.sum(axis=0)) > 1   # not all one label
+        assert 0.0 < acc < 1.0
+        assert [h.train_accuracy for h in history] == [acc, acc]
 
 
 class TestPca:

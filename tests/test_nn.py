@@ -386,9 +386,24 @@ class TestModel:
         m = tiny_fixture_model(seed=5)
         x = np.random.default_rng(6).random((1, 8, 8)).astype(np.float32)
         y = np.array([4])
-        losses = [nn.model_backward_and_step(m, x, y, 1e-2) for _ in range(50)]
+        losses = [nn.model_backward_and_step(m, x, y, 1e-2)[0] for _ in range(50)]
         assert all(b <= a + 1e-7 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
+
+    def test_step_hits_are_scored_before_the_update(self):
+        m = tiny_fixture_model(seed=2)
+        x = np.random.default_rng(9).random((12, 8, 8)).astype(np.float32)
+        before = np.argmax(m.predict_proba(x), axis=1)
+        labels = np.where(np.arange(12) % 2 == 0, before, (before + 1) % 7)
+        start = [a.copy() for a in m.param_arrays()]
+        _, hits = nn.model_backward_and_step(m, x, labels, learning_rate=0.5)
+        assert hits == 6 and isinstance(hits, int)
+        assert any(not np.array_equal(a, b) for a, b in zip(m.param_arrays(), start))
+
+    def test_step_hits_tie_to_the_lowest_index(self):
+        m = zero_weight_model()     # uniform scores: every sample ranks label 0 first
+        x = np.zeros((4, 8, 8), dtype=np.float32)
+        assert nn.model_backward_and_step(m, x, np.array([0, 0, 3, 6]), 0.0)[1] == 2
 
 
 class TestGradientCheck:
@@ -669,7 +684,7 @@ class TestCachedRows:
         labels = rng.integers(0, 7, 5)
         cached = nn.build_model(side, layers, seed=3, channels=channels)
         rebuilt = nn.build_model(side, layers, seed=3, channels=channels)
-        loss = nn.model_backward_and_step(cached, x, labels, 0.5)
+        loss, _ = nn.model_backward_and_step(cached, x, labels, 0.5)
         assert loss == reference_step(monkeypatch, rebuilt, x, labels, 0.5)
         moved = False
         for got, want, start in zip(cached.param_arrays(), rebuilt.param_arrays(),
