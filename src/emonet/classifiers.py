@@ -51,8 +51,10 @@ class EmotionScores:
 @dataclass(frozen=True)
 class EpochStats:
     """One epoch's figures from its own SGD batches, each scored by its
-    step's forward pass before that step's update: the mean of the
-    batches' mean losses, and the share of samples their batch got right."""
+    step's forward pass before that step's update: the mean loss per
+    sample (each batch's mean loss weighted by its size, so a partial last
+    batch counts for its samples only), and the share of samples their
+    batch got right."""
     epoch: int
     mean_loss: float
     train_accuracy: float
@@ -107,13 +109,13 @@ def cnn_train(x: np.ndarray, y: np.ndarray, epochs: int, lr: float = 0.1,
     history: list[EpochStats] = []
     for epoch in range(epochs):
         order = rng.permutation(len(x))
-        losses, hits = [], 0
+        loss_sum, hits = 0.0, 0
         for start in range(0, len(x), batch_size):
             idx = order[start:start + batch_size]
             loss, batch_hits = nn.model_backward_and_step(model, x[idx], y[idx], lr)
-            losses.append(loss)
+            loss_sum += loss * len(idx)
             hits += batch_hits
-        history.append(EpochStats(epoch=epoch, mean_loss=float(np.mean(losses)),
+        history.append(EpochStats(epoch=epoch, mean_loss=loss_sum / len(x),
                                   train_accuracy=hits / len(x)))
     return model, history
 

@@ -27,11 +27,22 @@ backward pass is one scatter through the flat index of each window's
 winner. A forward pass that keeps no caches (prediction, evaluation,
 the gradient check's loss) builds no winner mask: it takes each window's
 max, and finds the winner only when some max is a zero or NaN, whose bits
-may differ from the winner's. It also casts the float32 parameters of
-each conv and dense layer to float64 once, not on every call: the model
-keeps the copies, with the conv bias tiled over an output row so that it
-is added as one contiguous row, while each parameter is still the very
-array it was cast from (_float64_operands).
+may differ from the winner's.
+
+Each forward layer is a step bound to its input array (_conv_step,
+_sigmoid_step, _pool_step, _dense_step): binding makes the output and
+work arrays, the strided views and the float64 operands (the conv bias
+tiled over an output row, so that it is added as one contiguous row), and
+running it computes from the input's current values with out= ufuncs. A
+batch binds and runs each layer per call. A one-sample predict_proba, a
+stream's per-frame call, runs the model's plan (_inference_plan): steps
+bound once, each to what the step before writes, so a call allocates only
+its softmax result. The plan is rebuilt once a parameter is no longer the
+array it was built from, and holds about 0.3 MB for the default stack.
+Its gain is the per-call set-up it skips (views, checks, casts): arrays
+made once but bound per call measured within 3% of a pass that
+allocates. Batches keep no plan; one sized for a batch would hold
+several MB on every model ever scored.
 
 Arrays are float32 in the model path; intermediate accumulations run in
 float64 and are rounded back, so results stay stable against naive
@@ -43,6 +54,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -58,16 +70,27 @@ class ShapeMismatchError(ValueError):
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + exp(-x)), overflow-safe."""
-    x = np.asarray(x)
-    # exp() only ever sees non-positive arguments: z = exp(-|x|), taken as
-    # min(x, -x) so that a NaN keeps its sign bit. The result is 1 / (1 + z)
-    # for x >= 0 and z / (1 + z) otherwise, so one division serves both. The
-    # numerator max(z, x >= 0) is 1 where x >= 0 (there z <= 1) and z
-    # elsewhere; unlike np.where it does not branch per element.
-    z = np.exp(np.minimum(x, -x))
-    num = np.maximum(z, x >= 0)
-    num /= 1.0 + z
-    return num
+    run, out = _sigmoid_step(np.asarray(x))
+    run()
+    return out
+
+
+def _sigmoid_step(x: np.ndarray):
+    """sigmoid bound to x: (run, out); run() writes sigmoid of x's current
+    values into out."""
+    dtype = np.result_type(x, np.float16)          # np.exp's result type for x
+    num, z, nonneg = np.empty_like(x, dtype), np.empty_like(x, dtype), np.empty_like(x, bool)
+
+    def run():
+        # exp() only ever sees non-positive arguments: z = exp(-|x|), taken
+        # as min(x, -x) so that a NaN keeps its sign bit. The result is
+        # 1 / (1 + z) for x >= 0 and z / (1 + z) otherwise, so one division
+        # serves both. The numerator max(z, x >= 0) is 1 where x >= 0 (there
+        # z <= 1) and z elsewhere; unlike np.where it does not branch per element.
+        np.exp(np.minimum(x, np.negative(x, out=z), out=z), out=z)
+        np.maximum(z, np.greater_equal(x, 0, out=nonneg), out=num)
+        np.divide(num, np.add(1.0, z, out=z), out=num)
+    return run, num
 
 
 def sigmoid_derivative(o: np.ndarray) -> np.ndarray:
@@ -81,11 +104,19 @@ def sigmoid_derivative(o: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
-                keep_rows: bool = False, f64=None):
+                keep_rows: bool = False):
     """Valid cross-correlation of an n x H x W x C batch with k x k x C x F
     kernels: an n x (H-k+1) x (W-k+1) x F map, each cell the window's sum of
     products plus the filter's bias. With keep_rows, also the im2col rows it
-    multiplied. f64, when given, is _conv_f64 of kernels and bias, made beforehand."""
+    multiplied."""
+    run, out, rows = _conv_step(x, kernels, bias)
+    run()
+    return (out, rows) if keep_rows else out
+
+
+def _conv_step(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
+    """_conv_batch bound to x: (run, out, rows); run() writes the map of x's
+    current values into out and its im2col into rows."""
     n, h, w, c = x.shape
     k, k2, kc, f = kernels.shape
     if k != k2 or kc != c:
@@ -96,42 +127,57 @@ def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
             f"kernel size {k} exceeds input plane {h}x{w}")
     if bias.shape != (f,):
         raise ShapeMismatchError(f"bias shape {bias.shape} does not match filter count {f}")
-    out_dtype = np.result_type(x, kernels)
-    matrix, bias_row = f64 or _conv_f64(kernels, bias, w - k + 1)
-    cols = _im2col(x, k)
-    out = cols @ matrix
-    by_row = out.reshape(-1, bias_row.size)   # a view: one output row per line
-    by_row += bias_row
-    out = out.reshape(n, h - k + 1, w - k + 1, f).astype(out_dtype)
-    return (out, cols) if keep_rows else out
+    ho, wo = h - k + 1, w - k + 1
+    # float64 operands: the kernels as a (k*k*C, F) matrix, and the bias tiled
+    # over an output row, so that it adds to a whole row with one contiguous
+    # inner loop rather than a loop of F elements per pixel
+    matrix = kernels.astype(np.float64, copy=False).reshape(-1, f)
+    bias_row = np.tile(bias.astype(np.float64, copy=False), wo)
+    windows = _windows(x, k)
+    copy = np.empty(windows.shape)
+    rows = _rows(copy)
+    prod = np.empty((len(rows), f))
+    by_row = prod.reshape(-1, bias_row.size)   # a view: one output row per line
+    out = np.empty((n, ho, wo, f), np.result_type(x, kernels))
+    by_pixel = prod.reshape(out.shape)
+
+    def run():
+        np.copyto(copy, windows)
+        np.matmul(rows, matrix, out=prod)
+        np.add(by_row, bias_row, out=by_row)
+        np.copyto(out, by_pixel, casting="unsafe")
+    return run, out, rows
 
 
-def _conv_f64(kernels: np.ndarray, bias: np.ndarray, wo: int) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 operands of a conv layer with wo-pixel output rows: the
-    kernels as a (k*k*C, F) matrix, and the bias tiled wo times, so that it
-    adds to a whole output row with one contiguous inner loop rather than a
-    loop of F elements per pixel. Float64 kernels are used as they are."""
-    return (kernels.astype(np.float64, copy=False).reshape(-1, kernels.shape[-1]),
-            np.tile(bias.astype(np.float64, copy=False), wo))
-
-
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """float64 rows of every k x k window of an n x H x W x C batch, (i, j, c) order."""
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """Every k x k window of an n x H x W x C batch, as one read-only view in
+    the layout of its im2col copy (_rows)."""
     n, h, w, c = x.shape
     sn, sh, sw, sc = x.strides
     ho, wo = h - k + 1, w - k + 1
     if c == 1:
         # one (n, ho, wo) plane per tap, copied with an inner loop of a whole
-        # output row rather than of one kernel row; the transpose of the
-        # (k*k, n*ho*wo) copy is the same rows, in column-major order
-        taps = as_strided(x, (k, k, n, ho, wo), (sh, sw, sn, sh, sw), writeable=False)
-        return taps.astype(np.float64, order="C").reshape(k * k, -1).T
+        # output row rather than of one kernel row
+        return as_strided(x, (k, k, n, ho, wo), (sh, sw, sn, sh, sw), writeable=False)
     # the windows as one (n, ho, wo, k, k, c) view, the strides of
     # sliding_window_view transposed to (i, j, c), without its argument checks
-    win = as_strided(x, (n, ho, wo, k, k, c), (sn, sh, sw, sh, sw, sc), writeable=False)
+    return as_strided(x, (n, ho, wo, k, k, c), (sn, sh, sw, sh, sw, sc), writeable=False)
+
+
+def _rows(copy: np.ndarray) -> np.ndarray:
+    """The im2col rows, (i, j, c) order, of a C-ordered copy of _windows. A
+    tap-major copy is (k*k, n*ho*wo); its transpose is the same rows, in
+    column-major order. A C-ordered copy of the 6-D view is the rows as they are."""
+    if copy.ndim == 5:
+        return copy.reshape(copy.shape[0] * copy.shape[1], -1).T
+    return copy.reshape(-1, math.prod(copy.shape[3:]))
+
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """float64 rows of every k x k window of an n x H x W x C batch, (i, j, c) order."""
     # order="C" copies straight into the row layout; the default keeps the
     # view's strides, and reshape would then copy a second time
-    return win.astype(np.float64, order="C").reshape(-1, k * k * c)
+    return _rows(_windows(x, k).astype(np.float64, order="C"))
 
 
 def _pool_views(x: np.ndarray) -> list[np.ndarray]:
@@ -144,8 +190,12 @@ def _pool_views(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, i:2 * he:2, j:2 * we:2, :] for i in (0, 1) for j in (0, 1)]
 
 
-def _max_tree(views: list[np.ndarray]) -> np.ndarray:
-    return np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+def _window_max(views: list[np.ndarray], out=None) -> np.ndarray:
+    """Elementwise max of the four window views, into out when given. Its
+    bits are the winner's except where the max is a zero or NaN."""
+    top = np.maximum(views[0], views[1], out=out)
+    np.maximum(top, views[2], out=top)
+    return np.maximum(top, views[3], out=top)
 
 
 def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +205,7 @@ def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # ufunc over contiguous memory. np.where and boolean masks branch per
     # element and cost several times more on data this random.
     views = [np.ascontiguousarray(v) for v in _pool_views(x)]
-    top = _max_tree(views)
+    top = _window_max(views)
     # the winner is the first position that holds the max, or the first NaN,
     # as with argmax: mask counts the positions before it
     mask = np.zeros(top.shape, dtype=np.intp)
@@ -171,12 +221,28 @@ def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _maxpool_values(x: np.ndarray) -> np.ndarray:
     """The pooled map of _maxpool_batch without the winner mask, which only
     the backward pass reads."""
-    top = _max_tree(_pool_views(x))
-    # Equal values that are neither zero nor NaN have the same bits, so the
-    # max is the winner's own value; a max of -0, +0 or NaN needs the winner.
-    if np.abs(top).min(initial=np.inf) > 0:
-        return top
-    return _maxpool_batch(x)[0]
+    run, out = _pool_step(x)
+    run()
+    return out
+
+
+def _pool_step(x: np.ndarray):
+    """_maxpool_values bound to x: (run, out); run() writes the pooled map of
+    x's current values into out."""
+    views = _pool_views(x)
+    top = np.empty(views[0].shape, x.dtype)
+    scratch = np.empty_like(top)
+
+    def run():
+        _window_max(views, top)
+        # Equal values that are neither zero nor NaN have the same bits, so
+        # the max is the winner's own value; a max of -0, +0 or NaN needs the
+        # winner. A positive min rules both out in one pass (a NaN min fails
+        # the test), as it does on every map a sigmoid feeds.
+        if not (top.min(initial=np.inf) > 0
+                or np.abs(top, out=scratch).min(initial=np.inf) > 0):
+            np.copyto(top, _maxpool_batch(x)[0])
+    return run, top
 
 
 def _winner_index(in_shape: tuple, mask: np.ndarray) -> np.ndarray:
@@ -196,22 +262,29 @@ def _maxpool_backward(dout: np.ndarray, mask: np.ndarray, in_shape: tuple) -> np
     return dx
 
 
-def _dense_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                 f64=None) -> np.ndarray:
-    """Affine map of an n x m batch: out[s, j] = sum_i x[s, i] W[i, j] + b[j].
-    f64, when given, is _dense_f64 of weights and bias, made beforehand."""
+def _dense_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Affine map of an n x m batch: out[s, j] = sum_i x[s, i] W[i, j] + b[j]."""
+    run, out = _dense_step(x, weights, bias)
+    run()
+    return out
+
+
+def _dense_step(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
+    """_dense_batch bound to x: (run, out); run() writes the map of x's
+    current values into out."""
     if x.shape[1] != weights.shape[0]:
         raise ShapeMismatchError(
             f"dense input width {x.shape[1]} does not match weight rows {weights.shape[0]}")
-    out_dtype = np.result_type(x, weights)
-    w64, b64 = f64 or _dense_f64(weights, bias)
-    out = x.astype(np.float64) @ w64 + b64
-    return out.astype(out_dtype)
+    w64, b64 = weights.astype(np.float64, copy=False), bias.astype(np.float64, copy=False)
+    x64 = np.empty(x.shape)
+    prod = np.empty((len(x), weights.shape[1]))
+    out = np.empty(prod.shape, np.result_type(x, weights))
 
-
-def _dense_f64(weights: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 operands of a dense layer; float64 ones are used as they are."""
-    return weights.astype(np.float64, copy=False), bias.astype(np.float64, copy=False)
+    def run():
+        np.copyto(x64, x)
+        np.add(np.matmul(x64, w64, out=prod), b64, out=prod)
+        np.copyto(out, prod, casting="unsafe")
+    return run, out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -220,10 +293,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     Probabilities come back in float64 so they sum to 1 at tight tolerance
     regardless of the logit dtype.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    p = np.array(logits, dtype=np.float64)    # the result; each step below is in place
+    np.subtract(p, np.maximum.reduce(p, axis=-1, keepdims=True), out=p)
+    np.exp(p, out=p)
+    return np.divide(p, np.add.reduce(p, axis=-1, keepdims=True), out=p)
 
 
 def _cross_entropy_batch(logits: np.ndarray,
@@ -275,13 +348,22 @@ class CnnModel:
     layers: list[LayerSpec]
     params: list[dict[str, np.ndarray]]
     seed: int
-    # the inference forward's float64 operands (_float64_operands); not part of the value
-    _f64: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the one-sample inference plan (_inference_plan); not part of the value
+    _plan: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Softmax scores (n, K) for one H x W (x C) sample or a batch of n."""
-        xb = _as_batch(self, x).astype(_param_dtype(self), copy=False)
-        return softmax(_forward_batch(self, xb))
+        """Softmax scores (n, K) for one H x W (x C) sample or a batch of n.
+
+        One sample runs through the model's plan, whose arrays it
+        overwrites: one model must not score from two threads at once."""
+        xb = _as_batch(self, x)
+        plan = _inference_plan(self) if len(xb) == 1 else None
+        if plan is None:
+            return softmax(_forward_batch(self, xb.astype(_param_dtype(self), copy=False)))
+        np.copyto(plan.x, xb, casting="unsafe")
+        for run in plan.steps:
+            run()
+        return softmax(plan.logits)
 
     def param_arrays(self) -> list[np.ndarray]:
         """All parameter tensors in deterministic (layer, key) order."""
@@ -402,9 +484,9 @@ def _forward_batch(model: CnnModel, xb: np.ndarray, keep_cache: bool = False):
     """Run the stack up to (not including) softmax; optionally keep caches."""
     a = xb
     caches = []
-    for i, (spec, p) in enumerate(zip(model.layers, model.params)):
+    for spec, p in zip(model.layers, model.params):
         if spec.kind == "conv" and not keep_cache:
-            a = _conv_batch(a, p["k"], p["b"], f64=_float64_operands(model, i, a.shape[2]))
+            a = _conv_batch(a, p["k"], p["b"])
         elif spec.kind == "conv":
             a, rows = _conv_batch(a, p["k"], p["b"], keep_rows=True)
             caches.append(("conv", rows))
@@ -420,35 +502,48 @@ def _forward_batch(model: CnnModel, xb: np.ndarray, keep_cache: bool = False):
         elif spec.kind == "dense":
             flat = a.reshape(a.shape[0], -1)
             caches.append(("dense", (a.shape, flat)))
-            a = _dense_batch(flat, p["w"], p["b"],
-                             f64=None if keep_cache else _float64_operands(model, i, 0))
+            a = _dense_batch(flat, p["w"], p["b"])
         elif spec.kind == "softmax":
             caches.append(("softmax", None))
     return (a, caches) if keep_cache else a
 
 
-def _float64_operands(model: CnnModel, i: int, width: int):
-    """_conv_f64 or _dense_f64 of layer i's parameters (for a conv layer,
-    of an input width pixels wide), cast once and kept on the model while
-    the layer's parameters are the very arrays they were cast from.
+class _Plan(NamedTuple):
+    """Layer steps bound once: a call copies its sample into x, runs the
+    steps, each reading what the one before wrote, and reads logits."""
+    arrays: list            # every parameter array, layer by layer
+    x: np.ndarray           # (1, side, side, C) float32
+    steps: list
+    logits: np.ndarray
 
-    An entry holds those arrays and is checked against them by identity.
-    The SGD step assigns new arrays, so a stale copy is never read, and the
-    training forward does not use the cache: it would miss every time. For
-    float64 parameters the result is None, and the layers use them as they
-    are: gradient_check perturbs its float64 copy of the model in place.
-    """
-    p = model.params[i]
-    arrays = tuple(p.values())
-    hit = model._f64.get((i, width))
-    if hit is not None and all(map(operator.is_, arrays, hit[0])):
-        return hit[1]
-    if any(a.dtype == np.float64 for a in arrays):
+
+def _inference_plan(model: CnnModel) -> _Plan | None:
+    """The model's plan, kept while every parameter is the very array it was
+    built from: an SGD step assigns new arrays, so a stale plan never runs.
+    None when the parameters are not all float32; they then score through
+    _forward_batch (gradient_check perturbs its float64 copy in place)."""
+    arrays = [v for p in model.params for v in p.values()]
+    plan = model._plan
+    if plan and len(plan.arrays) == len(arrays) and all(map(operator.is_, arrays, plan.arrays)):
+        return plan
+    if any(v.dtype != np.float32 for v in arrays):
         return None
-    operands = (_conv_f64(p["k"], p["b"], width - p["k"].shape[0] + 1) if "k" in p
-                else _dense_f64(p["w"], p["b"]))
-    model._f64[i, width] = (arrays, operands)
-    return operands
+    x = a = np.empty((1, model.input_side, model.input_side, model.channels), np.float32)
+    steps = []
+    for spec, p in zip(model.layers, model.params):
+        if spec.kind == "conv":
+            run, a, _ = _conv_step(a, p["k"], p["b"])
+        elif spec.kind == "sigmoid":
+            run, a = _sigmoid_step(a)
+        elif spec.kind == "maxpool":
+            run, a = _pool_step(a)
+        elif spec.kind == "dense":
+            run, a = _dense_step(a.reshape(1, -1), p["w"], p["b"])
+        else:
+            continue
+        steps.append(run)
+    model._plan = _Plan(arrays, x, steps, a)
+    return model._plan
 
 
 def _param_dtype(model: CnnModel):

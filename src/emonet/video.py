@@ -354,8 +354,11 @@ def write_pgm(img: np.ndarray) -> bytes:
 
 # Exchange networks that leave the median of 3 or 5 values in the middle
 # slot (Paeth, Graphics Gems, 1990; Devillard, "Fast median search", 1998).
-_MEDIAN_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)),
-                    5: ((0, 1), (3, 4), (0, 3), (1, 4), (1, 2), (2, 3), (1, 2))}
+# An exchange (i, j) puts the min of slots i and j in i and their max in j;
+# where no later exchange reads one of the two, only the other is computed.
+_MEDIAN_NETWORKS = {3: ((0, 1, "both"), (1, 2, "min"), (0, 1, "max")),
+                    5: ((0, 1, "both"), (3, 4, "both"), (0, 3, "max"), (1, 4, "min"),
+                        (1, 2, "both"), (2, 3, "min"), (1, 2, "max"))}
 
 
 def temporal_smooth(frames: list[Frame],
@@ -377,7 +380,10 @@ def temporal_smooth(frames: list[Frame],
                 f"frame {f.index} is {f.width}x{f.height}, "
                 f"window expects {mid.width}x{mid.height}")
     planes = [f.luma if region is None else f.crop(region) for f in frames]
-    for i, j in _MEDIAN_NETWORKS.get(k, ()):
+    for i, j, keep in _MEDIAN_NETWORKS.get(k, ()):
         a, b = planes[i], planes[j]
-        planes[i], planes[j] = np.minimum(a, b), np.maximum(a, b)
+        if keep != "max":
+            planes[i] = np.minimum(a, b)
+        if keep != "min":
+            planes[j] = np.maximum(a, b)
     return planes[k // 2]

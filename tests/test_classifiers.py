@@ -153,6 +153,17 @@ class TestCnnWrapper:
         assert 0.0 < acc < 1.0
         assert [h.train_accuracy for h in history] == [acc, acc]
 
+    def test_epoch_loss_is_the_mean_over_samples(self):
+        # at lr 0 every batch scores the same model, so the epoch's loss is
+        # that model's mean cross-entropy; 40 samples in batches of 32 leave
+        # a last batch of 8, which weighs 8/40 of it, not half
+        x = np.random.default_rng(6).random((40, 10, 10)).astype(np.float32)
+        y = np.tile(np.arange(7), 6)[:40].astype(np.int64)
+        m, history = classifiers.cnn_train(x, y, epochs=1, lr=0.0, seed=5,
+                                           batch_size=32, layers=self.POOLED)
+        p = m.predict_proba(x)[np.arange(len(y)), y]
+        assert history[0].mean_loss == pytest.approx(float(-np.log(p).mean()), rel=1e-12)
+
 
 class TestPca:
     def test_line_data_rank_one(self):

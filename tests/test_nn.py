@@ -1,10 +1,11 @@
 """Tensor/NN engine tests: oracle equivalence, derivatives, training step."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from emonet import model_io, nn
@@ -742,6 +743,107 @@ class TestInferenceOperandCache:
         twin = replace(model)            # the same parameter arrays, no cache
         blob = model_io.save_model(model)
         model.predict_proba(np.zeros((28, 28), np.float32))
-        assert model._f64 and not twin._f64
+        assert model._plan and not twin._plan
         assert model == twin
         assert model_io.save_model(model) == blob
+
+
+def inference_inputs(rng, n, side, channels):
+    """Samples with signed zeros, whole windows of one zero, and NaNs of either sign."""
+    x = rng.standard_normal((n, side, side, channels)).astype(np.float32)
+    x[rng.random(x.shape) < 0.3] = 0.0
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[0, :side // 2] = 0.0
+    x[1, :, :side // 2] = -0.0
+    x[2][rng.random(x.shape[1:]) < 0.05] = np.nan
+    x[3, 0, :2, 0] = -np.nan, np.nan
+    return x
+
+
+@st.composite
+def inference_stacks(draw):
+    """A random valid stack: conv, sigmoid and maxpool layers, then dense and
+    sigmoid ones, then the 7-wide dense head and softmax."""
+    side, channels = draw(st.integers(4, 12)), draw(st.integers(1, 2))
+    layers = []
+    for kind in draw(st.lists(st.sampled_from(["conv", "sigmoid", "maxpool"]), max_size=4)):
+        layers.append(nn.LayerSpec(kind, kernel_size=draw(st.integers(1, 3)),
+                                   filters=draw(st.integers(1, 4))) if kind == "conv"
+                      else nn.LayerSpec(kind))
+    for kind in draw(st.lists(st.sampled_from(["dense", "sigmoid"]), max_size=2)):
+        layers.append(nn.LayerSpec(kind, width=draw(st.integers(1, 9))) if kind == "dense"
+                      else nn.LayerSpec(kind))
+    layers += [nn.LayerSpec("dense", width=7), nn.LayerSpec("softmax")]
+    try:
+        nn.param_shapes(side, layers, channels)
+    except nn.ShapeMismatchError:
+        reject()
+    return side, channels, layers
+
+
+class TestOneSamplePlan:
+    """A one-sample predict_proba runs through arrays the model builds once
+    and keeps (nn._inference_plan); a batch does not. The two must agree bit
+    for bit, and the plan must follow every change of the parameters."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(inference_stacks(), st.integers(0, 2**32 - 1))
+    def test_one_sample_matches_its_batch_row(self, stack, seed):
+        side, channels, layers = stack
+        rng = np.random.default_rng(seed)
+        model = nn.build_model(side, layers, seed=seed % 1000, channels=channels)
+        for p in model.params:   # biases of either zero: conv outputs hold -0 and +0
+            if "b" in p:
+                p["b"] = rng.choice(np.array([0.0, -0.0, 0.5], np.float32), p["b"].shape)
+        m64 = replace(model, params=[{k: v.astype(np.float64) for k, v in p.items()}
+                                     for p in model.params])
+        x = inference_inputs(rng, 5, side, channels)
+        batched = model.predict_proba(x)
+        for i in range(len(x)):
+            one = model.predict_proba(x[i])
+            # the layer-by-layer pass over a batch of this one sample, NaN bits and all
+            assert one.tobytes() == nn.softmax(nn._forward_batch(model, x[i:i + 1])).tobytes()
+            # BLAS's matrix-vector and matrix-matrix kernels may give a NaN
+            # of either sign for the same row; every other bit agrees
+            nan = np.isnan(batched[i])
+            assert np.array_equal(np.isnan(one[0]), nan)
+            assert one[0][~nan].tobytes() == batched[i][~nan].tobytes()
+            # a float64 copy takes the layer-by-layer pass itself
+            assert m64.predict_proba(x[i]).tobytes() == nn.softmax(
+                nn._forward_batch(m64, x[i:i + 1].astype(np.float64))).tobytes()
+        assert model._plan and not m64._plan      # float64 parameters take the batch path
+
+    def test_plan_follows_a_step_and_an_assignment(self):
+        model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
+        x = np.random.default_rng(3).random((4, 28, 28)).astype(np.float32)
+        before = model.predict_proba(x[0])
+
+        def fresh_score():
+            return model_io.load_model(model_io.save_model(model)).predict_proba(x[0])
+
+        nn.model_backward_and_step(model, x, np.array([0, 1, 2, 3]), 0.5)
+        after = model.predict_proba(x[0])
+        assert after.tobytes() == fresh_score().tobytes() != before.tobytes()
+        model.params[6]["w"] = model.params[6]["w"] * np.float32(0.5)
+        assigned = model.predict_proba(x[0])
+        assert assigned.tobytes() == fresh_score().tobytes() != after.tobytes()
+
+    def test_a_returned_score_is_the_callers(self):
+        model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
+        x = np.random.default_rng(4).random((2, 28, 28)).astype(np.float32)
+        first = model.predict_proba(x[0])
+        kept = first.copy()
+        second = model.predict_proba(x[1])
+        assert first.tobytes() == kept.tobytes() != second.tobytes()
+
+    def test_a_second_call_allocates_no_layer_output(self):
+        model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
+        x = np.random.default_rng(5).random((28, 28)).astype(np.float32)
+        model.predict_proba(x)
+        tracemalloc.start()
+        try:
+            model.predict_proba(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 676 * 8        # the first conv's float64 im2col
