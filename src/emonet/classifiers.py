@@ -72,9 +72,10 @@ def cnn_predict(model: nn.CnnModel, roi: np.ndarray) -> EmotionScores:
 def _batch_argmax(model, x: np.ndarray, chunk: int = 32) -> np.ndarray:
     """Winning label index per sample, scored chunk by chunk.
 
-    The default chunk is the training batch size, which keeps each im2col
-    (1.6 MB for the default stack) in cache. Samples are scored independently,
-    so the chunk changes the speed, not the result.
+    A CNN scores one sample at a time whatever the chunk; chunking only
+    bounds the float64 copy that LDA's predict_proba makes of its input.
+    Samples are scored independently, so the chunk changes the speed, not
+    the result. The function keeps its name: perfbench/tracing.py patches it.
     """
     return np.concatenate([np.argmax(model.predict_proba(x[start:start + chunk]), axis=1)
                            for start in range(0, len(x), chunk)])

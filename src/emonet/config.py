@@ -8,6 +8,7 @@ import os
 from dataclasses import dataclass
 
 from .alerts import DEFAULT_MONITORED, AlertPolicy
+from .preprocess import MAX_WORKING_SIDE
 from .smtp_client import SmtpConfig, check_port_and_addresses
 
 ENV_SMTP_HOST = "EMONET_SMTP_HOST"
@@ -34,8 +35,8 @@ class PipelineConfig:
     alert_to: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ConfigError("width must be >= 1")
+        if not 1 <= self.width <= MAX_WORKING_SIDE:
+            raise ConfigError(f"width must be in [1, {MAX_WORKING_SIDE}]")
         if self.smooth_window not in (1, 3, 5):
             raise ConfigError("smooth_window must be 1, 3 or 5")
         if self.detections_coords not in ("original", "resized"):

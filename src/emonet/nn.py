@@ -24,25 +24,22 @@ before it.
 Max-pool and sigmoid are built from branch-free ufuncs (np.maximum,
 comparisons, one division) rather than np.where or argmax, and the pool's
 backward pass is one scatter through the flat index of each window's
-winner. A forward pass that keeps no caches (prediction, evaluation,
-the gradient check's loss) builds no winner mask: it takes each window's
-max, and finds the winner only when some max is a zero or NaN, whose bits
-may differ from the winner's.
+winner. Inference builds no winner mask: it takes each window's max, and
+finds the winner only when some max is a zero or NaN, whose bits may
+differ from the winner's.
 
 Each forward layer is a step bound to its input array (_conv_step,
 _sigmoid_step, _pool_step, _dense_step): binding makes the output and
 work arrays, the strided views and the float64 operands (the conv bias
 tiled over an output row, so that it is added as one contiguous row), and
-running it computes from the input's current values with out= ufuncs. A
-batch binds and runs each layer per call. A one-sample predict_proba, a
-stream's per-frame call, runs the model's plan (_inference_plan): steps
-bound once, each to what the step before writes, so a call allocates only
-its softmax result. The plan is rebuilt once a parameter is no longer the
+running it computes from the input's current values with out= ufuncs. The
+training forward (_forward_batch) binds and runs each layer per call.
+predict_proba runs every sample, one at a time, through the model's plan
+(_inference_plan): steps bound to one sample, each to what the step
+before writes, so a call allocates only its logits and softmax result,
+and a sample scores the same bits alone and as a row of a batch. The plan
+is kept on a float32 model, rebuilt once a parameter is no longer the
 array it was built from, and holds about 0.3 MB for the default stack.
-Its gain is the per-call set-up it skips (views, checks, casts): arrays
-made once but bound per call measured within 3% of a pass that
-allocates. Batches keep no plan; one sized for a batch would hold
-several MB on every model ever scored.
 
 Arrays are float32 in the model path; intermediate accumulations run in
 float64 and are rounded back, so results stay stable against naive
@@ -218,17 +215,10 @@ def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.reshape(-1)[_winner_index(x.shape, mask)], mask
 
 
-def _maxpool_values(x: np.ndarray) -> np.ndarray:
-    """The pooled map of _maxpool_batch without the winner mask, which only
-    the backward pass reads."""
-    run, out = _pool_step(x)
-    run()
-    return out
-
-
 def _pool_step(x: np.ndarray):
-    """_maxpool_values bound to x: (run, out); run() writes the pooled map of
-    x's current values into out."""
+    """The pooled map of _maxpool_batch without the winner mask, which only
+    the backward pass reads, bound to x: (run, out); run() writes the pooled
+    map of x's current values into out."""
     views = _pool_views(x)
     top = np.empty(views[0].shape, x.dtype)
     scratch = np.empty_like(top)
@@ -354,16 +344,17 @@ class CnnModel:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Softmax scores (n, K) for one H x W (x C) sample or a batch of n.
 
-        One sample runs through the model's plan, whose arrays it
+        Each sample runs through the model's plan, whose arrays it
         overwrites: one model must not score from two threads at once."""
         xb = _as_batch(self, x)
-        plan = _inference_plan(self) if len(xb) == 1 else None
-        if plan is None:
-            return softmax(_forward_batch(self, xb.astype(_param_dtype(self), copy=False)))
-        np.copyto(plan.x, xb, casting="unsafe")
-        for run in plan.steps:
-            run()
-        return softmax(plan.logits)
+        plan = _inference_plan(self)
+        logits = np.empty((len(xb),) + plan.logits.shape, plan.logits.dtype)
+        for i in range(len(xb)):
+            plan.x[...] = xb[i]          # casts as astype does
+            for run in plan.steps:
+                run()
+            logits[i] = plan.logits
+        return softmax(logits)
 
     def param_arrays(self) -> list[np.ndarray]:
         """All parameter tensors in deterministic (layer, key) order."""
@@ -397,6 +388,11 @@ def emotion_layer_stack() -> list[LayerSpec]:
 # through the full conv/dense stack.
 INIT_GAIN = 4.0
 
+# The most values one sample's input, layer output or conv im2col may hold: a
+# float64 im2col is then at most 32 MiB a sample, 1 GiB in a 32-sample batch.
+# A model file's u16 sizes could otherwise ask for tens of GiB at its first score.
+MAX_SAMPLE_VALUES = 2**22
+
 
 def param_shapes(input_side: int, layers: list[LayerSpec],
                  channels: int = 1) -> list[dict[str, tuple[int, ...]]]:
@@ -406,11 +402,13 @@ def param_shapes(input_side: int, layers: list[LayerSpec],
     {"k": (k, k, C, F), "b": (F,)}, a dense layer {"w": (n_in, width),
     "b": (width,)}, any other layer nothing. build_model fills this walk and
     model_io.load_model checks stored tensors against it. Raises
-    ShapeMismatchError at the first layer that does not fit its input.
+    ShapeMismatchError at the first layer that does not fit its input, and
+    when the input, an output or an im2col exceeds MAX_SAMPLE_VALUES.
     """
     if input_side < 1 or channels < 1:
         raise ShapeMismatchError(f"input {input_side}x{input_side}x{channels} is empty")
     shape: tuple = (input_side, input_side, channels)
+    largest = math.prod(shape)
     out: list[dict[str, tuple[int, ...]]] = []
     for i, spec in enumerate(layers):
         if spec.kind == "conv":
@@ -423,6 +421,7 @@ def param_shapes(input_side: int, layers: list[LayerSpec],
                     f"layer {i}: conv {k}x{k}x{f} does not fit input {shape}")
             out.append({"k": (k, k, c, f), "b": (f,)})
             shape = (h - k + 1, w - k + 1, f)
+            largest = max(largest, shape[0] * shape[1] * max(k * k * c, f))   # im2col, output
         elif spec.kind == "maxpool":
             if len(shape) != 3 or shape[0] < 2 or shape[1] < 2:
                 raise ShapeMismatchError(f"layer {i}: maxpool needs H, W >= 2, have {shape}")
@@ -433,10 +432,14 @@ def param_shapes(input_side: int, layers: list[LayerSpec],
                 raise ShapeMismatchError(f"layer {i}: dense width must be >= 1")
             out.append({"w": (math.prod(shape), spec.width), "b": (spec.width,)})
             shape = (spec.width,)
+            largest = max(largest, spec.width)
         else:
             if spec.kind == "softmax" and i != len(layers) - 1:
                 raise ShapeMismatchError("softmax must be the final layer")
             out.append({})
+    if largest > MAX_SAMPLE_VALUES:
+        raise ShapeMismatchError(f"a sample's largest array would hold {largest} values, "
+                                 f"above {MAX_SAMPLE_VALUES}")
     return out
 
 
@@ -480,21 +483,18 @@ def _as_batch(model: CnnModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_batch(model: CnnModel, xb: np.ndarray, keep_cache: bool = False):
-    """Run the stack up to (not including) softmax; optionally keep caches."""
+def _forward_batch(model: CnnModel, xb: np.ndarray):
+    """The training forward: the stack's logits (softmax not applied) and
+    each layer's cache for _backward_batch."""
     a = xb
     caches = []
     for spec, p in zip(model.layers, model.params):
-        if spec.kind == "conv" and not keep_cache:
-            a = _conv_batch(a, p["k"], p["b"])
-        elif spec.kind == "conv":
+        if spec.kind == "conv":
             a, rows = _conv_batch(a, p["k"], p["b"], keep_rows=True)
             caches.append(("conv", rows))
         elif spec.kind == "sigmoid":
             a = sigmoid(a)
             caches.append(("sigmoid", a))
-        elif spec.kind == "maxpool" and not keep_cache:
-            a = _maxpool_values(a)
         elif spec.kind == "maxpool":
             out, mask = _maxpool_batch(a)
             caches.append(("maxpool", (a.shape, mask)))
@@ -505,30 +505,31 @@ def _forward_batch(model: CnnModel, xb: np.ndarray, keep_cache: bool = False):
             a = _dense_batch(flat, p["w"], p["b"])
         elif spec.kind == "softmax":
             caches.append(("softmax", None))
-    return (a, caches) if keep_cache else a
+    return a, caches
 
 
 class _Plan(NamedTuple):
-    """Layer steps bound once: a call copies its sample into x, runs the
-    steps, each reading what the one before wrote, and reads logits."""
+    """Layer steps bound once to a batch of one: each sample is copied into
+    x, the steps run, each reading what the one before wrote, and logits is
+    read."""
     arrays: list            # every parameter array, layer by layer
-    x: np.ndarray           # (1, side, side, C) float32
+    x: np.ndarray           # (side, side, C) in the parameters' dtype
     steps: list
-    logits: np.ndarray
+    logits: np.ndarray      # the sample's, without the batch axis
 
 
-def _inference_plan(model: CnnModel) -> _Plan | None:
-    """The model's plan, kept while every parameter is the very array it was
-    built from: an SGD step assigns new arrays, so a stale plan never runs.
-    None when the parameters are not all float32; they then score through
-    _forward_batch (gradient_check perturbs its float64 copy in place)."""
+def _inference_plan(model: CnnModel) -> _Plan:
+    """The model's plan over one sample in its parameters' dtype. It is kept
+    on a float32 model while every parameter is the very array it was built
+    from: an SGD step assigns new arrays, so a stale plan never runs. Other
+    models get a plan bound per call, since a binding copies what it casts
+    or tiles and a float64 copy's parameters may be edited in place."""
     arrays = [v for p in model.params for v in p.values()]
     plan = model._plan
     if plan and len(plan.arrays) == len(arrays) and all(map(operator.is_, arrays, plan.arrays)):
         return plan
-    if any(v.dtype != np.float32 for v in arrays):
-        return None
-    x = a = np.empty((1, model.input_side, model.input_side, model.channels), np.float32)
+    dtype = arrays[0].dtype if arrays else np.dtype(np.float32)
+    x = a = np.empty((1, model.input_side, model.input_side, model.channels), dtype)
     steps = []
     for spec, p in zip(model.layers, model.params):
         if spec.kind == "conv":
@@ -542,15 +543,10 @@ def _inference_plan(model: CnnModel) -> _Plan | None:
         else:
             continue
         steps.append(run)
-    model._plan = _Plan(arrays, x, steps, a)
-    return model._plan
-
-
-def _param_dtype(model: CnnModel):
-    for p in model.params:
-        for v in p.values():
-            return v.dtype
-    return np.dtype(np.float32)
+    plan = _Plan(arrays, x[0], steps, a[0])
+    if all(v.dtype == np.float32 for v in arrays):
+        model._plan = plan
+    return plan
 
 
 def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):
@@ -588,7 +584,7 @@ def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):
 def _loss_and_grads(model: CnnModel, xb: np.ndarray, labels) -> tuple[float, int, list]:
     """Mean cross-entropy of a batch, its hit count (argmax ties go to the
     lowest index) and its per-layer parameter gradients."""
-    logits, caches = _forward_batch(model, xb, keep_cache=True)
+    logits, caches = _forward_batch(model, xb)
     p, loss, dlogits = _cross_entropy_batch(logits, labels)
     hits = int(np.count_nonzero(np.argmax(p, axis=1) == labels))
     return loss, hits, _backward_batch(model, caches, dlogits)
@@ -636,9 +632,9 @@ def gradient_check(model: CnnModel, sample: tuple[np.ndarray, int],
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + epsilon
-                lp = _cross_entropy_batch(_forward_batch(m64, xb), labels)[1]
+                lp = _cross_entropy_batch(_forward_batch(m64, xb)[0], labels)[1]
                 flat[i] = orig - epsilon
-                lm = _cross_entropy_batch(_forward_batch(m64, xb), labels)[1]
+                lm = _cross_entropy_batch(_forward_batch(m64, xb)[0], labels)[1]
                 flat[i] = orig
                 numeric = (lp - lm) / (2.0 * epsilon)
                 a = float(analytic[i])

@@ -32,6 +32,10 @@ class EmptyIntersection(ValueError):
     """Raised when a clamped crop box has zero area inside the frame."""
 
 
+class WorkingSizeTooLarge(ValueError):
+    """Raised when a frame's working size exceeds MAX_WORKING_SIDE on an axis."""
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     fX: int
@@ -56,6 +60,11 @@ Region = tuple[slice, slice]   # (rows, cols) of a frame, explicit start and sto
 # ---------------------------------------------------------------------------
 # resizing
 # ---------------------------------------------------------------------------
+
+# The longest working axis, in pixels. _tap_table keeps 24 bytes per working
+# pixel of an axis, 384 KiB at this size, and 8K UHD is 7,680 pixels wide.
+MAX_WORKING_SIDE = 16_384
+
 
 def working_height(width: int, height: int, target_width: int) -> int:
     """Height of a width x height frame after an aspect-preserving resize to target_width."""
@@ -196,9 +205,14 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,
 
     Nothing is computed per box that depends only on sizes: the working
     pixels' taps are picked from the per-geometry tables of _tap_table, and
-    the ROI's from the per-box-size plan of _roi_plan.
+    the ROI's from the per-box-size plan of _roi_plan. Raises
+    WorkingSizeTooLarge when the working size exceeds MAX_WORKING_SIDE on an
+    axis.
     """
     out_shape = (working_height(in_shape[1], in_shape[0], width), width)
+    if max(out_shape) > MAX_WORKING_SIDE:
+        raise WorkingSizeTooLarge(f"working size {width}x{out_shape[0]} exceeds "
+                                  f"{MAX_WORKING_SIDE} pixels on an axis")
     try:
         region = clamp_box(box, *out_shape)
     except EmptyIntersection:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emonet import config as cfg
-from emonet import pipeline
+from emonet import pipeline, preprocess
 from emonet.classifiers import LABELS
 from emonet.config import ConfigError, PipelineConfig, build_config, parse_config_text
 from emonet.preprocess import DetectionSet
@@ -38,6 +38,16 @@ class TestBuild:
         assert (c.width, c.cooldown, c.smooth_window) == (500, 0, 1)
         assert c.detections_coords == "original"
         assert c.smtp_config() is None
+
+    def test_width_bounded_by_the_longest_working_axis(self):
+        with pytest.raises(ConfigError):
+            PipelineConfig(thresh=1, width=10**9)
+        longest = preprocess.MAX_WORKING_SIDE
+        assert PipelineConfig(thresh=1, width=longest).width == longest
+        with pytest.raises(ConfigError):
+            PipelineConfig(thresh=1, width=longest + 1)
+        with pytest.raises(ConfigError):
+            build_config({"thresh": "1", "width": str(longest + 1)}, env={})
 
     def test_thresh_mandatory(self):
         with pytest.raises(ConfigError):

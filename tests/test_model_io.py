@@ -204,6 +204,20 @@ HOSTILE = {
     "cnn_no_dense": lambda cnn, lda: _replaced(
         cnn, layers=[nn.LayerSpec("conv", kernel_size=1, filters=1)],
         params=[{"k": np.ones((1, 1, 1, 1)), "b": np.zeros(1)}]),
+    # 247 bytes whose first score would need a 65535 x 65535 ROI, 17 GB
+    "cnn_side_65535": lambda cnn, lda: _replaced(
+        cnn, input_side=65535,
+        layers=[nn.LayerSpec("conv", kernel_size=1, filters=1)] + [nn.LayerSpec("maxpool")] * 15
+        + [nn.LayerSpec("dense", width=7), nn.LayerSpec("softmax")],
+        params=[{"k": np.ones((1, 1, 1, 1)), "b": np.zeros(1)}] + [{}] * 15
+        + [{"w": np.ones((1, 7)), "b": np.zeros(7)}, {}]),
+    # 2.36 MB whose first conv output would be 512 x 512 x 65535 float32, 64 GiB
+    "cnn_65535_filters": lambda cnn, lda: _replaced(
+        cnn, input_side=512,
+        layers=[nn.LayerSpec("conv", kernel_size=1, filters=65535)] + [nn.LayerSpec("maxpool")] * 9
+        + [nn.LayerSpec("dense", width=7), nn.LayerSpec("softmax")],
+        params=[{"k": np.ones((1, 1, 1, 65535)), "b": np.zeros(65535)}] + [{}] * 9
+        + [{"w": np.ones((65535, 7)), "b": np.zeros(7)}, {}]),
 }
 
 

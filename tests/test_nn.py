@@ -560,20 +560,35 @@ class TestSigmoidBitExact:
             assert np.asarray(nn.sigmoid(v)).tobytes() == np.asarray(two_branch_sigmoid(v)).tobytes()
 
 
-def pool_outputs(monkeypatch, model, xb, keep_cache):
-    """Logits of one forward pass and the output of each of its max-pools."""
-    name = "_maxpool_batch" if keep_cache else "_maxpool_values"
-    real, seen = getattr(nn, name), []
+def pool_outputs(monkeypatch, model, xb):
+    """Logits of the training forward and the output of each of its max-pools."""
+    real, seen = nn._maxpool_batch, []
 
     def spy(x):
         out = real(x)
-        seen.append(out[0] if keep_cache else out)
+        seen.append(out[0])
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(nn, name, spy)
-        out = nn._forward_batch(model, xb, keep_cache=keep_cache)
-    return (out[0] if keep_cache else out), seen
+        m.setattr(nn, "_maxpool_batch", spy)
+        logits, _ = nn._forward_batch(model, xb)
+    return logits, seen
+
+
+def plan_pools(monkeypatch, model, x):
+    """Scores of a model's first predict_proba, of x, and the array that
+    each max-pool step of the plan it binds writes."""
+    real, outs = nn._pool_step, []
+
+    def spy(a):
+        run, out = real(a)
+        outs.append(out)
+        return run, out
+
+    with monkeypatch.context() as m:
+        m.setattr(nn, "_pool_step", spy)
+        probs = model.predict_proba(x)
+    return probs, outs
 
 
 class TestInferenceForward:
@@ -604,19 +619,19 @@ class TestInferenceForward:
             x[5][rng.random((side, side)) < 0.02] = np.nan
             x[6, 0, :2] = -np.nan, np.nan           # NaNs of either sign in one window
 
-            batched = model.predict_proba(x)
-            for i in range(len(x)):
-                assert batched[i].tobytes() == model.predict_proba(x[i])[0].tobytes()
-            xb = x[..., None]
-            logits, pools = pool_outputs(monkeypatch, model, xb, keep_cache=False)
-            train_logits, train_pools = pool_outputs(monkeypatch, model, xb, keep_cache=True)
+            batched, pools = plan_pools(monkeypatch, model, x)
+            train_logits, train_pools = pool_outputs(monkeypatch, model, x[..., None])
             assert batched.tobytes() == nn.softmax(train_logits).tobytes()
-            assert logits.tobytes() == train_logits.tobytes()
             pool_layers = [spec.kind for spec in model.layers].count("maxpool")
             assert len(pools) == len(train_pools) == pool_layers
-            for got, want in zip(pools, train_pools):
-                assert got.shape == want.shape
-                np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+            for i in range(len(x)):
+                assert batched[i].tobytes() == model.predict_proba(x[i])[0].tobytes()
+                # the plan's arrays now hold sample i's pooled maps and logits
+                assert model._plan.logits.tobytes() == train_logits[i].tobytes()
+                for got, want in zip(pools, train_pools):
+                    assert got.shape == want[i:i + 1].shape
+                    np.testing.assert_array_equal(got.view(np.uint32),
+                                                  want[i:i + 1].view(np.uint32))
 
 
 def reference_step(monkeypatch, model, x, labels, lr):
@@ -631,7 +646,7 @@ def reference_step(monkeypatch, model, x, labels, lr):
 
     with monkeypatch.context() as m:
         m.setattr(nn, "_conv_batch", recording_conv)
-        logits, caches = nn._forward_batch(model, x, keep_cache=True)
+        logits, caches = nn._forward_batch(model, x)
     _, loss, d = nn._cross_entropy_batch(logits, labels)
     f64, grads = np.float64, [{} for _ in model.layers]
     for i in range(len(model.layers) - 1, -1, -1):
@@ -782,9 +797,10 @@ def inference_stacks(draw):
 
 
 class TestOneSamplePlan:
-    """A one-sample predict_proba runs through arrays the model builds once
-    and keeps (nn._inference_plan); a batch does not. The two must agree bit
-    for bit, and the plan must follow every change of the parameters."""
+    """predict_proba runs each sample, alone or in a batch, through arrays the
+    model builds once and keeps (nn._inference_plan). A sample scores the same
+    bits alone, in a batch and through the training forward, and the plan
+    must follow every change of the parameters."""
 
     @settings(max_examples=40, deadline=None)
     @given(inference_stacks(), st.integers(0, 2**32 - 1))
@@ -801,17 +817,24 @@ class TestOneSamplePlan:
         batched = model.predict_proba(x)
         for i in range(len(x)):
             one = model.predict_proba(x[i])
-            # the layer-by-layer pass over a batch of this one sample, NaN bits and all
-            assert one.tobytes() == nn.softmax(nn._forward_batch(model, x[i:i + 1])).tobytes()
-            # BLAS's matrix-vector and matrix-matrix kernels may give a NaN
-            # of either sign for the same row; every other bit agrees
-            nan = np.isnan(batched[i])
-            assert np.array_equal(np.isnan(one[0]), nan)
-            assert one[0][~nan].tobytes() == batched[i][~nan].tobytes()
-            # a float64 copy takes the layer-by-layer pass itself
+            # the training forward over a batch of this one sample, NaN bits and all
+            assert one.tobytes() == nn.softmax(nn._forward_batch(model, x[i:i + 1])[0]).tobytes()
+            assert one[0].tobytes() == batched[i].tobytes()
+            # a float64 copy scores through a plan bound per call
             assert m64.predict_proba(x[i]).tobytes() == nn.softmax(
-                nn._forward_batch(m64, x[i:i + 1].astype(np.float64))).tobytes()
-        assert model._plan and not m64._plan      # float64 parameters take the batch path
+                nn._forward_batch(m64, x[i:i + 1].astype(np.float64))[0]).tobytes()
+        assert model._plan and not m64._plan      # float64 parameters keep no plan
+
+    def test_nans_of_either_sign_score_alike_alone_and_in_a_batch(self):
+        """With a dense layer first, a batch's matrix-matrix product and a
+        sample's matrix-vector one may give its NaN logits opposite signs."""
+        layers = [nn.LayerSpec("dense", width=7), nn.LayerSpec("softmax")]
+        model = nn.build_model(6, layers, seed=0)
+        x = np.random.default_rng(0).random((5, 6, 6)).astype(np.float32)
+        x[3, 0, :2] = -np.nan, np.nan
+        batched = model.predict_proba(x)
+        for i in range(len(x)):
+            assert batched[i].tobytes() == model.predict_proba(x[i])[0].tobytes()
 
     def test_plan_follows_a_step_and_an_assignment(self):
         model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
@@ -847,3 +870,15 @@ class TestOneSamplePlan:
         finally:
             tracemalloc.stop()
         assert peak < 9 * 676 * 8        # the first conv's float64 im2col
+
+    def test_a_batch_allocates_no_layer_output(self):
+        model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
+        x = np.random.default_rng(6).random((32, 28, 28)).astype(np.float32)
+        model.predict_proba(x[0])
+        tracemalloc.start()
+        try:
+            model.predict_proba(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 676 * 8        # one sample's first-conv float64 im2col

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from emonet import pipeline, smtp_client
+from emonet import pipeline, preprocess, smtp_client
 from emonet.classifiers import LABELS, EmotionScores, lda_train
 from emonet.config import PipelineConfig
 from emonet.glyphs import draw_glyph, make_glyph_dataset
@@ -321,6 +321,20 @@ class TestBoxFirst:
             pipeline.run_stream(Y4mReader(make_video(["neutral"] * 4)), sidecar(4),
                                 lda_model, config, clock=PINNED_CLOCK)
         assert exc.value.frame_index == 2
+
+
+    def test_working_height_above_the_bound_is_a_stage_error(self, monkeypatch):
+        # one pixel wide and 2,000 rows high: at width 500 the working frame
+        # would be 1,000,000 rows, each with a row of _tap_table
+        capture_rois(monkeypatch)
+        frame = Frame(index=0, width=1, height=2000, luma=np.zeros((2000, 1), np.uint8))
+        reader = Y4mReader(write_y4m(VideoHeader(1, 2000, 25, 1, "mono"), [frame]))
+        config = PipelineConfig(thresh=5, width=500)
+        with pytest.raises(pipeline.PipelineStageError) as exc:
+            pipeline.run_stream(reader, load_detections("# min_size=1x1\n0 0 0 1 1\n"),
+                                model_of_side(28), config, clock=PINNED_CLOCK)
+        assert exc.value.frame_index == 0
+        assert isinstance(exc.value.__cause__, preprocess.WorkingSizeTooLarge)
 
 
 class TestRoiTapsFirst:
