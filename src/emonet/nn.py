@@ -19,14 +19,27 @@ correlation (Dumoulin and Visin, arXiv:1603.07285): the forward conv run
 on the output gradient zero-padded by k-1, with the kernels flipped in
 both spatial axes and C and F swapped. The first layer's input gradient
 is the network input's, which nothing reads, so the backward pass stops
-before it.
+before it. The bias gradient is a column sum by einsum, whose bytes equal
+the sum over the batch and pixel axes when F > 1.
+
+A conv runs in blocks of samples, CONV_BLOCK_BYTES of float64 im2col
+each: a block's window copy, matmul, bias add and cast run before the
+next block's, so the copy is still in cache when the matmul reads it
+(the cache blocking of Goto and van de Geijn, TOMS 2008). A block's rows
+are a slice of the whole im2col, so the block size moves no bit. The
+forward keeps the whole im2col, for the kernel gradient's one matmul; the
+input gradient keeps none, and copies every block into one reused
+block-sized buffer.
 
 Max-pool and sigmoid are built from branch-free ufuncs (np.maximum,
 comparisons, one division) rather than np.where or argmax, and the pool's
 backward pass is one scatter through the flat index of each window's
-winner. Inference builds no winner mask: it takes each window's max, and
-finds the winner only when some max is a zero or NaN, whose bits may
-differ from the winner's.
+winner. A pool whose every window max is positive, as on every map a
+sigmoid feeds, takes the max as the pooled value and finds the winners
+with three comparisons; others gather the winner's own bits, which differ
+from the max's at a zero or NaN. Inference builds no winner mask: it takes
+each window's max, and finds the winner only when some max is a zero or
+NaN.
 
 Each forward layer is a step bound to its input array (_conv_step,
 _sigmoid_step, _pool_step, _dense_step): binding makes the output and
@@ -38,8 +51,9 @@ predict_proba runs every sample, one at a time, through the model's plan
 (_inference_plan): steps bound to one sample, each to what the step
 before writes, so a call allocates only its logits and softmax result,
 and a sample scores the same bits alone and as a row of a batch. The plan
-is kept on a float32 model, rebuilt once a parameter is no longer the
-array it was built from, and holds about 0.3 MB for the default stack.
+is kept on a float32 model, whose parameter arrays it makes read-only,
+rebuilt once a parameter is no longer the array it was built from, and
+holds about 0.3 MB for the default stack.
 
 Arrays are float32 in the model path; intermediate accumulations run in
 float64 and are rounded back, so results stay stable against naive
@@ -105,15 +119,28 @@ def _conv_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     """Valid cross-correlation of an n x H x W x C batch with k x k x C x F
     kernels: an n x (H-k+1) x (W-k+1) x F map, each cell the window's sum of
     products plus the filter's bias. With keep_rows, also the im2col rows it
-    multiplied."""
-    run, out, rows = _conv_step(x, kernels, bias)
+    multiplied; without, the rows are built one block at a time in one buffer."""
+    run, out, rows = _conv_step(x, kernels, bias, keep_rows)
     run()
     return (out, rows) if keep_rows else out
 
 
-def _conv_step(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
+# The im2col of one block of samples: about 512 KiB of float64 rows. With its
+# float64 product (at most 0.43 MB on the default stack) and the input it reads,
+# a block stays in a 2 MiB L2 from its window copy to its cast. The default
+# stack's convs take blocks of 10 and 7 samples, conv2's input gradient blocks
+# of 2. In interleaved SGD epochs at batch 32 on a 2 MiB-L2 core, 256 and
+# 768 KiB took 6-7 % longer, 128 KiB and 1 MiB 15-17 %, one whole-batch block 32 %.
+CONV_BLOCK_BYTES = 512 * 1024
+
+
+def _conv_step(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+               keep_rows: bool = False):
     """_conv_batch bound to x: (run, out, rows); run() writes the map of x's
-    current values into out and its im2col into rows."""
+    current values into out and, with keep_rows, its im2col into rows (else
+    None). run() goes over the batch in blocks of samples, each block's window
+    copy, matmul, bias add and cast in turn; each block's rows are a slice of
+    the whole im2col, so blocking moves no bit of out or rows."""
     n, h, w, c = x.shape
     k, k2, kc, f = kernels.shape
     if k != k2 or kc != c:
@@ -131,11 +158,41 @@ def _conv_step(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
     matrix = kernels.astype(np.float64, copy=False).reshape(-1, f)
     bias_row = np.tile(bias.astype(np.float64, copy=False), wo)
     windows = _windows(x, k)
-    copy = np.empty(windows.shape)
-    rows = _rows(copy)
-    prod = np.empty((len(rows), f))
-    by_row = prod.reshape(-1, bias_row.size)   # a view: one output row per line
+    pixels = ho * wo
+    per = max(1, min(n, CONV_BLOCK_BYTES // (pixels * k * k * c * 8)))   # samples per block
+    if keep_rows:
+        copy = np.empty(windows.shape)
+        rows = _rows(copy)
+    else:
+        block = np.empty(per * pixels * k * k * c)   # every block's copy in turn
+        rows = None
+    prod = np.empty((per * pixels, f))
     out = np.empty((n, ho, wo, f), np.result_type(x, kernels))
+    runs = []
+    for s in range(0, n, per):
+        # the block's samples on the windows' sample axis (axis 2 of a tap-major view)
+        at = (slice(None),) * (2 if c == 1 else 0) + (slice(s, s + per),)
+        part = windows[at]
+        if keep_rows:
+            dst, src = copy[at], rows[s * pixels:(s + per) * pixels]
+        else:
+            dst = block[:part.size].reshape(part.shape)
+            src = _rows(dst)
+        runs.append(_conv_block(part, dst, src, matrix, prod[:len(src)], bias_row,
+                                out[s:s + per]))
+    if len(runs) == 1:
+        return runs[0], out, rows
+
+    def run():
+        for block_run in runs:
+            block_run()
+    return run, out, rows
+
+
+def _conv_block(windows, copy, rows, matrix, prod, bias_row, out):
+    """One block's conv: run() copies windows into copy (rows is its im2col)
+    and writes rows @ matrix plus the bias into out."""
+    by_row = prod.reshape(-1, bias_row.size)   # a view: one output row per line
     by_pixel = prod.reshape(out.shape)
 
     def run():
@@ -143,7 +200,7 @@ def _conv_step(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
         np.matmul(rows, matrix, out=prod)
         np.add(by_row, bias_row, out=by_row)
         np.copyto(out, by_pixel, casting="unsafe")
-    return run, out, rows
+    return run
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -203,6 +260,16 @@ def _maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # element and cost several times more on data this random.
     views = [np.ascontiguousarray(v) for v in _pool_views(x)]
     top = _window_max(views)
+    if top.min(initial=np.inf) > 0:
+        # No max is a zero or NaN (as on every map a sigmoid feeds), so the
+        # max is the winner's own value and no window holds a NaN: the winner
+        # is the first position equal to the max.
+        miss = views[0] != top
+        mask = miss.astype(np.int8)
+        for v in views[1:3]:
+            miss &= v != top
+            mask += miss
+        return top, mask.astype(np.intp)
     # the winner is the first position that holds the max, or the first NaN,
     # as with argmax: mask counts the positions before it
     mask = np.zeros(top.shape, dtype=np.intp)
@@ -389,8 +456,10 @@ def emotion_layer_stack() -> list[LayerSpec]:
 INIT_GAIN = 4.0
 
 # The most values one sample's input, layer output or conv im2col may hold: a
-# float64 im2col is then at most 32 MiB a sample, 1 GiB in a 32-sample batch.
-# A model file's u16 sizes could otherwise ask for tens of GiB at its first score.
+# float64 im2col is then at most 32 MiB a sample, 1 GiB for a forward conv's
+# kept rows in a 32-sample batch (the backward's input gradient holds one
+# block of samples). A model file's u16 sizes could otherwise ask for tens of
+# GiB at its first score.
 MAX_SAMPLE_VALUES = 2**22
 
 
@@ -521,9 +590,11 @@ class _Plan(NamedTuple):
 def _inference_plan(model: CnnModel) -> _Plan:
     """The model's plan over one sample in its parameters' dtype. It is kept
     on a float32 model while every parameter is the very array it was built
-    from: an SGD step assigns new arrays, so a stale plan never runs. Other
-    models get a plan bound per call, since a binding copies what it casts
-    or tiles and a float64 copy's parameters may be edited in place."""
+    from: an SGD step assigns new arrays, so a stale plan never runs. A kept
+    plan's parameter arrays become read-only, since the plan holds float64
+    copies of them: an in-place edit raises ValueError rather than scoring
+    with the old values. Other models get a plan bound per call, since a
+    float64 copy's parameters may be edited in place."""
     arrays = [v for p in model.params for v in p.values()]
     plan = model._plan
     if plan and len(plan.arrays) == len(arrays) and all(map(operator.is_, arrays, plan.arrays)):
@@ -545,6 +616,8 @@ def _inference_plan(model: CnnModel) -> _Plan:
         steps.append(run)
     plan = _Plan(arrays, x[0], steps, a[0])
     if all(v.dtype == np.float32 for v in arrays):
+        for v in arrays:
+            v.flags.writeable = False
         model._plan = plan
     return plan
 
@@ -573,7 +646,11 @@ def _backward_batch(model: CnnModel, caches, dlogits: np.ndarray):
             k, _, c, f = p["k"].shape
             dk = cache.T @ d.reshape(-1, f).astype(np.float64)
             grads[i]["k"] = dk.reshape(k, k, c, f).astype(p["k"].dtype)
-            grads[i]["b"] = d.sum(axis=(0, 1, 2)).astype(p["b"].dtype)
+            # the same bytes as d.sum(axis=(0, 1, 2)), whose inner loop is
+            # only F long; for F = 1 the sum adds one contiguous column
+            # pairwise, and the einsum would not
+            db = np.einsum("ij->j", d.reshape(-1, f)) if f > 1 else d.sum(axis=(0, 1, 2))
+            grads[i]["b"] = db.astype(p["b"].dtype)
             if i == 0:
                 break          # the network input's gradient has no reader
             d = _conv_batch(np.pad(d, ((0, 0), (k - 1, k - 1), (k - 1, k - 1), (0, 0))),

@@ -538,6 +538,31 @@ class TestMaxpoolBackward:
             # an odd trailing row or column is in no window
             assert not np.any(dx[:, 2 * (h // 2):]) and not np.any(dx[:, :, 2 * (w // 2):])
 
+    def test_positive_maps_full_of_ties_take_the_fast_path(self, monkeypatch):
+        """Every window max > 0, as on a map a sigmoid feeds: the pooled map is
+        the max itself, and no winner index is gathered."""
+        gathers = []
+        real = nn._winner_index
+        monkeypatch.setattr(nn, "_winner_index",
+                            lambda *a: gathers.append(1) or real(*a))
+        rng = np.random.default_rng(22)
+        for t in range(100):
+            n = int(rng.integers(1, 4))
+            h, w = (int(v) for v in rng.integers(2, 12, size=2))
+            c = int(rng.integers(1, 5))
+            dtype = (np.float32, np.float64)[t % 2]
+            x = rng.choice(np.array([0.25, 0.5, 0.75], dtype), (n, h, w, c))
+            gathers.clear()
+            out, mask = nn._maxpool_batch(x)
+            assert not gathers
+            dout = rng.standard_normal(out.shape).astype(dtype)
+            want_out, want_mask, want_dx = maxpool_winner_oracle(x, dout)
+            assert out.tobytes() == want_out.tobytes()
+            assert mask.dtype == np.intp
+            np.testing.assert_array_equal(mask, want_mask)
+            dx = nn._maxpool_backward(dout, mask, x.shape)
+            assert dx.tobytes() == want_dx.tobytes()
+
 
 def two_branch_sigmoid(x):
     z = np.exp(np.where(x >= 0, -x, x))
@@ -735,6 +760,85 @@ class TestIm2colTapMajor:
         assert nn._im2col(x, 3).flags.c_contiguous
 
 
+class TestConvBlocks:
+    """A conv runs in blocks of samples (nn.CONV_BLOCK_BYTES of im2col each);
+    its map and its kept rows must not depend on the block size."""
+
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("keep_rows", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_of_one_and_three_match_one_block(self, monkeypatch, n, c, keep_rows, dtype):
+        rng = np.random.default_rng(n * 10 + c)
+        x = rng.standard_normal((n, 12, 11, c)).astype(dtype)
+        kernels = rng.standard_normal((3, 3, c, 5)).astype(dtype)
+        bias = rng.standard_normal(5).astype(dtype)
+        sample_bytes = 10 * 9 * 9 * c * 8          # one sample's float64 im2col
+
+        def conv(block_bytes):
+            monkeypatch.setattr(nn, "CONV_BLOCK_BYTES", block_bytes)
+            got = nn._conv_batch(x, kernels, bias, keep_rows=keep_rows)
+            return got if keep_rows else (got, None)
+
+        out, rows = conv(n * sample_bytes)
+        assert out.dtype == dtype
+        for block_bytes in (1, 3 * sample_bytes):
+            got_out, got_rows = conv(block_bytes)
+            assert got_out.tobytes() == out.tobytes()
+            if keep_rows:
+                assert got_rows.tobytes() == rows.tobytes()
+
+
+    def test_a_step_matches_one_block(self, monkeypatch):
+        """Both convs' forwards and the input gradient, at blocks of one sample."""
+        rng = np.random.default_rng(8)
+        x = rng.random((32, 28, 28)).astype(np.float32)
+        labels = rng.integers(0, 7, 32)
+        models = []
+        for block_bytes in (1, 2**40):
+            monkeypatch.setattr(nn, "CONV_BLOCK_BYTES", block_bytes)
+            models.append(nn.build_model(28, nn.emotion_layer_stack(), seed=3))
+            nn.model_backward_and_step(models[-1], x, labels, 0.5)
+        for got, want in zip(*(m.param_arrays() for m in models)):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("f", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_gradient_is_the_sum_byte_for_byte(self, f, dtype):
+        layers = [nn.LayerSpec("conv", kernel_size=3, filters=f),
+                  nn.LayerSpec("dense", width=7), nn.LayerSpec("softmax")]
+        model = nn.build_model(28, layers, seed=f)
+        model.params = [{k: v.astype(dtype) for k, v in p.items()} for p in model.params]
+        rng = np.random.default_rng(f)
+        x = rng.random((32, 28, 28, 1)).astype(dtype)
+        logits, caches = nn._forward_batch(model, x)
+        _, _, dlogits = nn._cross_entropy_batch(logits, rng.integers(0, 7, 32))
+        grads = nn._backward_batch(model, caches, dlogits)
+        # the conv output's gradient, as the dense layer's backward forms it
+        w = model.params[1]["w"].astype(np.float64)
+        d = (dlogits.astype(np.float64) @ w.T).astype(dtype).reshape(32, 26, 26, f)
+        want = d.sum(axis=(0, 1, 2))
+        assert grads[0]["b"].dtype == dtype
+        assert grads[0]["b"].tobytes() == want.tobytes()
+
+    def test_backward_holds_no_whole_batch_im2col(self):
+        """conv2's input gradient copies its zero-padded windows one block at
+        a time: a whole batch of 32 would be 6.2 MB of float64 rows."""
+        model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
+        x = np.random.default_rng(0).random((32, 28, 28, 1)).astype(np.float32)
+        logits, caches = nn._forward_batch(model, x)
+        _, _, dlogits = nn._cross_entropy_batch(logits, np.arange(32) % 7)
+        tracemalloc.start()
+        try:
+            nn._backward_batch(model, caches, dlogits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+
 class TestInferenceOperandCache:
     """predict_proba reuses float64 copies of the float32 parameters; they
     must follow every SGD step and stay out of the model's value."""
@@ -850,6 +954,18 @@ class TestOneSamplePlan:
         model.params[6]["w"] = model.params[6]["w"] * np.float32(0.5)
         assigned = model.predict_proba(x[0])
         assert assigned.tobytes() == fresh_score().tobytes() != after.tobytes()
+
+    def test_an_in_place_edit_of_a_scored_model_raises(self):
+        """The kept plan holds float64 copies of the parameters, so an edit it
+        would not see is refused; an assignment is followed."""
+        model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
+        x = np.random.default_rng(3).random((28, 28)).astype(np.float32)
+        before = model.predict_proba(x)
+        with pytest.raises(ValueError):
+            model.params[8]["b"][:] = 1.0
+        assert model.predict_proba(x).tobytes() == before.tobytes()
+        model.params[8]["b"] = np.ones(7, np.float32)
+        assert model.predict_proba(x).tobytes() != before.tobytes()
 
     def test_a_returned_score_is_the_callers(self):
         model = nn.build_model(28, nn.emotion_layer_stack(), seed=7)
