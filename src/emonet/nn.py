@@ -2,8 +2,10 @@
 
 Forward/backward passes for valid-padding convolution, 2x2 max-pooling,
 dense layers, sigmoid activations and a softmax/cross-entropy head, plus
-plain SGD updates and a finite-difference gradient check that runs the
-SGD step's own loss and backward path (_loss_and_grads).
+plain SGD updates. The SGD step's loss and backward path
+(_loss_and_grads) is also what the tests' finite-difference gradient
+check differentiates; that check and a whole-batch im2col live with the
+tests, in tests/nn_oracles.py.
 
 A convolution is one matrix product over an im2col (Chellapilla, Puri and
 Simard 2006): each output pixel's k x k x C input window becomes a row in
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -227,13 +229,6 @@ def _rows(copy: np.ndarray) -> np.ndarray:
     return copy.reshape(-1, math.prod(copy.shape[3:]))
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """float64 rows of every k x k window of an n x H x W x C batch, (i, j, c) order."""
-    # order="C" copies straight into the row layout; the default keeps the
-    # view's strides, and reshape would then copy a second time
-    return _rows(_windows(x, k).astype(np.float64, order="C"))
-
-
 def _pool_views(x: np.ndarray) -> list[np.ndarray]:
     """The (n, he, we, C) view of each 2x2 window position, row-major; an odd
     trailing row or column is in none."""
@@ -359,7 +354,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def _cross_entropy_batch(logits: np.ndarray,
                          labels) -> tuple[np.ndarray, float, np.ndarray]:
     """Softmax, mean cross-entropy and its logit gradient (p - onehot) / n,
-    in the logit dtype: the loss SGD steps on and gradient_check checks."""
+    in the logit dtype: the loss SGD steps on and the gradient check checks."""
     labels = np.asarray(labels)
     n, k = logits.shape
     if labels.min() < 0 or labels.max() >= k:
@@ -682,38 +677,3 @@ def model_backward_and_step(model: CnnModel, inputs: np.ndarray,
             p[key] = (p[key].astype(np.float64)
                       - learning_rate * grad.astype(np.float64)).astype(p[key].dtype)
     return loss, hits
-
-
-def gradient_check(model: CnnModel, sample: tuple[np.ndarray, int],
-                   epsilon: float) -> float:
-    """Compare analytic gradients to central finite differences, parameter by
-    parameter, and return the largest relative error.
-
-    Both come from the loss and backward pass that model_backward_and_step
-    runs. The check works on a float64 copy of the model so the difference
-    quotient is not drowned by float32 rounding.
-    """
-    if not 1e-5 <= epsilon <= 1e-2:
-        raise ValueError(f"epsilon {epsilon} outside [1e-5, 1e-2]")
-    x, label = sample
-    m64 = replace(model, params=[{k: v.astype(np.float64) for k, v in p.items()}
-                                 for p in model.params])
-    xb = _as_batch(m64, np.asarray(x, dtype=np.float64))
-    labels = [label]
-    _, _, grads = _loss_and_grads(m64, xb, labels)
-
-    worst = 0.0
-    for p, g in zip(m64.params, grads):
-        for key in sorted(p):
-            flat, analytic = p[key].reshape(-1), g[key].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                lp = _cross_entropy_batch(_forward_batch(m64, xb)[0], labels)[1]
-                flat[i] = orig - epsilon
-                lm = _cross_entropy_batch(_forward_batch(m64, xb)[0], labels)[1]
-                flat[i] = orig
-                numeric = (lp - lm) / (2.0 * epsilon)
-                a = float(analytic[i])
-                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
-    return worst

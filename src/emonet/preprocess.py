@@ -116,26 +116,30 @@ def resample_window(img: np.ndarray, taps: Taps) -> np.ndarray:
     """The bilinear samples that taps describe, as float64; img is the
     taps_window crop of the source. Each sample depends only on its own
     index and its four source pixels, so the samples of a region are
-    bit-identical to the same pixels of the whole resample."""
+    bit-identical to the same pixels of the whole resample.
+
+    The tap grid is gathered once: the lower then the upper rows in one
+    take, then the lower then the upper columns in another, so the grid's
+    four quadrants are the four corners of every sample. The horizontal
+    pass runs once over all its rows; the vertical pass then weighs the
+    top and bottom halves and adds the bottom into the top.
+    """
     (y0, y1, wy), (x0, x1, wx) = taps
     oy, ox = y0[0], x0[0]
-    y0, y1, x0, x1 = y0 - oy, y1 - oy, x0 - ox, x1 - ox
-    if img.shape != (y1[-1] + 1, x1[-1] + 1):
+    if img.shape != (y1[-1] + 1 - oy, x1[-1] + 1 - ox):
         raise ValueError(f"source crop is {img.shape}, region reads "
-                         f"{(y1[-1] + 1, x1[-1] + 1)}")
-    wy = wy[:, None]
-    wx = wx[None, :]
-    uy, ux = 1 - wy, 1 - wx
+                         f"{(y1[-1] + 1 - oy, x1[-1] + 1 - ox)}")
+    ny, nx = len(y0), len(x0)
     # Gathering the source pixels before they meet a float64 weight gives the
     # same values as gathers from a float64 copy, without converting the
     # pixels that no sample reads.
-    rows0, rows1 = img[y0], img[y1]
-    top = rows0[:, x0] * ux
-    top += rows0[:, x1] * wx
-    bot = rows1[:, x0] * ux
-    bot += rows1[:, x1] * wx
-    top *= uy
-    bot *= wy
+    rows, cols = np.concatenate((y0, y1)) - oy, np.concatenate((x0, x1)) - ox
+    grid = img.take(rows, axis=0).take(cols, axis=1)
+    h = grid[:, :nx] * (1 - wx)
+    h += grid[:, nx:] * wx
+    top, bot = h[:ny], h[ny:]
+    top *= (1 - wy)[:, None]
+    bot *= wy[:, None]
     top += bot
     return top
 
@@ -154,7 +158,9 @@ def resize_to_width(img: np.ndarray, taps: Taps) -> np.ndarray:
     crop of the source; the uint8 array returned holds those pixels, in the
     order the taps list them.
     """
-    return np.clip(np.rint(resample_window(img, taps)), 0, 255).astype(np.uint8)
+    out = resample_window(img, taps)
+    np.rint(out, out=out)
+    return np.clip(out, 0, 255, out=out).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +194,8 @@ def extract_roi(img: np.ndarray, roi_size: int, taps: Taps | None = None) -> np.
         resized = bilinear_resize(img, roi_size, roi_size)
     else:
         resized = resample_window(img, taps)
-    return (resized / 255.0).astype(np.float32)
+    resized /= 255.0
+    return resized.astype(np.float32)
 
 
 def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,

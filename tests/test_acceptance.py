@@ -19,6 +19,7 @@ from emonet.preprocess import load_detections
 from emonet.video import (Frame, VideoHeader, Y4mReader, parse_pgm,
                           parse_y4m_header, write_pgm, write_y4m)
 
+from nn_oracles import gradient_check
 from smtp_server import SessionServer, dot_unstuff, play
 from test_alerts import run_trace
 from test_classifiers import bayes_oracle, random_lda_model
@@ -47,7 +48,7 @@ def test_gradient_check():
     """Central differences vs analytic gradient on the tiny fixture model."""
     model = tiny_fixture_model(seed=3)
     x = np.random.default_rng(4).random((8, 8)).astype(np.float32)
-    err = nn.gradient_check(model, (x, 3), epsilon=1e-3)
+    err = gradient_check(model, (x, 3), epsilon=1e-3)
     assert err < 1e-4
     ok("gradient-check")
 

@@ -9,6 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from emonet import model_io, nn
+from nn_oracles import gradient_check, im2col
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,7 @@ class TestConv:
                          "b": np.zeros(c, dtype=np.float32)},
                         {"k": k, "b": b}],
                 seed=0)
-            caches = [("conv", nn._im2col(probe, 1)), ("conv", nn._im2col(x, ks))]
+            caches = [("conv", im2col(probe, 1)), ("conv", im2col(x, ks))]
             grads = nn._backward_batch(model, caches, dout)
             dk, db, dx = conv_backward_oracle(x, k, dout)
             got_dx = grads[0]["k"][0, 0].reshape(n, h, w, c)
@@ -411,14 +412,14 @@ class TestGradientCheck:
     def test_tiny_fixture_passes(self):
         m = tiny_fixture_model()
         x = np.random.default_rng(7).random((8, 8)).astype(np.float32)
-        err = nn.gradient_check(m, (x, 3), epsilon=1e-3)
+        err = gradient_check(m, (x, 3), epsilon=1e-3)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_two_conv_fixture_passes(self, seed):
         m = two_conv_fixture_model(seed)
         x = np.random.default_rng(seed).random((10, 10)).astype(np.float32)
-        err = nn.gradient_check(m, (x, seed + 1), epsilon=1e-3)
+        err = gradient_check(m, (x, seed + 1), epsilon=1e-3)
         assert err < 1e-4
 
     def test_corrupted_dense_gradient_detected(self):
@@ -436,20 +437,20 @@ class TestGradientCheck:
 
         nn._backward_batch = corrupted
         try:
-            err = nn.gradient_check(m, (x, 3), epsilon=1e-3)
+            err = gradient_check(m, (x, 3), epsilon=1e-3)
         finally:
             nn._backward_batch = real_backward
         assert err > 1e-1
 
     def test_zero_model_zero_input_bias_path(self):
         m = zero_weight_model()
-        err = nn.gradient_check(m, (np.zeros((8, 8), dtype=np.float32), 0), epsilon=1e-3)
+        err = gradient_check(m, (np.zeros((8, 8), dtype=np.float32), 0), epsilon=1e-3)
         assert err < 1e-4
 
     def test_epsilon_bounds_enforced(self):
         m = tiny_fixture_model()
         with pytest.raises(ValueError):
-            nn.gradient_check(m, (np.zeros((8, 8), dtype=np.float32), 0), 1e-6)
+            gradient_check(m, (np.zeros((8, 8), dtype=np.float32), 0), 1e-6)
 
 
 @pytest.mark.parametrize("n", [1, 3], ids=lambda n: f"n={n}")
@@ -687,7 +688,7 @@ def reference_step(monkeypatch, model, x, labels, lr):
             d = nn._maxpool_backward(d, cache[1], cache[0])
         elif kind == "conv":
             k, _, c, f = p["k"].shape
-            rows = nn._im2col(inputs.pop(), k)
+            rows = im2col(inputs.pop(), k)
             grads[i] = {"k": (rows.T @ d.reshape(-1, f).astype(f64)).reshape(p["k"].shape)
                         .astype(np.float32), "b": d.sum(axis=(0, 1, 2))}
             d = nn._conv_batch(np.pad(d, ((0, 0), (k - 1, k - 1), (k - 1, k - 1), (0, 0))),
@@ -744,7 +745,7 @@ class TestIm2colTapMajor:
     def test_same_rows_and_byte_equal_products(self, n, k):
         rng = np.random.default_rng(100 * n + k)
         x = rng.random((n, 28, 28, 1)).astype(np.float32)
-        cols = nn._im2col(x, k)
+        cols = im2col(x, k)
         view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
         rows = view.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k)
         assert cols.dtype == np.float64 and cols.flags.f_contiguous
@@ -757,7 +758,7 @@ class TestIm2colTapMajor:
 
     def test_more_channels_keep_row_major_rows(self):
         x = np.random.default_rng(5).random((2, 7, 7, 3)).astype(np.float32)
-        assert nn._im2col(x, 3).flags.c_contiguous
+        assert im2col(x, 3).flags.c_contiguous
 
 
 class TestConvBlocks:

@@ -11,8 +11,8 @@ from emonet import pipeline, preprocess, smtp_client
 from emonet.classifiers import LABELS, EmotionScores, lda_train
 from emonet.config import PipelineConfig
 from emonet.glyphs import draw_glyph, make_glyph_dataset
-from emonet.preprocess import (EmptyIntersection, bilinear_resize, clamp_box, load_detections,
-                               select_primary_face, working_height)
+from emonet.preprocess import (BoundingBox, EmptyIntersection, bilinear_resize, clamp_box,
+                               load_detections, select_primary_face, working_height)
 from emonet.video import Frame, VideoHeader, Y4mReader, temporal_smooth, write_y4m
 
 PINNED_CLOCK = lambda: datetime(2022, 6, 29, 12, 0, 0, tzinfo=timezone.utc)
@@ -379,6 +379,42 @@ class TestRoiTapsFirst:
             assert resized[i] == tuple(min(n, 56) for n in spans)
         if side == 240:
             assert (56, 56) in resized
+
+
+class TestTapRowMedian:
+    """Under a full window, the median runs only over the source rows the
+    working taps read, lower taps then upper; the frames classified
+    unsmoothed take the ROI's source window as it is."""
+
+    def test_bench_geometry_smooths_just_the_tapped_rows(self, monkeypatch):
+        rois = capture_rois(monkeypatch)
+        smoothed = []
+        real_smooth = pipeline.temporal_smooth
+
+        def spy(frames, region):
+            out = real_smooth(frames, region)
+            smoothed.append(out.shape)
+            return out
+
+        monkeypatch.setattr(pipeline, "temporal_smooth", spy)
+        rng = np.random.default_rng(26)
+        frames = [Frame(index=i, width=1280, height=720,
+                        luma=rng.integers(0, 256, (720, 1280), dtype=np.uint8))
+                  for i in range(6)]
+        dets = load_detections("# min_size=1x1\n"
+                               + "".join(f"{i} 500 300 240 240\n" for i in range(6)))
+        config = PipelineConfig(thresh=5, width=500, smooth_window=5,
+                                detections_coords="original")
+        data = write_y4m(VideoHeader(1280, 720, 25, 1, "mono"), frames)
+        pipeline.run_stream(Y4mReader(data), dets, model_of_side(28), config,
+                            clock=PINNED_CLOCK)
+        box = BoundingBox(500, 300, 240, 240).scaled(500 / 1280)
+        window = preprocess.roi_plan(box, (720, 1280), 500, 28)[0]
+        rows, cols = (s.stop - s.start for s in window)
+        assert (rows, cols) == (235, 235)
+        assert smoothed == [(rows, cols)] * 4 + [(112, cols)] * 2
+        for i in (4, 5):
+            np.testing.assert_array_equal(rois[i], full_frame_roi(frames[i - 4:i + 1], box, 500, 28))
 
 
 class TestRowsOnDemand:

@@ -258,6 +258,35 @@ def test_roi_plan_taps_match_resample_taps_of_the_picked_pixels(case):
     assert plan_roi_taps is roi_taps
 
 
+@st.composite
+def _restarting_picks(draw, n_out):
+    """Output indices as roi_plan picks them: an increasing run of lower
+    picks, then an increasing run of upper picks that starts at or after the
+    first lower pick and ends at or after the last, so the first lower tap
+    and the last upper tap bound all the others."""
+    lower = sorted(set(draw(st.lists(st.integers(0, n_out - 1), min_size=1, max_size=12))))
+    upper = sorted(draw(st.lists(st.integers(lower[0], n_out - 1), min_size=1, max_size=12)))
+    if upper[-1] < lower[-1]:
+        upper.append(lower[-1])
+    return np.array(lower + upper, dtype=np.intp)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(draw=st.data(), in_shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       out_shape=st.tuples(st.integers(1, 60), st.integers(1, 60)))
+def test_resample_window_of_restarting_picks_matches_the_whole_resample(draw, in_shape,
+                                                                        out_shape):
+    """The one-take tap grid gives, at index-array taps that restart, the
+    bytes of the whole resample at those pixels."""
+    rows, cols = (draw.draw(_restarting_picks(n)) for n in out_shape)
+    img = np.random.default_rng(sum(in_shape + out_shape)).integers(0, 256, in_shape, np.uint8)
+    taps = preprocess.resample_taps((rows, cols), in_shape, out_shape)
+    got = preprocess.resample_window(img[preprocess.taps_window(taps)], taps)
+    want = preprocess.bilinear_resize(img, *out_shape)[np.ix_(rows, cols)]
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestLoadDetections:
     def test_single_record(self):
         ds = preprocess.load_detections(b"0 5 5 60 60\n")

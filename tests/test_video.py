@@ -191,6 +191,35 @@ class TestTemporalSmooth:
             assert out.shape == (7, 5) and out.dtype == np.uint8
             np.testing.assert_array_equal(out, np.median(stack, axis=0).astype(np.uint8)[region])
 
+    @pytest.mark.parametrize("rows", [[7, 2, 2, 9, 4, 7, 3], [5], [10, 0, 10], [3, 4, 5, 3, 4, 5]])
+    def test_row_index_region_matches_whole_frame_median(self, rows):
+        rows = np.array(rows, dtype=np.intp)
+        cols = slice(1, 6)
+        for k in (1, 3, 5):
+            frames = [make_frame(i, 7, 11, seed=30 + i) for i in range(k)]
+            want = np.median(np.stack([f.luma for f in frames]), axis=0).astype(np.uint8)
+            out = video.temporal_smooth(frames, (rows, cols))
+            assert out.shape == (len(rows), 5) and out.dtype == np.uint8
+            np.testing.assert_array_equal(out, want[rows, cols])
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_row_index_region_reads_just_the_band_it_spans(self, k):
+        frames = [make_frame(i, 10, 20, seed=40 + i) for i in range(k)]
+        stream = CountingStream(video.write_y4m(VideoHeader(10, 20, 25, 1, "420"), frames))
+        lazy = list(video.Y4mReader(stream))
+        stream.bytes_read = 0
+        rows = np.array([12, 6, 6, 15, 9], dtype=np.intp)     # the band is rows 6..15
+        out = video.temporal_smooth(lazy, (rows, slice(2, 8)))
+        assert stream.bytes_read == k * 10 * 10
+        want = np.median(np.stack([f.luma for f in frames]), axis=0).astype(np.uint8)
+        np.testing.assert_array_equal(out, want[rows, 2:8])
+
+    @pytest.mark.parametrize("rows", [[3, -1], [4, 11]])
+    def test_row_index_outside_the_frame_is_rejected(self, rows):
+        frames = [make_frame(i, 7, 11) for i in range(3)]
+        with pytest.raises(ValueError, match="rows must be slice"):
+            video.temporal_smooth(frames, (np.array(rows, dtype=np.intp), slice(None)))
+
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             video.temporal_smooth([make_frame(i, 4, 4) for i in range(2)])
