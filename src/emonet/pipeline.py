@@ -11,10 +11,13 @@ pixels its ROI reads (preprocess.roi_plan) are median-smoothed and resized,
 which gives the same ROI, of the model's input_side, as smoothing and
 resizing the whole frame; the stages pass plain arrays. Under a full
 median window, the median runs only over the source rows the working
-pixels' taps read, where they are fewer than the ROI's source window. A
-frame of a seekable stream reads just the band of source rows the ROI
-reads, when they are first smoothed (Frame.crop), so the stream must stay
-open for the whole run.
+pixels' taps read, where they are fewer than the ROI's source window.
+Everything about a box that depends only on its geometry (the plan, that
+row stack, the gather indices and weights of each resample) is built at
+the box's first frame, in roi_plan, and cached, so while a face holds
+still a frame does only pixel work. A frame of a seekable stream reads
+just the band of source rows the ROI reads, when they are first smoothed
+(Frame.crop), so the stream must stay open for the whole run.
 With SMTP configured, each alert is mailed before the next frame is read,
 one SMTP session per alert. The run's smtp_client.Mailer opens a spare
 connection right after each accepted message and reads each QUIT reply
@@ -82,20 +85,14 @@ def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
               side: int) -> np.ndarray | None:
     """The side x side ROI of box in the median of frames, or None when the box
     misses the frame; only the pixels roi_plan names are smoothed and resized.
-    Under a window of 3 or 5 frames, where the working rows' taps read fewer
-    source rows than their window holds, the median runs over just those
-    rows, lower taps then upper, and the resize reads them through row taps
-    over that stack."""
-    plan = roi_plan(box, (frames[-1].height, frames[-1].width), width, side)
+    Under a window of 3 or 5 frames the plan stacks the rows the working
+    taps read, where they are fewer than the window's rows, so the median
+    runs over just those. The plan is cached per box, so a frame whose box
+    repeats does only pixel work."""
+    plan = roi_plan(box, (frames[-1].height, frames[-1].width), width, side, len(frames) > 1)
     if plan is None:
         return None
     window, taps, roi_taps = plan
-    (lo, hi, wy), cols = taps
-    n = len(lo)
-    if len(frames) > 1 and 2 * n < window[0].stop - window[0].start:
-        window = (np.concatenate((lo, hi)), window[1])
-        stacked = np.arange(2 * n)
-        taps = ((stacked[:n], stacked[n:], wy), cols)
     smoothed = temporal_smooth(frames, window)
     return extract_roi(resize_to_width(smoothed, taps), side, roi_taps)
 

@@ -71,12 +71,46 @@ def working_height(width: int, height: int, target_width: int) -> int:
     return max(1, int(round(height * target_width / width)))
 
 
-AxisTaps = tuple[np.ndarray, np.ndarray, np.ndarray]   # lower, upper source index, upper weight
-Taps = tuple[AxisTaps, AxisTaps]                         # rows, then columns
+class AxisTaps(tuple):
+    """The bilinear taps of some outputs along one axis: (lower source index,
+    upper source index, upper weight), an array of each, read-only.
+
+    What resample_window reads of them is derived once, when they are made,
+    so taps that are reused, as a cached roi_plan's are, derive it once:
+    span, the length of the source crop they read; index, the lower-then-
+    upper indices into that crop; and weights, 1 - w and w, all read-only.
+    Taps made stacked have lower taps 0..n-1 and upper taps n..2n-1 over a
+    crop of 2n, which is then the grid as it is: their index is None, and
+    resample_window takes nothing on their axis.
+    """
+
+    def __new__(cls, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, stacked: bool = False):
+        return cls.of_pairs(np.stack((lo, hi)), np.stack((1 - w, w)), stacked)
+
+    @classmethod
+    def of_pairs(cls, taps: np.ndarray, weights: np.ndarray, stacked: bool = False):
+        """The taps of two (2, n) arrays: taps, the lower then the upper
+        source indices, and weights, 1 - w then w. Both are made read-only,
+        and the taps' arrays are their rows, as index and weights are."""
+        taps.setflags(write=False)
+        weights.setflags(write=False)
+        axis = super().__new__(cls, (taps[0], taps[1], weights[1]))
+        if stacked:
+            axis.span, index = taps.shape[1] * 2, None
+        else:
+            start = int(taps[0, 0])
+            axis.span = int(taps[1, -1]) + 1 - start
+            index = (taps - start if start else taps).ravel()
+            index.setflags(write=False)
+        axis.index, axis.weights = index, (weights[0], axis[2])
+        return axis
+
+
+Taps = tuple[AxisTaps, AxisTaps]   # rows, then columns
 Span = slice | np.ndarray    # output indices: a slice with explicit start and stop, or an array
 
 
-def _taps(n_in: int, n_out: int, span: Span) -> AxisTaps:
+def _taps(n_in: int, n_out: int, span: Span) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bilinear taps along one axis for the outputs span selects of an
     n_in -> n_out resample: lower and upper source index, and upper weight."""
     # each sample centre, (i + 0.5) * n_in / n_out - 0.5, clamped into the
@@ -99,7 +133,7 @@ def resample_taps(region: tuple[Span, Span], in_shape: tuple[int, int],
     """Row and column taps of the output pixels in region (rows, cols) of an
     in_shape -> out_shape bilinear resample."""
     (rows, cols), (in_h, in_w), (out_h, out_w) = region, in_shape, out_shape
-    return _taps(in_h, out_h, rows), _taps(in_w, out_w, cols)
+    return AxisTaps(*_taps(in_h, out_h, rows)), AxisTaps(*_taps(in_w, out_w, cols))
 
 
 def taps_window(taps: Taps) -> Region:
@@ -120,26 +154,28 @@ def resample_window(img: np.ndarray, taps: Taps) -> np.ndarray:
 
     The tap grid is gathered once: the lower then the upper rows in one
     take, then the lower then the upper columns in another, so the grid's
-    four quadrants are the four corners of every sample. The horizontal
-    pass runs once over all its rows; the vertical pass then weighs the
-    top and bottom halves and adds the bottom into the top.
+    four quadrants are the four corners of every sample; an axis whose
+    index is None takes nothing. The horizontal pass runs once over all the
+    grid's rows; the vertical pass then weighs the top and bottom halves and
+    adds the bottom into the top. The indices and weights are the ones the
+    AxisTaps derived when they were made.
     """
-    (y0, y1, wy), (x0, x1, wx) = taps
-    oy, ox = y0[0], x0[0]
-    if img.shape != (y1[-1] + 1 - oy, x1[-1] + 1 - ox):
-        raise ValueError(f"source crop is {img.shape}, region reads "
-                         f"{(y1[-1] + 1 - oy, x1[-1] + 1 - ox)}")
-    ny, nx = len(y0), len(x0)
+    rows, cols = taps
+    if img.shape != (rows.span, cols.span):
+        raise ValueError(f"source crop is {img.shape}, region reads {(rows.span, cols.span)}")
     # Gathering the source pixels before they meet a float64 weight gives the
     # same values as gathers from a float64 copy, without converting the
     # pixels that no sample reads.
-    rows, cols = np.concatenate((y0, y1)) - oy, np.concatenate((x0, x1)) - ox
-    grid = img.take(rows, axis=0).take(cols, axis=1)
-    h = grid[:, :nx] * (1 - wx)
-    h += grid[:, nx:] * wx
+    grid = img if rows.index is None else img.take(rows.index, axis=0)
+    if cols.index is not None:
+        grid = grid.take(cols.index, axis=1)
+    (left_w, right_w), (top_w, bot_w) = cols.weights, rows.weights
+    nx, ny = len(left_w), len(top_w)
+    h = grid[:, :nx] * left_w
+    h += grid[:, nx:] * right_w
     top, bot = h[:ny], h[ny:]
-    top *= (1 - wy)[:, None]
-    bot *= wy[:, None]
+    top *= top_w[:, None]
+    bot *= bot_w[:, None]
     top += bot
     return top
 
@@ -198,8 +234,9 @@ def extract_roi(img: np.ndarray, roi_size: int, taps: Taps | None = None) -> np.
     return resized.astype(np.float32)
 
 
-def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,
-             roi_size: int) -> tuple[Region, Taps, Taps] | None:
+@functools.lru_cache(maxsize=8)
+def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int, roi_size: int,
+             stack_rows: bool = False) -> tuple[tuple[Span, slice], Taps, Taps] | None:
     """For box, in working-width coordinates, of an in_shape (rows, cols)
     source image: the source window to smooth, the taps resampling it to
     the working pixels the ROI reads, and the ROI's taps over those; None
@@ -210,11 +247,24 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,
     source img resized whole to the working width (bilinear_resize, rounded
     to uint8) and cropped to clamp_box of box.
 
-    Nothing is computed per box that depends only on sizes: the working
-    pixels' taps are picked from the per-geometry tables of _tap_table, and
-    the ROI's from the per-box-size plan of _roi_plan. Raises
-    WorkingSizeTooLarge when the working size exceeds MAX_WORKING_SIDE on an
-    axis.
+    With stack_rows, for a median of several frames, where the working
+    rows' taps read fewer source rows than the window holds, the window's
+    rows are just those rows, lower taps then upper, as a read-only index
+    array, and the row taps are stacked over them: the median runs over
+    only the rows the resize reads, and the resize takes none.
+
+    Cached per (box, in_shape, width, roi_size, stack_rows), since a face
+    box repeats from frame to frame while the face holds still: the arrays
+    are read-only, and the taps carry the indices and weights
+    resample_window reads, so a repeated box costs one lookup. A still face
+    needs two plans, one for the frames before its median window fills;
+    the cache keeps a few more for a box that jitters between positions,
+    and no more, since plans a moving face never reuses slow its new ones.
+    A new box computes nothing that depends only on sizes: the working
+    pixels' taps and weights are picked from the per-geometry tables of
+    _tap_pairs, and the ROI's come whole from the per-box-size plan of
+    _roi_plan. Raises WorkingSizeTooLarge when the working size exceeds
+    MAX_WORKING_SIDE on an axis.
     """
     out_shape = (working_height(in_shape[1], in_shape[0], width), width)
     if max(out_shape) > MAX_WORKING_SIDE:
@@ -224,15 +274,25 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int,
         region = clamp_box(box, *out_shape)
     except EmptyIntersection:
         return None
-    picks, roi_taps = _roi_plan(tuple(s.stop - s.start for s in region), roi_size)
-    work = [axis if pick is None else axis.start + pick for axis, pick in zip(region, picks)]
-    taps = tuple(tuple(a[span] for a in _tap_table(n_in, n_out))
-                 for span, n_in, n_out in zip(work, in_shape, out_shape))
-    return taps_window(taps), taps, roi_taps
+    (rows, cols), (in_h, in_w), (out_h, out_w) = region, in_shape, out_shape
+    picks, roi_taps = _roi_plan((rows.stop - rows.start, cols.stop - cols.start), roi_size)
+    row_taps, row_weights = _picked_pairs(in_h, out_h, rows, picks[0])
+    cols = AxisTaps.of_pairs(*_picked_pairs(in_w, out_w, cols, picks[1]))
+    c0 = int(cols[0][0])
+    window = slice(int(row_taps[0, 0]), int(row_taps[1, -1]) + 1), slice(c0, c0 + cols.span)
+    n = row_taps.shape[1]
+    if stack_rows and 2 * n < window[0].stop - window[0].start:
+        stack = row_taps.ravel()
+        stack.setflags(write=False)
+        window = (stack, window[1])
+        rows = AxisTaps.of_pairs(np.arange(2 * n).reshape(2, n), row_weights, stacked=True)
+    else:
+        rows = AxisTaps.of_pairs(row_taps, row_weights)
+    return window, (rows, cols), roi_taps
 
 
 @functools.lru_cache(maxsize=64)
-def _tap_table(n_in: int, n_out: int) -> AxisTaps:
+def _tap_table(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The taps of every output of an n_in -> n_out resample along one axis.
 
     Cached, since a stream's frame geometry is fixed whatever its boxes do;
@@ -245,6 +305,28 @@ def _tap_table(n_in: int, n_out: int) -> AxisTaps:
     return table
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_pairs(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """_tap_table as two (2, n_out) tables, read-only: the lower then the
+    upper source index, and the weights 1 - w then w, so that one gather of
+    each gives the taps of some outputs with their weights."""
+    lo, hi, w = _tap_table(n_in, n_out)
+    pairs = np.stack((lo, hi)), np.stack((1 - w, w))
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def _picked_pairs(n_in: int, n_out: int, span: slice,
+                  pick: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the _tap_pairs tables for the outputs of span, or for
+    the outputs span.start + pick: views of the tables, or copies."""
+    taps, weights = _tap_pairs(n_in, n_out)
+    if pick is None:
+        return taps[:, span], weights[:, span]
+    return taps.take(span.start + pick, axis=1), weights.take(span.start + pick, axis=1)
+
+
 @functools.lru_cache(maxsize=256)
 def _roi_plan(spans: tuple[int, int], roi_size: int):
     """For a box of spans (rows, cols) working pixels: per axis, the offsets
@@ -255,17 +337,15 @@ def _roi_plan(spans: tuple[int, int], roi_size: int):
     read-only.
     """
     picks, roi_taps = [], []
-    for n, (lo, hi, w) in zip(spans, resample_taps((slice(0, roi_size),) * 2, spans,
-                                                   (roi_size, roi_size))):
+    for n in spans:
+        lo, hi, w = _taps(n, roi_size, slice(0, roi_size))
         pick = None
         if n > 2 * roi_size:
             pick = np.concatenate((lo, hi))
             pick.flags.writeable = False
             lo, hi = np.arange(2 * roi_size).reshape(2, roi_size)
-        for a in (lo, hi, w):
-            a.flags.writeable = False
         picks.append(pick)
-        roi_taps.append((lo, hi, w))
+        roi_taps.append(AxisTaps(lo, hi, w, stacked=pick is not None))
     return tuple(picks), tuple(roi_taps)
 
 

@@ -417,6 +417,70 @@ class TestTapRowMedian:
             np.testing.assert_array_equal(rois[i], full_frame_roi(frames[i - 4:i + 1], box, 500, 28))
 
 
+def arrays_in(value):
+    """Every ndarray in a nest of tuples, with the indices and weights an
+    AxisTaps derived."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        if isinstance(value, preprocess.AxisTaps):
+            yield from arrays_in((value.index, value.weights))
+        for item in value:
+            yield from arrays_in(item)
+
+
+class TestPlanCache:
+    """A box's plan, with its resample indices and weights and the median's
+    row stack, is built at the box's first frame and reused while the box
+    repeats; it is shared, so its arrays must refuse in-place edits."""
+
+    BOX = BoundingBox(500, 300, 240, 240)
+
+    def test_still_face_builds_each_plan_once(self, monkeypatch):
+        rois = capture_rois(monkeypatch)
+        rng = np.random.default_rng(27)
+        frames = [Frame(index=i, width=1280, height=720,
+                        luma=rng.integers(0, 256, (720, 1280), dtype=np.uint8))
+                  for i in range(8)]
+        b = self.BOX
+        dets = load_detections("# min_size=1x1\n"
+                               + "".join(f"{i} {b.fX} {b.fY} {b.fW} {b.fH}\n" for i in range(8)))
+        config = PipelineConfig(thresh=5, width=500, smooth_window=5,
+                                detections_coords="original")
+        data = write_y4m(VideoHeader(1280, 720, 25, 1, "mono"), frames)
+        preprocess.roi_plan.cache_clear()
+        pipeline.run_stream(Y4mReader(data), dets, model_of_side(28), config,
+                            clock=PINNED_CLOCK)
+        # one plan for the first 4 frames, classified unsmoothed, and one
+        # with stacked rows for the last 4, classified through the median
+        info = preprocess.roi_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
+        for i in (4, 7):
+            np.testing.assert_array_equal(rois[i], full_frame_roi(frames[i - 4:i + 1],
+                                                                  b.scaled(500 / 1280), 500, 28))
+
+    def test_cached_plan_arrays_are_read_only(self):
+        box, shape = self.BOX.scaled(500 / 1280), (720, 1280)
+        plan = preprocess.roi_plan(box, shape, 500, 28, True)
+        assert plan is preprocess.roi_plan(box, shape, 500, 28, True)
+        window, taps, roi_taps = plan
+        # the ROI's taps read the working pixels in order, and the stacked
+        # row taps the median's rows in order: those gathers are skipped
+        assert [axis.index is None for axis in roi_taps] == [True, True]
+        assert [axis.index is None for axis in taps] == [True, False]
+        assert isinstance(window[0], np.ndarray)
+        for a in arrays_in(plan):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_cache_holds_at_most_its_size(self):
+        size = preprocess.roi_plan.cache_info().maxsize
+        assert size is not None
+        for x in range(size + 10):
+            assert preprocess.roi_plan(BoundingBox(x, 0, 94, 94), (720, 1280), 500, 28)
+        assert preprocess.roi_plan.cache_info().currsize == size
+
+
 class TestRowsOnDemand:
     """A frame of a seekable stream reads only the rows its ROI needs; the run
     must not tell the difference from one over eagerly decoded frames."""

@@ -4,12 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emonet import preprocess
+from emonet import pipeline, preprocess
 from emonet.config import PipelineConfig
 from emonet.preprocess import BoundingBox
+from emonet.video import Frame
 
 
 def frame_from(arr):
@@ -285,6 +286,85 @@ def test_resample_window_of_restarting_picks_matches_the_whole_resample(draw, in
     want = preprocess.bilinear_resize(img, *out_shape)[np.ix_(rows, cols)]
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+def gather_resample(img, taps):
+    """resample_window as it was before identity gathers were skipped: the
+    lower-then-upper rows and columns are always taken, then blended with the
+    same float64 operations in the same order."""
+    (y0, y1, wy), (x0, x1, wx) = taps
+    grid = img.take(np.concatenate((y0, y1)) - y0[0], axis=0)
+    grid = grid.take(np.concatenate((x0, x1)) - x0[0], axis=1)
+    ny, nx = len(y0), len(x0)
+    h = grid[:, :nx] * (1 - wx)
+    h += grid[:, nx:] * wx
+    top, bot = h[:ny], h[ny:]
+    top *= (1 - wy)[:, None]
+    bot *= wy[:, None]
+    top += bot
+    return top
+
+
+@st.composite
+def _box_spanning_twice_the_roi(draw):
+    """A frame, a working width and a box whose clamped span on each axis is
+    2 * roi_size - 1, 2 * roi_size or 2 * roi_size + 1 working pixels; a box
+    at a frame edge may run past it."""
+    roi_size = draw(st.integers(1, 40))
+    spans = [2 * roi_size + draw(st.sampled_from((-1, 0, 1))) for _ in range(2)]
+    in_w = draw(st.integers(20, 300))
+    width = draw(st.integers(spans[1], 200))
+    in_h = -(-spans[0] * in_w // width)     # the least height whose working height holds the span
+    in_h = draw(st.integers(in_h, in_h + 100))
+    height = preprocess.working_height(in_w, in_h, width)
+    assert height >= spans[0]
+
+    def axis(span, size):
+        start = draw(st.integers(0, size - span))
+        before = draw(st.integers(0, 3)) if start == 0 else 0
+        after = draw(st.integers(0, 3)) if start + span == size else 0
+        return start - before, span + before + after
+
+    (fy, fh), (fx, fw) = axis(spans[0], height), axis(spans[1], width)
+    return BoundingBox(fx, fy, fw, fh), (in_h, in_w), width, roi_size, spans
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=_box_spanning_twice_the_roi())
+@example(case=(BoundingBox(10, 20, 56, 57), (300, 300), 200, 28, [57, 56]))   # rows picked, cols whole
+@example(case=(BoundingBox(-2, 0, 59, 56), (300, 300), 200, 28, [56, 57]))    # and the other way
+def test_roi_through_the_plan_matches_gathers_of_the_working_crop(case):
+    """Where the plan skips a gather, the ROI keeps its bytes: the ROI through
+    roi_plan, alone and through a 3-frame median's row stack, equals the ROI
+    of the explicit working crop through gathers that are never skipped, and
+    extract_roi of that crop."""
+    box, in_shape, width, roi_size, spans = case
+    out_shape = (preprocess.working_height(in_shape[1], in_shape[0], width), width)
+    img = np.random.default_rng(sum(in_shape) + width + roi_size).integers(0, 256, in_shape,
+                                                                          np.uint8)
+    region = preprocess.clamp_box(box, *out_shape)
+    assert [s.stop - s.start for s in region] == spans
+    taps = preprocess.resample_taps(region, in_shape, out_shape)
+    crop = np.clip(np.rint(gather_resample(img[preprocess.taps_window(taps)], taps)), 0, 255)
+    crop = crop.astype(np.uint8)
+    roi_taps = preprocess.resample_taps((slice(0, roi_size),) * 2, crop.shape,
+                                        (roi_size, roi_size))
+    want = gather_resample(crop[preprocess.taps_window(roi_taps)], roi_taps)
+    want = (want / 255.0).astype(np.float32)
+    assert preprocess.extract_roi(crop, roi_size).tobytes() == want.tobytes()
+
+    window, plan_taps, plan_roi_taps = preprocess.roi_plan(box, in_shape, width, roi_size)
+    skipped = [axis.index is None for axis in plan_roi_taps]
+    # more than 2 * roi_size pixels: the ROI reads its picks in order; a
+    # span of 2 * roi_size is gathered
+    assert skipped == [n > 2 * roi_size for n in spans]
+    got = preprocess.extract_roi(preprocess.resize_to_width(img[window], plan_taps),
+                                 roi_size, plan_roi_taps)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    frame = Frame(index=0, width=in_shape[1], height=in_shape[0], luma=img)
+    smoothed = pipeline._face_roi([frame] * 3, box, width, roi_size)
+    assert smoothed.tobytes() == want.tobytes()
 
 
 class TestLoadDetections:
