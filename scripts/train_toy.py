@@ -27,6 +27,9 @@ def main() -> None:
     parser.add_argument("--cnn-out", help="write the CNN model here")
     parser.add_argument("--lda-out", help="write the LDA model here")
     args = parser.parse_args()
+    if args.per_class < 3:
+        parser.error("--per-class must be at least 3: the LDA needs 2 training "
+                     "glyphs per label, and the test split one")
 
     x, y = make_glyph_dataset(n_per_class=args.per_class, seed=args.seed)
     xtr, ytr, xte, yte = split_dataset(x, y)

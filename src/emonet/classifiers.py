@@ -209,15 +209,15 @@ def lda_fit(z: np.ndarray, y: np.ndarray, lam: float | None = None,
 
 
 def lda_train(x: np.ndarray, y: np.ndarray, d: int | None = None) -> LdaModel:
-    """Fit the full PCA -> LDA stack on flat feature vectors."""
+    """Fit the full PCA -> LDA stack on flat feature vectors; d defaults to
+    4 dimensions per label, at most p and one fewer than the samples."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x.reshape(len(x), -1)
     y = np.asarray(y, dtype=np.int64)
     _require_every_label(y)
-    p = x.shape[1]
     if d is None:
-        d = min(4 * len(LABELS), p)
+        d = min(4 * len(LABELS), x.shape[1], len(x) - 1)
     mean, basis = pca_fit(x, d)
     z = (x - mean) @ basis
     class_means, cov, priors = lda_fit(z, y, n_classes=len(LABELS))

@@ -75,6 +75,6 @@ def split_dataset(x: np.ndarray, y: np.ndarray, train_frac: float = 0.8
         cut = int(round(len(idx) * train_frac))
         train_idx.extend(idx[:cut])
         test_idx.extend(idx[cut:])
-    tr = np.array(train_idx)
-    te = np.array(test_idx)
+    tr = np.array(train_idx, dtype=np.intp)
+    te = np.array(test_idx, dtype=np.intp)
     return x[tr], y[tr], x[te], y[te]

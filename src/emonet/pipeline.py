@@ -9,9 +9,9 @@ dropouts. A box wholly outside the frame is no usable detection either;
 the run report counts those frames. For a frame with a box, only the source
 pixels its ROI reads (preprocess.roi_plan) are median-smoothed and resized,
 which gives the same ROI, of the model's input_side, as smoothing and
-resizing the whole frame; the stages pass plain arrays. Under a full
-median window, the median runs only over the source rows the working
-pixels' taps read, where they are fewer than the ROI's source window.
+resizing the whole frame; the stages pass plain arrays. The median, of
+any window size, runs only over the source rows the working pixels' taps
+read, where they are fewer than the ROI's source window holds.
 Everything about a box that depends only on its geometry (the plan, that
 row stack, the gather indices and weights of each resample) is built at
 the box's first frame, in roi_plan, and cached, so while a face holds
@@ -85,15 +85,15 @@ def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
               side: int) -> np.ndarray | None:
     """The side x side ROI of box in the median of frames, or None when the box
     misses the frame; only the pixels roi_plan names are smoothed and resized.
-    Under a window of 3 or 5 frames the plan stacks the rows the working
-    taps read, where they are fewer than the window's rows, so the median
-    runs over just those. The plan is cached per box, so a frame whose box
-    repeats does only pixel work."""
-    plan = roi_plan(box, (frames[-1].height, frames[-1].width), width, side, len(frames) > 1)
+    Where the working taps read fewer source rows than the plan's window
+    holds, the median runs over just those rows, at any window size. The
+    plan is cached per box, so a frame whose box repeats does only pixel
+    work."""
+    plan = roi_plan(box, (frames[-1].height, frames[-1].width), width, side)
     if plan is None:
         return None
-    window, taps, roi_taps = plan
-    smoothed = temporal_smooth(frames, window)
+    window, rows, taps, roi_taps = plan
+    smoothed = temporal_smooth(frames, window, rows)
     return extract_roi(resize_to_width(smoothed, taps), side, roi_taps)
 
 

@@ -61,8 +61,8 @@ Region = tuple[slice, slice]   # (rows, cols) of a frame, explicit start and sto
 # resizing
 # ---------------------------------------------------------------------------
 
-# The longest working axis, in pixels. _tap_table keeps 24 bytes per working
-# pixel of an axis, 384 KiB at this size, and 8K UHD is 7,680 pixels wide.
+# The longest working axis, in pixels. _tap_pairs keeps 32 bytes per working
+# pixel of an axis, 512 KiB at this size, and 8K UHD is 7,680 pixels wide.
 MAX_WORKING_SIDE = 16_384
 
 
@@ -75,23 +75,17 @@ class AxisTaps(tuple):
     """The bilinear taps of some outputs along one axis: (lower source index,
     upper source index, upper weight), an array of each, read-only.
 
-    What resample_window reads of them is derived once, when they are made,
-    so taps that are reused, as a cached roi_plan's are, derive it once:
-    span, the length of the source crop they read; index, the lower-then-
-    upper indices into that crop; and weights, 1 - w and w, all read-only.
-    Taps made stacked have lower taps 0..n-1 and upper taps n..2n-1 over a
-    crop of 2n, which is then the grid as it is: their index is None, and
-    resample_window takes nothing on their axis.
+    Made from _taps' two (2, n) arrays, which it makes read-only and whose
+    rows are its items. What resample_window reads of them is derived once,
+    when they are made, so taps that are reused, as a cached roi_plan's
+    are, derive it once: span, the length of the source crop they read;
+    index, the lower-then-upper indices into that crop; and weights, 1 - w
+    and w, all read-only. Taps made stacked have lower taps 0..n-1 and
+    upper taps n..2n-1 over a crop of 2n, which is then the grid as it is:
+    their index is None, and resample_window takes nothing on their axis.
     """
 
-    def __new__(cls, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, stacked: bool = False):
-        return cls.of_pairs(np.stack((lo, hi)), np.stack((1 - w, w)), stacked)
-
-    @classmethod
-    def of_pairs(cls, taps: np.ndarray, weights: np.ndarray, stacked: bool = False):
-        """The taps of two (2, n) arrays: taps, the lower then the upper
-        source indices, and weights, 1 - w then w. Both are made read-only,
-        and the taps' arrays are their rows, as index and weights are."""
+    def __new__(cls, taps: np.ndarray, weights: np.ndarray, stacked: bool = False):
         taps.setflags(write=False)
         weights.setflags(write=False)
         axis = super().__new__(cls, (taps[0], taps[1], weights[1]))
@@ -110,9 +104,10 @@ Taps = tuple[AxisTaps, AxisTaps]   # rows, then columns
 Span = slice | np.ndarray    # output indices: a slice with explicit start and stop, or an array
 
 
-def _taps(n_in: int, n_out: int, span: Span) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _taps(n_in: int, n_out: int, span: Span) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear taps along one axis for the outputs span selects of an
-    n_in -> n_out resample: lower and upper source index, and upper weight."""
+    n_in -> n_out resample: the lower then the upper source indices, and
+    the weights 1 - w then w, as two (2, n) arrays."""
     # each sample centre, (i + 0.5) * n_in / n_out - 0.5, clamped into the
     # source; i + 0.5 is exact in float64, from arange or from the indices
     if isinstance(span, slice):
@@ -125,7 +120,7 @@ def _taps(n_in: int, n_out: int, span: Span) -> tuple[np.ndarray, np.ndarray, np
     np.minimum(s, n_in - 1.0, out=s)
     lo = s.astype(np.intp)              # s >= 0, so truncation is floor
     s -= lo
-    return lo, np.minimum(lo + 1, n_in - 1), s
+    return np.stack((lo, np.minimum(lo + 1, n_in - 1))), np.stack((1 - s, s))
 
 
 def resample_taps(region: tuple[Span, Span], in_shape: tuple[int, int],
@@ -235,36 +230,37 @@ def extract_roi(img: np.ndarray, roi_size: int, taps: Taps | None = None) -> np.
 
 
 @functools.lru_cache(maxsize=8)
-def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int, roi_size: int,
-             stack_rows: bool = False) -> tuple[tuple[Span, slice], Taps, Taps] | None:
+def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int, roi_size: int
+             ) -> tuple[Region, np.ndarray | None, Taps, Taps] | None:
     """For box, in working-width coordinates, of an in_shape (rows, cols)
-    source image: the source window to smooth, the taps resampling it to
-    the working pixels the ROI reads, and the ROI's taps over those; None
-    when the box misses the frame. Where the clamped box spans more than
-    2 * roi_size working pixels on an axis, those are the rows (columns) of
-    the ROI's lower taps, then of its upper taps; otherwise its whole span.
-    Through resize_to_width and extract_roi, the plan gives the ROI of
-    source img resized whole to the working width (bilinear_resize, rounded
-    to uint8) and cropped to clamp_box of box.
+    source image: the source window to smooth, the rows of it to smooth,
+    the taps resampling those to the working pixels the ROI reads, and the
+    ROI's taps over those pixels; None when the box misses the frame.
+    Where the clamped box spans more than 2 * roi_size working pixels on an
+    axis, those are the rows (columns) of the ROI's lower taps, then of its
+    upper taps; otherwise its whole span. Through temporal_smooth,
+    resize_to_width and extract_roi, the plan gives the ROI of source img
+    resized whole to the working width (bilinear_resize, rounded to uint8)
+    and cropped to clamp_box of box.
 
-    With stack_rows, for a median of several frames, where the working
-    rows' taps read fewer source rows than the window holds, the window's
-    rows are just those rows, lower taps then upper, as a read-only index
-    array, and the row taps are stacked over them: the median runs over
-    only the rows the resize reads, and the resize takes none.
+    The window is the taps_window of the working pixels' taps. Where their
+    row taps read fewer source rows than the window holds, the rows are
+    just those, lower taps then upper, as a read-only index array into the
+    window's rows, and the row taps are stacked over them: the median runs
+    over only the rows the resize reads, and the resize takes none.
+    Otherwise the rows are None, the whole window.
 
-    Cached per (box, in_shape, width, roi_size, stack_rows), since a face
-    box repeats from frame to frame while the face holds still: the arrays
-    are read-only, and the taps carry the indices and weights
-    resample_window reads, so a repeated box costs one lookup. A still face
-    needs two plans, one for the frames before its median window fills;
-    the cache keeps a few more for a box that jitters between positions,
-    and no more, since plans a moving face never reuses slow its new ones.
-    A new box computes nothing that depends only on sizes: the working
-    pixels' taps and weights are picked from the per-geometry tables of
-    _tap_pairs, and the ROI's come whole from the per-box-size plan of
-    _roi_plan. Raises WorkingSizeTooLarge when the working size exceeds
-    MAX_WORKING_SIDE on an axis.
+    Cached per (box, in_shape, width, roi_size), since a face box repeats
+    from frame to frame while the face holds still: the arrays are
+    read-only, and the taps carry the indices and weights resample_window
+    reads, so a repeated box costs one lookup. The cache keeps a few plans
+    for a box that jitters between positions, and no more, since plans a
+    moving face never reuses slow its new ones. A new box computes nothing
+    that depends only on sizes: the working pixels' taps and weights are
+    picked from the per-geometry tables of _tap_pairs, and the ROI's come
+    whole from the per-box-size plan of _roi_plan. Raises
+    WorkingSizeTooLarge when the working size exceeds MAX_WORKING_SIDE on
+    an axis.
     """
     out_shape = (working_height(in_shape[1], in_shape[0], width), width)
     if max(out_shape) > MAX_WORKING_SIDE:
@@ -277,41 +273,27 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int, roi_size: 
     (rows, cols), (in_h, in_w), (out_h, out_w) = region, in_shape, out_shape
     picks, roi_taps = _roi_plan((rows.stop - rows.start, cols.stop - cols.start), roi_size)
     row_taps, row_weights = _picked_pairs(in_h, out_h, rows, picks[0])
-    cols = AxisTaps.of_pairs(*_picked_pairs(in_w, out_w, cols, picks[1]))
-    c0 = int(cols[0][0])
-    window = slice(int(row_taps[0, 0]), int(row_taps[1, -1]) + 1), slice(c0, c0 + cols.span)
-    n = row_taps.shape[1]
-    if stack_rows and 2 * n < window[0].stop - window[0].start:
-        stack = row_taps.ravel()
-        stack.setflags(write=False)
-        window = (stack, window[1])
-        rows = AxisTaps.of_pairs(np.arange(2 * n).reshape(2, n), row_weights, stacked=True)
+    taps = AxisTaps(row_taps, row_weights), AxisTaps(*_picked_pairs(in_w, out_w, cols, picks[1]))
+    window, stack = taps_window(taps), taps[0].index
+    if len(stack) < taps[0].span:
+        taps = AxisTaps(np.arange(len(stack)).reshape(2, -1), row_weights, stacked=True), taps[1]
     else:
-        rows = AxisTaps.of_pairs(row_taps, row_weights)
-    return window, (rows, cols), roi_taps
-
-
-@functools.lru_cache(maxsize=64)
-def _tap_table(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The taps of every output of an n_in -> n_out resample along one axis.
-
-    Cached, since a stream's frame geometry is fixed whatever its boxes do;
-    the arrays are read-only. Each output's taps depend only on its index, so
-    a slice or index array of the table is _taps of that span, byte for byte.
-    """
-    table = _taps(n_in, n_out, slice(0, n_out))
-    for a in table:
-        a.flags.writeable = False
-    return table
+        stack = None
+    return window, stack, taps, roi_taps
 
 
 @functools.lru_cache(maxsize=64)
 def _tap_pairs(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """_tap_table as two (2, n_out) tables, read-only: the lower then the
-    upper source index, and the weights 1 - w then w, so that one gather of
-    each gives the taps of some outputs with their weights."""
-    lo, hi, w = _tap_table(n_in, n_out)
-    pairs = np.stack((lo, hi)), np.stack((1 - w, w))
+    """The taps of every output of an n_in -> n_out resample along one axis,
+    as _taps gives them: the lower then the upper source indices, and the
+    weights 1 - w then w, two read-only (2, n_out) tables.
+
+    Cached, since a stream's frame geometry is fixed whatever its boxes do.
+    Each output's taps depend only on its index, so the columns of the
+    tables at a slice or index array are _taps of that span, byte for byte,
+    and one gather of each gives the taps of some outputs with their weights.
+    """
+    pairs = _taps(n_in, n_out, slice(0, n_out))
     for a in pairs:
         a.setflags(write=False)
     return pairs
@@ -338,14 +320,14 @@ def _roi_plan(spans: tuple[int, int], roi_size: int):
     """
     picks, roi_taps = [], []
     for n in spans:
-        lo, hi, w = _taps(n, roi_size, slice(0, roi_size))
+        taps, weights = _taps(n, roi_size, slice(0, roi_size))
         pick = None
         if n > 2 * roi_size:
-            pick = np.concatenate((lo, hi))
+            pick = taps.ravel()
             pick.flags.writeable = False
-            lo, hi = np.arange(2 * roi_size).reshape(2, roi_size)
+            taps = np.arange(2 * roi_size).reshape(2, roi_size)
         picks.append(pick)
-        roi_taps.append(AxisTaps(lo, hi, w, stacked=pick is not None))
+        roi_taps.append(AxisTaps(taps, weights, stacked=pick is not None))
     return tuple(picks), tuple(roi_taps)
 
 

@@ -361,17 +361,17 @@ _MEDIAN_NETWORKS = {3: ((0, 1, "both"), (1, 2, "min"), (0, 1, "max")),
                         (1, 2, "both"), (2, 3, "min"), (1, 2, "max"))}
 
 
-def temporal_smooth(frames: list[Frame],
-                    region: tuple[slice | np.ndarray, slice] | None = None) -> np.ndarray:
+def temporal_smooth(frames: list[Frame], region: tuple[slice, slice] | None = None,
+                    rows: np.ndarray | None = None) -> np.ndarray:
     """Per-pixel median over an odd window of 1, 3 or 5 same-size frames, as
-    a uint8 array. A window of 1 with no region returns the frame's luma.
-    region, a (rows, cols) pair, restricts the work to those pixels, and the
-    array returned holds just them; each frame's pixels are then taken
-    through Frame.crop, so a frame of a seekable stream reads only the rows
-    of region. rows is a slice, or a nonempty intp index array in any
-    order, repeats allowed: each frame's crop is then the band of rows the
-    indices span, and the indexed rows are taken from it, in their order,
-    before the median runs over them.
+    a uint8 array. A window of 1 with no region and no rows returns the
+    frame's luma. region, a (rows, cols) pair of slices, restricts the work
+    to those pixels, and the array returned holds just them; each frame's
+    pixels are then taken through Frame.crop, so a frame of a seekable
+    stream reads only the rows of region. rows, an intp index array in any
+    order, repeats allowed, into the rows of each frame's crop (or of its
+    luma), takes those rows, in their order, before the median runs over
+    them.
     """
     k = len(frames)
     if k not in (1, 3, 5):
@@ -382,15 +382,9 @@ def temporal_smooth(frames: list[Frame],
             raise VideoFormatError(
                 f"frame {f.index} is {f.width}x{f.height}, "
                 f"window expects {mid.width}x{mid.height}")
-    if region is None:
-        planes = [f.luma for f in frames]
-    elif isinstance(region[0], np.ndarray):
-        rows, cols = region
-        band = slice(int(rows.min()), int(rows.max()) + 1)
-        rows = rows - band.start
-        planes = [f.crop((band, cols))[rows] for f in frames]
-    else:
-        planes = [f.crop(region) for f in frames]
+    planes = [f.luma if region is None else f.crop(region) for f in frames]
+    if rows is not None:
+        planes = [p[rows] for p in planes]
     for i, j, keep in _MEDIAN_NETWORKS.get(k, ()):
         a, b = planes[i], planes[j]
         if keep != "max":

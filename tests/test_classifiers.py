@@ -10,7 +10,7 @@ import pytest
 from emonet import classifiers, nn
 from emonet.classifiers import (LABELS, EmotionScores, EmptyClass,
                                 ClassTooSmall, DegenerateData, LdaModel)
-from emonet.glyphs import make_glyph_dataset
+from emonet.glyphs import make_glyph_dataset, split_dataset
 
 
 def bayes_oracle(model, z):
@@ -263,6 +263,22 @@ class TestLdaFit:
         y = np.array([0, 0, 0, 0, 1])
         with pytest.raises(ClassTooSmall):
             classifiers.lda_fit(z, y)
+
+
+class TestSmallTrainingSet:
+    def test_lda_trains_and_scores_on_four_glyphs_per_label(self):
+        # 28 samples: the PCA keeps 27 dimensions, one fewer than the samples
+        x, y = make_glyph_dataset(n_per_class=4, seed=7)
+        model = classifiers.lda_train(x, y)
+        assert model.pca_basis.shape == (28 * 28, 27)
+        acc, confusion = classifiers.evaluate(model, x, y)
+        assert confusion.sum() == len(y) and acc > 0.5
+
+    def test_split_with_an_empty_side_indexes_nothing(self):
+        x, y = make_glyph_dataset(n_per_class=2, side=8)
+        xtr, ytr, xte, yte = split_dataset(x, y)
+        assert (xtr.shape, ytr.shape) == ((14, 8, 8), (14,))
+        assert (xte.shape, yte.shape) == ((0, 8, 8), (0,))
 
 
 class TestLdaPosterior:

@@ -310,10 +310,10 @@ class TestBoxFirst:
         assert [e.frame_index for e in report.events] == [3, 10]
 
     def test_smoothing_failure_carries_frame_index(self, monkeypatch, lda_model):
-        def failing_smooth(frames, region=None):
+        def failing_smooth(frames, region=None, rows=None):
             if frames[-1].index == 2:
                 raise ValueError("smoothing broke")
-            return temporal_smooth(frames, region)
+            return temporal_smooth(frames, region, rows)
 
         monkeypatch.setattr(pipeline, "temporal_smooth", failing_smooth)
         config = PipelineConfig(thresh=5, width=100, smooth_window=3)
@@ -325,7 +325,7 @@ class TestBoxFirst:
 
     def test_working_height_above_the_bound_is_a_stage_error(self, monkeypatch):
         # one pixel wide and 2,000 rows high: at width 500 the working frame
-        # would be 1,000,000 rows, each with a row of _tap_table
+        # would be 1,000,000 rows, each with a column of the _tap_pairs tables
         capture_rois(monkeypatch)
         frame = Frame(index=0, width=1, height=2000, luma=np.zeros((2000, 1), np.uint8))
         reader = Y4mReader(write_y4m(VideoHeader(1, 2000, 25, 1, "mono"), [frame]))
@@ -382,17 +382,17 @@ class TestRoiTapsFirst:
 
 
 class TestTapRowMedian:
-    """Under a full window, the median runs only over the source rows the
-    working taps read, lower taps then upper; the frames classified
-    unsmoothed take the ROI's source window as it is."""
+    """At every window size, the median runs only over the source rows the
+    working taps read, lower taps then upper: the frames classified
+    unsmoothed take just those rows too."""
 
     def test_bench_geometry_smooths_just_the_tapped_rows(self, monkeypatch):
         rois = capture_rois(monkeypatch)
         smoothed = []
         real_smooth = pipeline.temporal_smooth
 
-        def spy(frames, region):
-            out = real_smooth(frames, region)
+        def spy(frames, region, rows):
+            out = real_smooth(frames, region, rows)
             smoothed.append(out.shape)
             return out
 
@@ -412,9 +412,10 @@ class TestTapRowMedian:
         window = preprocess.roi_plan(box, (720, 1280), 500, 28)[0]
         rows, cols = (s.stop - s.start for s in window)
         assert (rows, cols) == (235, 235)
-        assert smoothed == [(rows, cols)] * 4 + [(112, cols)] * 2
-        for i in (4, 5):
-            np.testing.assert_array_equal(rois[i], full_frame_roi(frames[i - 4:i + 1], box, 500, 28))
+        assert smoothed == [(112, cols)] * 6
+        for i in (0, 3, 4, 5):
+            median_of = frames[i - 4:i + 1] if i >= 4 else [frames[i]]
+            np.testing.assert_array_equal(rois[i], full_frame_roi(median_of, box, 500, 28))
 
 
 def arrays_in(value):
@@ -432,7 +433,8 @@ def arrays_in(value):
 class TestPlanCache:
     """A box's plan, with its resample indices and weights and the median's
     row stack, is built at the box's first frame and reused while the box
-    repeats; it is shared, so its arrays must refuse in-place edits."""
+    repeats, at every window size; it is shared, so its arrays must refuse
+    in-place edits."""
 
     BOX = BoundingBox(500, 300, 240, 240)
 
@@ -451,24 +453,41 @@ class TestPlanCache:
         preprocess.roi_plan.cache_clear()
         pipeline.run_stream(Y4mReader(data), dets, model_of_side(28), config,
                             clock=PINNED_CLOCK)
-        # one plan for the first 4 frames, classified unsmoothed, and one
-        # with stacked rows for the last 4, classified through the median
+        # one plan, with stacked rows, for the first 4 frames, classified
+        # unsmoothed, and the last 4, classified through the median
         info = preprocess.roi_plan.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
+        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
         for i in (4, 7):
             np.testing.assert_array_equal(rois[i], full_frame_roi(frames[i - 4:i + 1],
                                                                   b.scaled(500 / 1280), 500, 28))
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_still_face_builds_one_plan_at_every_window(self, monkeypatch, k):
+        capture_rois(monkeypatch)
+        b = self.BOX
+        frames = [Frame(index=i, width=1280, height=720, luma=np.full((720, 1280), i, np.uint8))
+                  for i in range(8)]
+        dets = load_detections("# min_size=1x1\n"
+                               + "".join(f"{i} {b.fX} {b.fY} {b.fW} {b.fH}\n" for i in range(8)))
+        config = PipelineConfig(thresh=5, width=500, smooth_window=k,
+                                detections_coords="original")
+        data = write_y4m(VideoHeader(1280, 720, 25, 1, "mono"), frames)
+        preprocess.roi_plan.cache_clear()
+        pipeline.run_stream(Y4mReader(data), dets, model_of_side(28), config,
+                            clock=PINNED_CLOCK)
+        info = preprocess.roi_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
+
     def test_cached_plan_arrays_are_read_only(self):
         box, shape = self.BOX.scaled(500 / 1280), (720, 1280)
-        plan = preprocess.roi_plan(box, shape, 500, 28, True)
-        assert plan is preprocess.roi_plan(box, shape, 500, 28, True)
-        window, taps, roi_taps = plan
+        plan = preprocess.roi_plan(box, shape, 500, 28)
+        assert plan is preprocess.roi_plan(box, shape, 500, 28)
+        window, rows, taps, roi_taps = plan
         # the ROI's taps read the working pixels in order, and the stacked
         # row taps the median's rows in order: those gathers are skipped
         assert [axis.index is None for axis in roi_taps] == [True, True]
         assert [axis.index is None for axis in taps] == [True, False]
-        assert isinstance(window[0], np.ndarray)
+        assert isinstance(rows, np.ndarray)
         for a in arrays_in(plan):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0

@@ -182,7 +182,7 @@ class TestRoiPlan:
     def test_cached_roi_taps_are_shared_and_read_only(self, side):
         first = preprocess.roi_plan(BoundingBox(200, 100, side, side), (720, 1280), 500, 28)
         again = preprocess.roi_plan(BoundingBox(17, 33, side, side), (720, 1280), 500, 28)
-        for axis, axis_again in zip(first[2], again[2]):
+        for axis, axis_again in zip(first[3], again[3]):
             for taps, taps_again in zip(axis, axis_again):
                 assert taps is taps_again
                 with pytest.raises(ValueError, match="read-only"):
@@ -215,11 +215,12 @@ def _geometry_and_spans(draw):
 @given(case=_geometry_and_spans())
 def test_tap_table_gives_resample_taps_byte_for_byte(case):
     n_in, n_out, span, picks = case
-    table = preprocess._tap_table(n_in, n_out)
-    assert not any(a.flags.writeable for a in table)
+    taps, weights = preprocess._tap_pairs(n_in, n_out)
+    assert not (taps.flags.writeable or weights.flags.writeable)
     for index in (span, picks):
         want = preprocess.resample_taps((index, index), (n_in, n_in), (n_out, n_out))[0]
-        _assert_same_taps([tuple(a[index] for a in table)], [want])
+        got = taps[:, index], weights[:, index]
+        _assert_same_taps(got, (np.stack(want[:2]), np.stack(want.weights)))
 
 
 @st.composite
@@ -237,7 +238,9 @@ def _frame_and_box(draw):
 @given(case=_frame_and_box())
 def test_roi_plan_taps_match_resample_taps_of_the_picked_pixels(case):
     """roi_plan's taps come from the tap tables; resample_taps of the same
-    working pixels, whole spans or _roi_plan's picks, is the oracle."""
+    working pixels, whole spans or _roi_plan's picks, is the oracle. Where
+    the oracle's row gather is shorter than its window, the plan's rows are
+    that gather and its row taps are stacked over them."""
     box, in_shape, width, roi_size = case
     out_shape = (preprocess.working_height(in_shape[1], in_shape[0], width), width)
     if max(out_shape) > preprocess.MAX_WORKING_SIDE:
@@ -253,9 +256,17 @@ def test_roi_plan_taps_match_resample_taps_of_the_picked_pixels(case):
     picks, roi_taps = preprocess._roi_plan(tuple(s.stop - s.start for s in region), roi_size)
     work = [axis if pick is None else axis.start + pick for axis, pick in zip(region, picks)]
     want = preprocess.resample_taps(work, in_shape, out_shape)
-    window, taps, plan_roi_taps = plan
-    _assert_same_taps(taps, want)
+    window, rows, taps, plan_roi_taps = plan
     assert window == preprocess.taps_window(want)
+    if len(want[0].index) < want[0].span:
+        assert rows.tobytes() == want[0].index.tobytes() and rows.dtype == np.intp
+        n = len(rows) // 2
+        want = (preprocess.AxisTaps(np.arange(2 * n).reshape(2, n), np.stack(want[0].weights),
+                                    stacked=True), want[1])
+        assert taps[0].index is None
+    else:
+        assert rows is None
+    _assert_same_taps(taps, want)
     assert plan_roi_taps is roi_taps
 
 
@@ -335,7 +346,7 @@ def _box_spanning_twice_the_roi(draw):
 @example(case=(BoundingBox(-2, 0, 59, 56), (300, 300), 200, 28, [56, 57]))    # and the other way
 def test_roi_through_the_plan_matches_gathers_of_the_working_crop(case):
     """Where the plan skips a gather, the ROI keeps its bytes: the ROI through
-    roi_plan, alone and through a 3-frame median's row stack, equals the ROI
+    roi_plan's row stack, alone and through a 3-frame median, equals the ROI
     of the explicit working crop through gathers that are never skipped, and
     extract_roi of that crop."""
     box, in_shape, width, roi_size, spans = case
@@ -353,12 +364,13 @@ def test_roi_through_the_plan_matches_gathers_of_the_working_crop(case):
     want = (want / 255.0).astype(np.float32)
     assert preprocess.extract_roi(crop, roi_size).tobytes() == want.tobytes()
 
-    window, plan_taps, plan_roi_taps = preprocess.roi_plan(box, in_shape, width, roi_size)
+    window, rows, plan_taps, plan_roi_taps = preprocess.roi_plan(box, in_shape, width, roi_size)
     skipped = [axis.index is None for axis in plan_roi_taps]
     # more than 2 * roi_size pixels: the ROI reads its picks in order; a
     # span of 2 * roi_size is gathered
     assert skipped == [n > 2 * roi_size for n in spans]
-    got = preprocess.extract_roi(preprocess.resize_to_width(img[window], plan_taps),
+    source = img[window] if rows is None else img[window][rows]
+    got = preprocess.extract_roi(preprocess.resize_to_width(source, plan_taps),
                                  roi_size, plan_roi_taps)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()

@@ -194,11 +194,11 @@ class TestTemporalSmooth:
     @pytest.mark.parametrize("rows", [[7, 2, 2, 9, 4, 7, 3], [5], [10, 0, 10], [3, 4, 5, 3, 4, 5]])
     def test_row_index_region_matches_whole_frame_median(self, rows):
         rows = np.array(rows, dtype=np.intp)
-        cols = slice(1, 6)
+        band, cols = slice(int(rows.min()), 11), slice(1, 6)
         for k in (1, 3, 5):
             frames = [make_frame(i, 7, 11, seed=30 + i) for i in range(k)]
             want = np.median(np.stack([f.luma for f in frames]), axis=0).astype(np.uint8)
-            out = video.temporal_smooth(frames, (rows, cols))
+            out = video.temporal_smooth(frames, (band, cols), rows - band.start)
             assert out.shape == (len(rows), 5) and out.dtype == np.uint8
             np.testing.assert_array_equal(out, want[rows, cols])
 
@@ -209,7 +209,7 @@ class TestTemporalSmooth:
         lazy = list(video.Y4mReader(stream))
         stream.bytes_read = 0
         rows = np.array([12, 6, 6, 15, 9], dtype=np.intp)     # the band is rows 6..15
-        out = video.temporal_smooth(lazy, (rows, slice(2, 8)))
+        out = video.temporal_smooth(lazy, (slice(6, 16), slice(2, 8)), rows - 6)
         assert stream.bytes_read == k * 10 * 10
         want = np.median(np.stack([f.luma for f in frames]), axis=0).astype(np.uint8)
         np.testing.assert_array_equal(out, want[rows, 2:8])
@@ -217,8 +217,10 @@ class TestTemporalSmooth:
     @pytest.mark.parametrize("rows", [[3, -1], [4, 11]])
     def test_row_index_outside_the_frame_is_rejected(self, rows):
         frames = [make_frame(i, 7, 11) for i in range(3)]
+        band = slice(min(rows), max(rows) + 1)
         with pytest.raises(ValueError, match="rows must be slice"):
-            video.temporal_smooth(frames, (np.array(rows, dtype=np.intp), slice(None)))
+            video.temporal_smooth(frames, (band, slice(None)),
+                                  np.array(rows, dtype=np.intp) - band.start)
 
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
