@@ -3,9 +3,11 @@
 
 Runs perfbench/run.py on every workload of BENCHMARK.json, untraced
 (--trace 0, the end-to-end metrics) and traced (--trace 1, the per-layer
-ones), then times the tier-1 test command and scripts/train_toy.py at its
-defaults. Each run's env line, metrics and wall time go into the file, with
-the host's core count and the numpy version. Run from anywhere:
+ones), and scripts/moving_face.py, a replay of a clip whose face box moves
+every frame, at smooth_window 1 and 5; then times the tier-1 test command
+and scripts/train_toy.py at its defaults. Each run's env line, metrics and
+wall time go into the file, with the host's core count and the numpy
+version. Run from anywhere:
 
     python3 scripts/bench.py --seconds 10 --seed 1
 
@@ -56,6 +58,15 @@ def perfbench(workload: str, trace: int, seed: int, seconds: float) -> dict:
             "env": env, "result": result, "stderr_tail": proc.stderr.splitlines()[-5:]}
 
 
+def moving_face(smooth_window: int, seed: int, seconds: float) -> dict:
+    proc, wall = timed([sys.executable, "scripts/moving_face.py", "--smooth-window",
+                        str(smooth_window), "--seed", str(seed), "--seconds", str(seconds)])
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
+    return {"wall_s": wall, "returncode": proc.returncode, "result": result,
+            "stderr_tail": proc.stderr.splitlines()[-5:]}
+
+
 def next_path() -> Path:
     taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json")
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
@@ -75,6 +86,10 @@ def main() -> int:
         for trace in (0, 1):
             runs.append(perfbench(workload, trace, args.seed, args.seconds))
             print(f"{workload} --trace {trace}: {runs[-1]['wall_s']:.1f}s", file=sys.stderr)
+    replays = []
+    for k in (1, 5):
+        replays.append(moving_face(k, args.seed, args.seconds))
+        print(f"moving face, smooth_window {k}: {replays[-1]['wall_s']:.1f}s", file=sys.stderr)
     tier1, tier1_s = timed(TIER1)
     with tempfile.TemporaryDirectory() as tmp:
         toy, toy_s = timed([sys.executable, "scripts/train_toy.py",
@@ -84,6 +99,7 @@ def main() -> int:
                  "numpy": np.__version__},
         "seed": args.seed, "seconds": args.seconds,
         "perfbench": runs,
+        "moving_face": replays,
         "tier1": {"wall_s": tier1_s, "returncode": tier1.returncode,
                   "summary": (tier1.stdout.strip().splitlines() or [""])[-1]},
         "train_toy": {"wall_s": toy_s, "returncode": toy.returncode,
@@ -94,6 +110,7 @@ def main() -> int:
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     failed = [r for r in runs if not (r["result"] or {}).get("correct")]
+    failed += [r for r in replays if r["returncode"]]
     return 1 if failed or tier1.returncode or toy.returncode else 0
 
 

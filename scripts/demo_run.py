@@ -19,17 +19,25 @@ from emonet.smtp_client import HELLO_NAME, format_alert_message
 from emonet.video import Frame, VideoHeader, Y4mReader, write_y4m
 
 
-def build_clip(labels, canvas_w=500, canvas_h=300, at=(20, 20), side=112):
-    frames = []
+def build_clip(labels, canvas_w=500, canvas_h=300, at=(20, 20), side=112, shift=(0, 0)):
+    """A Y4M clip of one glyph face per frame and its detections sidecar.
+
+    Frame i's face, and its box, sit at at + i * shift (x, y), so a
+    non-zero shift moves the face that many pixels per frame; it must stay
+    inside the canvas.
+    """
+    frames, boxes = [], []
     for i, label in enumerate(labels):
+        x, y = at[0] + i * shift[0], at[1] + i * shift[1]
+        if not (0 <= x <= canvas_w - side and 0 <= y <= canvas_h - side):
+            raise ValueError(f"frame {i}: face at ({x}, {y}) leaves the canvas")
         luma = np.zeros((canvas_h, canvas_w), dtype=np.uint8)
         glyph = bilinear_resize(draw_glyph(label), side, side)
-        patch = np.clip(np.rint(glyph * 255.0), 0, 255).astype(np.uint8)
-        luma[at[1]:at[1] + side, at[0]:at[0] + side] = patch
+        luma[y:y + side, x:x + side] = np.clip(np.rint(glyph * 255.0), 0, 255).astype(np.uint8)
         frames.append(Frame(index=i, width=canvas_w, height=canvas_h, luma=luma))
+        boxes.append(f"{i} {x} {y} {side} {side}")
     header = VideoHeader(canvas_w, canvas_h, 25, 1, "mono")
-    sidecar = ["# scale_factor=1.0 min_neighbors=12 min_size=60x60"]
-    sidecar += [f"{i} {at[0]} {at[1]} {side} {side}" for i in range(len(labels))]
+    sidecar = ["# scale_factor=1.0 min_neighbors=12 min_size=60x60"] + boxes
     return write_y4m(header, frames), ("\n".join(sidecar) + "\n").encode()
 
 

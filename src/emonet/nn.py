@@ -64,6 +64,7 @@ nested-loop reference implementations.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -299,13 +300,25 @@ def _pool_step(x: np.ndarray):
 
 def _winner_index(in_shape: tuple, mask: np.ndarray) -> np.ndarray:
     """Flat index, into a C-ordered array of in_shape, of each window's winner."""
+    corner, offsets = _window_corners(tuple(in_shape))
+    return corner + offsets[mask]
+
+
+@functools.lru_cache(maxsize=8)
+def _window_corners(in_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The flat index of each 2 x 2 window's top-left element in a C-ordered
+    array of in_shape, and the offsets of the window's four elements from
+    it; read-only, and cached, since a network pools a few shapes."""
     n, h, w, c = in_shape
     he, we = h // 2, w // 2
     # each window's top-left element: the start of its row plus its column offset
     rows = np.arange(n)[:, None] * (h * w * c) + np.arange(he) * (2 * w * c)
     cols = np.arange(we)[:, None] * (2 * c) + np.arange(c)
     corner = (rows[:, :, None] + cols.reshape(-1)).reshape(n, he, we, c)
-    return corner + np.array([0, c, w * c, w * c + c])[mask]
+    offsets = np.array([0, c, w * c, w * c + c])
+    for a in (corner, offsets):
+        a.setflags(write=False)
+    return corner, offsets
 
 
 def _maxpool_backward(dout: np.ndarray, mask: np.ndarray, in_shape: tuple) -> np.ndarray:

@@ -2,22 +2,26 @@
 classification -> alert counters -> (optional) SMTP dispatch.
 
 Each frame's face box is looked up before any pixel work. Frames with no
-usable detection do none, and read no pixels when they come from a
-seekable Y4M stream (video.Y4mReader): they still advance the frame counter
-and the alert cooldown, so alert pacing does not depend on detector
-dropouts. A box wholly outside the frame is no usable detection either;
-the run report counts those frames. For a frame with a box, only the source
-pixels its ROI reads (preprocess.roi_plan) are median-smoothed and resized,
-which gives the same ROI, of the model's input_side, as smoothing and
-resizing the whole frame; the stages pass plain arrays. The median, of
-any window size, runs only over the source rows the working pixels' taps
-read, where they are fewer than the ROI's source window holds.
-Everything about a box that depends only on its geometry (the plan, that
-row stack, the gather indices and weights of each resample) is built at
-the box's first frame, in roi_plan, and cached, so while a face holds
-still a frame does only pixel work. A frame of a seekable stream reads
-just the band of source rows the ROI reads, when they are first smoothed
-(Frame.crop), so the stream must stay open for the whole run.
+usable detection do none under smooth_window=1 (for larger windows see
+run_stream), and read no pixels when they come from a seekable Y4M stream
+(video.Y4mReader): they still advance the frame counter and the alert
+cooldown, so alert pacing does not depend on detector dropouts. A box
+wholly outside the frame is no usable detection either; the run report
+counts those frames. For a frame with a box, only
+the source pixels its ROI reads (preprocess.roi_plan) are resized, which
+gives the same ROI, of the model's input_side, as resizing the whole frame;
+the stages pass plain arrays. Only the source rows the working pixels'
+taps read are taken, where they are fewer than the ROI's source window
+holds. Everything about a box that depends only on its geometry (the plan,
+that row stack, the gather indices and weights of each resample) is built
+at the box's first frame, in roi_plan, and cached, so while a face holds
+still a frame does only pixel work. A frame of a seekable stream reads just
+the band of source rows the ROI reads (Frame.crop), so the stream must stay
+open for the whole run.
+Smoothing works on faces, not frames: a boxed frame is classified from the
+per-pixel median of the last smooth_window frames' ROIs, each built once
+when its frame arrives (run_stream), so a moving face is a median of
+aligned copies and a frame's pixel work is bounded whatever the box does.
 With SMTP configured, each alert is mailed before the next frame is read,
 one SMTP session per alert. The run's smtp_client.Mailer opens a spare
 connection right after each accepted message and reads each QUIT reply
@@ -81,20 +85,18 @@ def _predict(model, roi) -> EmotionScores:
     return cnn_predict(model, roi)
 
 
-def _face_roi(frames: list[Frame], box: BoundingBox, width: int,
-              side: int) -> np.ndarray | None:
-    """The side x side ROI of box in the median of frames, or None when the box
-    misses the frame; only the pixels roi_plan names are smoothed and resized.
-    Where the working taps read fewer source rows than the plan's window
-    holds, the median runs over just those rows, at any window size. The
-    plan is cached per box, so a frame whose box repeats does only pixel
-    work."""
-    plan = roi_plan(box, (frames[-1].height, frames[-1].width), width, side)
+def _face_roi(frame: Frame, box: BoundingBox, width: int, side: int) -> np.ndarray | None:
+    """The side x side ROI of box in frame, or None when the box misses the
+    frame; only the pixels roi_plan names are read and resized. Where the
+    working taps read fewer source rows than the plan's window holds, only
+    those rows are taken. The plan is cached per box, so a frame whose box
+    repeats does only pixel work."""
+    plan = roi_plan(box, (frame.height, frame.width), width, side)
     if plan is None:
         return None
     window, rows, taps, roi_taps = plan
-    smoothed = temporal_smooth(frames, window, rows)
-    return extract_roi(resize_to_width(smoothed, taps), side, roi_taps)
+    pixels = temporal_smooth([frame], window, rows)   # a window of one: the band read
+    return extract_roi(resize_to_width(pixels, taps), side, roi_taps)
 
 
 def run_stream(reader: Y4mReader, detections: DetectionSet, model,
@@ -103,22 +105,29 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
     """Process every frame of a Y4M stream; returns the run report.
 
     The ROI side is model.input_side, read once before the first frame.
-    With smooth_window=k, frame i is classified from the median of frames
-    i-k+1..i, which is centred on frame i-(k-1)/2, cropped by frame i's box;
-    the first k-1 frames are classified unsmoothed. Each frame's pixels are
-    taken through Frame.crop of its ROI's source window, so a frame of a
-    seekable stream reads the rows each median needs, once, while it is in
-    the window. event_log, when given, receives one line per alert (flushed
-    as written). With SMTP configured, each alert is delivered by
-    send(smtp_config, event), by default through the run's Mailer; a run
-    that never alerts opens no socket.
+    With smooth_window=k, frame i is classified from the per-pixel median of
+    the ROIs of frames i-k+1..i, which is centred on frame i-(k-1)/2, each
+    built once, under the frame's own box, when it arrives; the first k-1
+    frames are classified unsmoothed. Under k > 1 a frame with no usable box
+    gives the window its ROI under the last usable box before it, or, before
+    any usable box, under the first one, built when that box arrives. Each
+    frame's pixels are taken through Frame.crop of its ROI's source window,
+    so a frame of a seekable stream reads the rows its ROI needs, once.
+    event_log, when given, receives one line per alert (flushed as written).
+    With SMTP configured, each alert is delivered by send(smtp_config,
+    event), by default through the run's Mailer; a run that never alerts
+    opens no socket.
     """
     side = model.input_side
     policy = config.alert_policy()
     state = alerts.CounterState()
     report = RunReport(state=state)
     smtp_cfg = config.smtp_config()
-    window: deque = deque(maxlen=config.smooth_window)
+    k = config.smooth_window
+    # the ROIs of the last k frames; a box-less frame's counts only when
+    # k > 1, and until the first usable box the frame stands for it
+    window: deque = deque(maxlen=k)
+    last_box = None     # the newest usable box
     mailer = None
     if smtp_cfg is not None and send is None:
         mailer = smtp_client.Mailer(smtp_cfg)   # connects at the first send
@@ -127,7 +136,6 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
             mailer.send(event)
     try:
         for frame in reader:
-            window.append(frame)
             try:
                 factor = config.width / frame.width
                 boxes = detections.for_frame(frame.index)
@@ -136,12 +144,22 @@ def run_stream(reader: Y4mReader, detections: DetectionSet, model,
                 box = select_primary_face(boxes)
                 roi = None
                 if box is not None:
-                    frames = list(window) if len(window) == config.smooth_window else [frame]
-                    roi = _face_roi(frames, box, config.width, side)
+                    roi = _face_roi(frame, box, config.width, side)
                     report.boxes_outside_frame += roi is None
+                if roi is not None:
+                    if last_box is None:
+                        for j in range(len(window)):
+                            window[j] = _face_roi(window[j], box, config.width, side)
+                    last_box = box
+                    window.append(roi)
+                elif k > 1:
+                    window.append(frame if last_box is None
+                                  else _face_roi(frame, last_box, config.width, side))
                 if roi is None:
                     alerts.tick(state, policy, frame.index)
                     continue
+                if k > 1 and len(window) == k:
+                    roi = temporal_smooth(list(window))
                 scores = _predict(model, roi)
                 event = alerts.ingest(state, policy, frame.index, scores, clock=clock)
             except Exception as exc:

@@ -233,21 +233,21 @@ def extract_roi(img: np.ndarray, roi_size: int, taps: Taps | None = None) -> np.
 def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int, roi_size: int
              ) -> tuple[Region, np.ndarray | None, Taps, Taps] | None:
     """For box, in working-width coordinates, of an in_shape (rows, cols)
-    source image: the source window to smooth, the rows of it to smooth,
-    the taps resampling those to the working pixels the ROI reads, and the
+    source image: the source window to read, the rows of it to take, the
+    taps resampling those to the working pixels the ROI reads, and the
     ROI's taps over those pixels; None when the box misses the frame.
     Where the clamped box spans more than 2 * roi_size working pixels on an
     axis, those are the rows (columns) of the ROI's lower taps, then of its
-    upper taps; otherwise its whole span. Through temporal_smooth,
-    resize_to_width and extract_roi, the plan gives the ROI of source img
-    resized whole to the working width (bilinear_resize, rounded to uint8)
-    and cropped to clamp_box of box.
+    upper taps; otherwise its whole span. Through the window's crop, the
+    rows' take, resize_to_width and extract_roi (pipeline._face_roi), the
+    plan gives the ROI of source img resized whole to the working width
+    (bilinear_resize, rounded to uint8) and cropped to clamp_box of box.
 
     The window is the taps_window of the working pixels' taps. Where their
     row taps read fewer source rows than the window holds, the rows are
     just those, lower taps then upper, as a read-only index array into the
-    window's rows, and the row taps are stacked over them: the median runs
-    over only the rows the resize reads, and the resize takes none.
+    window's rows, and the row taps are stacked over them: only the rows
+    the resize reads are taken, and the resize takes none.
     Otherwise the rows are None, the whole window.
 
     Cached per (box, in_shape, width, roi_size), since a face box repeats

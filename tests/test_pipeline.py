@@ -208,6 +208,34 @@ def full_frame_roi(frames, box, width, roi_size):
     return (bilinear_resize(crop, roi_size, roi_size) / 255.0).astype(np.float32)
 
 
+def smoothed_rois(frames, boxes, k, width, roi_size):
+    """The ROIs run_stream classifies under smooth_window k, frame index ->
+    ROI, in frame order: the oracle. boxes holds each frame's primary box,
+    or None. A frame's own ROI is full_frame_roi of it alone under its box
+    when that box meets the frame (a usable box); otherwise under the last
+    usable box before it, or, before any, under the first one. A frame with
+    a usable box is classified from the per-pixel median of the own ROIs of
+    frames i-k+1..i, or from its own ROI while i < k - 1."""
+    usable = {}
+    for i, (frame, box) in enumerate(zip(frames, boxes)):
+        if box is not None:
+            try:
+                usable[i] = box, full_frame_roi([frame], box, width, roi_size)
+            except EmptyIntersection:
+                pass
+    if not usable:
+        return {}
+    last, own = usable[min(usable)][0], []
+    for i, frame in enumerate(frames):
+        if i in usable:
+            last = usable[i][0]
+            own.append(usable[i][1])
+        else:
+            own.append(full_frame_roi([frame], last, width, roi_size))
+    return {i: np.sort(own[i - k + 1:i + 1], axis=0)[k // 2] if i >= k - 1 else own[i]
+            for i in usable}
+
+
 class TestBoxFirst:
     def test_roi_matches_full_frame_composition(self, monkeypatch):
         rois = capture_rois(monkeypatch)
@@ -236,19 +264,15 @@ class TestBoxFirst:
             dets = load_detections("\n".join(lines) + "\n")
             config = PipelineConfig(thresh=5, width=width, smooth_window=k,
                                     detections_coords=coords)
-            expected, outside_frames = [], 0
-            for i, frame in enumerate(frames):
+            primary = []
+            for i in range(n):
                 boxes = dets.for_frame(i)
                 if coords == "original" and width != w:
                     boxes = [b.scaled(width / w) for b in boxes]
-                box = select_primary_face(boxes)
-                if box is None:
-                    continue
-                window = frames[i - k + 1:i + 1] if i >= k - 1 else [frame]
-                try:
-                    expected.append(full_frame_roi(window, box, width, roi_size))
-                except EmptyIntersection:
-                    outside_frames += 1     # the run skips the frame and counts it
+                primary.append(select_primary_face(boxes))
+            expected = list(smoothed_rois(frames, primary, k, width, roi_size).values())
+            # the run skips a frame whose box misses it, and counts it
+            outside_frames = sum(b is not None for b in primary) - len(expected)
             del rois[:]
             reader = Y4mReader(write_y4m(VideoHeader(w, h, 25, 1, "mono"), frames))
             report = pipeline.run_stream(reader, dets, model_of_side(roi_size), config,
@@ -276,7 +300,11 @@ class TestBoxFirst:
             shown = [int(round(float(r[0, 0]) * 255)) // 20 for r in rois]
             assert shown == [i if i < k - 1 else i - (k - 1) // 2 for i in range(8)]
 
-    def test_boxless_frames_do_no_pixel_work(self, monkeypatch, lda_model):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_boxless_frames_work_only_to_fill_the_window(self, monkeypatch, lda_model, k):
+        # Under k = 1 a box-less frame does no pixel work. Under k = 3 it
+        # builds its ROI for the window once, when it arrives, and only a
+        # boxed frame with a full window runs the median.
         seen = {name: [] for name in ("temporal_smooth", "resize_to_width", "extract_roi")}
         newest = [None]
 
@@ -298,11 +326,14 @@ class TestBoxFirst:
                 yield frame
 
         skip = {1, 2, 5, 6, 7, 8}
-        config = PipelineConfig(thresh=1, cooldown=4, width=100, smooth_window=3)
+        config = PipelineConfig(thresh=1, cooldown=4, width=100, smooth_window=k)
         report = pipeline.run_stream(frames(), sidecar(12, skip=skip), lda_model, config,
                                      clock=PINNED_CLOCK)
         boxed = [i for i in range(12) if i not in skip]
-        assert seen == {name: boxed for name in seen}
+        built = boxed if k == 1 else list(range(12))
+        medians = [i for i in boxed if i >= k - 1] if k > 1 else []
+        assert seen == {"temporal_smooth": sorted(built + medians),
+                        "resize_to_width": built, "extract_roi": built}
         assert report.state.frames_seen == 12
         assert report.state.classified_frames == len(boxed)
         # The alert at 3 opens a 4-frame cooldown that frame 4 and box-less
@@ -335,6 +366,82 @@ class TestBoxFirst:
                                 model_of_side(28), config, clock=PINNED_CLOCK)
         assert exc.value.frame_index == 0
         assert isinstance(exc.value.__cause__, preprocess.WorkingSizeTooLarge)
+
+
+class TestFaceWindow:
+    """Under smooth_window k, the median runs over the last k frames' ROIs,
+    each built once, under its frame's own box, so a moving face is a median
+    of aligned copies."""
+
+    @pytest.mark.parametrize("speed", [8, 16])
+    def test_moving_glyph_scores_its_label_on_every_smoothed_frame(self, monkeypatch,
+                                                                   lda_model, speed):
+        # the demo geometry: a 112-px glyph on a 500 x 300 frame, moving
+        # speed px right and speed / 2 down per frame, its box with it
+        predicted = []
+        real_predict = pipeline._predict
+
+        def spy(model, roi):
+            scores = real_predict(model, roi)
+            predicted.append(LABELS[int(np.argmax(scores.probs))])
+            return scores
+
+        monkeypatch.setattr(pipeline, "_predict", spy)
+        n, side = 10, 112
+        for label in LABELS:
+            patch = np.clip(np.rint(bilinear_resize(draw_glyph(label, intensity=0.85),
+                                                    side, side) * 255), 0, 255)
+            frames, lines = [], ["# min_size=60x60"]
+            for i in range(n):
+                x, y = 20 + speed * i, 20 + speed // 2 * i
+                luma = np.zeros((300, 500), dtype=np.uint8)
+                luma[y:y + side, x:x + side] = patch.astype(np.uint8)
+                frames.append(Frame(index=i, width=500, height=300, luma=luma))
+                lines.append(f"{i} {x} {y} {side} {side}")
+            del predicted[:]
+            config = PipelineConfig(thresh=5, width=500, smooth_window=5)
+            pipeline.run_stream(Y4mReader(write_y4m(VideoHeader(500, 300, 25, 1, "mono"), frames)),
+                                load_detections("\n".join(lines) + "\n"), lda_model, config,
+                                clock=PINNED_CLOCK)
+            assert predicted[4:] == [label] * (n - 4)
+
+    def test_boxless_frames_take_the_last_usable_box_or_else_the_first(self, monkeypatch):
+        # frames 0-1 come before any box and 3 has one wholly outside the
+        # frame: 0 and 1 are built under frame 2's box when it arrives, 3
+        # under frame 2's, and 5 under frame 4's, each once
+        rois = capture_rois(monkeypatch)
+        built = []
+        newest = [None]
+        real_extract = pipeline.extract_roi
+
+        def spy(*args, **kwargs):
+            built.append(newest[0])
+            return real_extract(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extract_roi", spy)
+        rng = np.random.default_rng(29)
+        frames = [Frame(index=i, width=60, height=40,
+                        luma=rng.integers(0, 256, (40, 60), dtype=np.uint8)) for i in range(7)]
+        a, b, c = BoundingBox(5, 3, 20, 16), BoundingBox(30, 10, 24, 24), BoundingBox(12, 20, 30, 18)
+        dets = load_detections("# min_size=1x1\n2 5 3 20 16\n3 500 400 20 16\n"
+                               "4 30 10 24 24\n6 12 20 30 18\n")
+        reader = Y4mReader(write_y4m(VideoHeader(60, 40, 25, 1, "mono"), frames))
+
+        def stream():
+            for frame in reader:
+                newest[0] = frame.index
+                yield frame
+
+        config = PipelineConfig(thresh=5, width=60, smooth_window=3)
+        report = pipeline.run_stream(stream(), dets, model_of_side(28), config,
+                                     clock=PINNED_CLOCK)
+        assert report.boxes_outside_frame == 1
+        assert built == [2, 2, 2, 3, 4, 5, 6]
+        own = [full_frame_roi([f], box, 60, 28) for f, box in zip(frames, [a, a, a, a, b, b, c])]
+        want = [np.sort(own[i - 2:i + 1], axis=0)[1] for i in (2, 4, 6)]
+        assert len(rois) == len(want)
+        for got, roi in zip(rois, want):
+            np.testing.assert_array_equal(got, roi)
 
 
 class TestRoiTapsFirst:
@@ -370,10 +477,11 @@ class TestRoiTapsFirst:
                             clock=PINNED_CLOCK)
         assert len(rois) == len(frames)
         out_shape = (working_height(1280, 720, 500), 500)
+        boxes = [dets.for_frame(i)[0].scaled(500 / 1280) for i in range(len(frames))]
+        expected = smoothed_rois(frames, boxes, k, 500, 28)
         for i, got in enumerate(rois):
-            box = dets.for_frame(i)[0].scaled(500 / 1280)
-            window = frames[i - k + 1:i + 1] if i >= k - 1 else [frames[i]]
-            np.testing.assert_array_equal(got, full_frame_roi(window, box, 500, 28))
+            box = boxes[i]
+            np.testing.assert_array_equal(got, expected[i])
             # an axis over 2 * 28 working pixels resamples just the 56 the ROI reads
             spans = [s.stop - s.start for s in clamp_box(box, *out_shape)]
             assert resized[i] == tuple(min(n, 56) for n in spans)
@@ -382,16 +490,16 @@ class TestRoiTapsFirst:
 
 
 class TestTapRowMedian:
-    """At every window size, the median runs only over the source rows the
-    working taps read, lower taps then upper: the frames classified
-    unsmoothed take just those rows too."""
+    """At every window size, each frame's ROI takes only the source rows the
+    working taps read, lower taps then upper, once, when the frame arrives;
+    the median then runs over the window's ROIs."""
 
     def test_bench_geometry_smooths_just_the_tapped_rows(self, monkeypatch):
         rois = capture_rois(monkeypatch)
         smoothed = []
         real_smooth = pipeline.temporal_smooth
 
-        def spy(frames, region, rows):
+        def spy(frames, region=None, rows=None):
             out = real_smooth(frames, region, rows)
             smoothed.append(out.shape)
             return out
@@ -412,10 +520,10 @@ class TestTapRowMedian:
         window = preprocess.roi_plan(box, (720, 1280), 500, 28)[0]
         rows, cols = (s.stop - s.start for s in window)
         assert (rows, cols) == (235, 235)
-        assert smoothed == [(112, cols)] * 6
+        assert smoothed == [(112, cols)] * 4 + [(112, cols), (28, 28)] * 2
+        expected = smoothed_rois(frames, [box] * 6, 5, 500, 28)
         for i in (0, 3, 4, 5):
-            median_of = frames[i - 4:i + 1] if i >= 4 else [frames[i]]
-            np.testing.assert_array_equal(rois[i], full_frame_roi(median_of, box, 500, 28))
+            np.testing.assert_array_equal(rois[i], expected[i])
 
 
 def arrays_in(value):
@@ -457,9 +565,9 @@ class TestPlanCache:
         # unsmoothed, and the last 4, classified through the median
         info = preprocess.roi_plan.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
+        expected = smoothed_rois(frames, [b.scaled(500 / 1280)] * 8, 5, 500, 28)
         for i in (4, 7):
-            np.testing.assert_array_equal(rois[i], full_frame_roi(frames[i - 4:i + 1],
-                                                                  b.scaled(500 / 1280), 500, 28))
+            np.testing.assert_array_equal(rois[i], expected[i])
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_still_face_builds_one_plan_at_every_window(self, monkeypatch, k):

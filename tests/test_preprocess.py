@@ -346,7 +346,7 @@ def _box_spanning_twice_the_roi(draw):
 @example(case=(BoundingBox(-2, 0, 59, 56), (300, 300), 200, 28, [56, 57]))    # and the other way
 def test_roi_through_the_plan_matches_gathers_of_the_working_crop(case):
     """Where the plan skips a gather, the ROI keeps its bytes: the ROI through
-    roi_plan's row stack, alone and through a 3-frame median, equals the ROI
+    roi_plan's row stack, alone and through pipeline._face_roi, equals the ROI
     of the explicit working crop through gathers that are never skipped, and
     extract_roi of that crop."""
     box, in_shape, width, roi_size, spans = case
@@ -375,8 +375,7 @@ def test_roi_through_the_plan_matches_gathers_of_the_working_crop(case):
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
     frame = Frame(index=0, width=in_shape[1], height=in_shape[0], luma=img)
-    smoothed = pipeline._face_roi([frame] * 3, box, width, roi_size)
-    assert smoothed.tobytes() == want.tobytes()
+    assert pipeline._face_roi(frame, box, width, roi_size).tobytes() == want.tobytes()
 
 
 class TestLoadDetections:

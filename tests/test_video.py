@@ -222,6 +222,18 @@ class TestTemporalSmooth:
             video.temporal_smooth(frames, (band, slice(None)),
                                   np.array(rows, dtype=np.intp) - band.start)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_window_of_arrays_keeps_their_dtype(self, k):
+        rois = list(np.random.default_rng(k).random((k, 4, 6), dtype=np.float32))
+        out = video.temporal_smooth(rois)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, np.sort(rois, axis=0)[k // 2])
+        if k == 1:
+            assert out is rois[0]
+        else:
+            with pytest.raises(video.VideoFormatError):
+                video.temporal_smooth(rois[:-1] + [np.zeros((4, 5), np.float32)])
+
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             video.temporal_smooth([make_frame(i, 4, 4) for i in range(2)])
