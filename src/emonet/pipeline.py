@@ -7,21 +7,22 @@ run_stream), and read no pixels when they come from a seekable Y4M stream
 (video.Y4mReader): they still advance the frame counter and the alert
 cooldown, so alert pacing does not depend on detector dropouts. A box
 wholly outside the frame is no usable detection either; the run report
-counts those frames. For a frame with a box, only
-the source pixels its ROI reads (preprocess.roi_plan) are resized, which
-gives the same ROI, of the model's input_side, as resizing the whole frame;
-the stages pass plain arrays. Only the source rows the working pixels'
-taps read are taken, where they are fewer than the ROI's source window
-holds. Everything about a box that depends only on its geometry (the plan,
-that row stack, the gather indices and weights of each resample) is built
-at the box's first frame, in roi_plan, and cached, so while a face holds
-still a frame does only pixel work. A frame of a seekable stream reads just
-the band of source rows the ROI reads (Frame.crop), so the stream must stay
-open for the whole run.
+counts those frames. A frame's ROI, of the model's input_side, has one
+path: its box's plan (preprocess.roi_plan), the crop of the plan's source
+window (Frame.crop), the resize of just the source pixels the ROI reads
+(resize_to_width) and the ROI's rescale (extract_roi); this gives the same
+ROI as resizing the whole frame, and the stages pass plain arrays.
+Everything about a box that depends only on its geometry (the plan, the
+gather indices and weights of each resample) is built at the box's first
+frame, in roi_plan, and cached, so while a face holds still a frame does
+only pixel work. A frame of a seekable stream reads just the band of
+source rows the plan's window holds, so the stream must stay open for the
+whole run.
 Smoothing works on faces, not frames: a boxed frame is classified from the
-per-pixel median of the last smooth_window frames' ROIs, each built once
-when its frame arrives (run_stream), so a moving face is a median of
-aligned copies and a frame's pixel work is bounded whatever the box does.
+per-pixel median (temporal_smooth) of the last smooth_window frames' ROIs,
+each built once when its frame arrives (run_stream), so a moving face is a
+median of aligned copies and a frame's pixel work is bounded whatever the
+box does.
 With SMTP configured, each alert is mailed before the next frame is read,
 one SMTP session per alert. The run's smtp_client.Mailer opens a spare
 connection right after each accepted message and reads each QUIT reply
@@ -87,16 +88,14 @@ def _predict(model, roi) -> EmotionScores:
 
 def _face_roi(frame: Frame, box: BoundingBox, width: int, side: int) -> np.ndarray | None:
     """The side x side ROI of box in frame, or None when the box misses the
-    frame; only the pixels roi_plan names are read and resized. Where the
-    working taps read fewer source rows than the plan's window holds, only
-    those rows are taken. The plan is cached per box, so a frame whose box
-    repeats does only pixel work."""
+    frame: the crop of the plan's source window, resized at just the working
+    pixels the ROI reads, then rescaled. The plan is cached per box, so a
+    frame whose box repeats does only pixel work."""
     plan = roi_plan(box, (frame.height, frame.width), width, side)
     if plan is None:
         return None
-    window, rows, taps, roi_taps = plan
-    pixels = temporal_smooth([frame], window, rows)   # a window of one: the band read
-    return extract_roi(resize_to_width(pixels, taps), side, roi_taps)
+    window, taps, roi_taps = plan
+    return extract_roi(resize_to_width(frame.crop(window), taps), side, roi_taps)
 
 
 def run_stream(reader: Y4mReader, detections: DetectionSet, model,

@@ -80,8 +80,9 @@ class AxisTaps(tuple):
     when they are made, so taps that are reused, as a cached roi_plan's
     are, derive it once: span, the length of the source crop they read;
     index, the lower-then-upper indices into that crop; and weights, 1 - w
-    and w, all read-only. Taps made stacked have lower taps 0..n-1 and
-    upper taps n..2n-1 over a crop of 2n, which is then the grid as it is:
+    and w, all read-only. Taps made stacked, as _roi_plan makes the ROI's
+    taps over picked working pixels, have lower taps 0..n-1 and upper taps
+    n..2n-1 over a crop of 2n, which is then the grid as it is:
     their index is None, and resample_window takes nothing on their axis.
     """
 
@@ -148,20 +149,21 @@ def resample_window(img: np.ndarray, taps: Taps) -> np.ndarray:
     bit-identical to the same pixels of the whole resample.
 
     The tap grid is gathered once: the lower then the upper rows in one
-    take, then the lower then the upper columns in another, so the grid's
-    four quadrants are the four corners of every sample; an axis whose
-    index is None takes nothing. The horizontal pass runs once over all the
-    grid's rows; the vertical pass then weighs the top and bottom halves and
-    adds the bottom into the top. The indices and weights are the ones the
-    AxisTaps derived when they were made.
+    row index, then the lower then the upper columns in one take, so the
+    grid's four quadrants are the four corners of every sample; an axis
+    whose index is None takes nothing. The horizontal pass runs once over
+    all the grid's rows; the vertical pass then weighs the top and bottom
+    halves and adds the bottom into the top. The indices and weights are the
+    ones the AxisTaps derived when they were made.
     """
     rows, cols = taps
     if img.shape != (rows.span, cols.span):
         raise ValueError(f"source crop is {img.shape}, region reads {(rows.span, cols.span)}")
     # Gathering the source pixels before they meet a float64 weight gives the
     # same values as gathers from a float64 copy, without converting the
-    # pixels that no sample reads.
-    grid = img if rows.index is None else img.take(rows.index, axis=0)
+    # pixels that no sample reads. Indexing whole rows copies them in C order,
+    # faster than a take along axis 0.
+    grid = img if rows.index is None else img[rows.index]
     if cols.index is not None:
         grid = grid.take(cols.index, axis=1)
     (left_w, right_w), (top_w, bot_w) = cols.weights, rows.weights
@@ -231,24 +233,19 @@ def extract_roi(img: np.ndarray, roi_size: int, taps: Taps | None = None) -> np.
 
 @functools.lru_cache(maxsize=8)
 def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int, roi_size: int
-             ) -> tuple[Region, np.ndarray | None, Taps, Taps] | None:
+             ) -> tuple[Region, Taps, Taps] | None:
     """For box, in working-width coordinates, of an in_shape (rows, cols)
-    source image: the source window to read, the rows of it to take, the
-    taps resampling those to the working pixels the ROI reads, and the
-    ROI's taps over those pixels; None when the box misses the frame.
-    Where the clamped box spans more than 2 * roi_size working pixels on an
-    axis, those are the rows (columns) of the ROI's lower taps, then of its
-    upper taps; otherwise its whole span. Through the window's crop, the
-    rows' take, resize_to_width and extract_roi (pipeline._face_roi), the
-    plan gives the ROI of source img resized whole to the working width
-    (bilinear_resize, rounded to uint8) and cropped to clamp_box of box.
-
-    The window is the taps_window of the working pixels' taps. Where their
-    row taps read fewer source rows than the window holds, the rows are
-    just those, lower taps then upper, as a read-only index array into the
-    window's rows, and the row taps are stacked over them: only the rows
-    the resize reads are taken, and the resize takes none.
-    Otherwise the rows are None, the whole window.
+    source image: the source window to read, the taps resampling it to the
+    working pixels the ROI reads, and the ROI's taps over those pixels;
+    None when the box misses the frame. Where the clamped box spans more
+    than 2 * roi_size working pixels on an axis, those are the rows
+    (columns) of the ROI's lower taps, then of its upper taps; otherwise its
+    whole span. Through the window's crop, resize_to_width and extract_roi
+    (pipeline._face_roi), the plan gives the ROI of source img resized whole
+    to the working width (bilinear_resize, rounded to uint8) and cropped to
+    clamp_box of box. The window is the taps_window of the working pixels'
+    taps, and resize_to_width gathers from it just the source rows and
+    columns those taps read.
 
     Cached per (box, in_shape, width, roi_size), since a face box repeats
     from frame to frame while the face holds still: the arrays are
@@ -272,14 +269,9 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int, roi_size: 
         return None
     (rows, cols), (in_h, in_w), (out_h, out_w) = region, in_shape, out_shape
     picks, roi_taps = _roi_plan((rows.stop - rows.start, cols.stop - cols.start), roi_size)
-    row_taps, row_weights = _picked_pairs(in_h, out_h, rows, picks[0])
-    taps = AxisTaps(row_taps, row_weights), AxisTaps(*_picked_pairs(in_w, out_w, cols, picks[1]))
-    window, stack = taps_window(taps), taps[0].index
-    if len(stack) < taps[0].span:
-        taps = AxisTaps(np.arange(len(stack)).reshape(2, -1), row_weights, stacked=True), taps[1]
-    else:
-        stack = None
-    return window, stack, taps, roi_taps
+    taps = (AxisTaps(*_picked_pairs(in_h, out_h, rows, picks[0])),
+            AxisTaps(*_picked_pairs(in_w, out_w, cols, picks[1])))
+    return taps_window(taps), taps, roi_taps
 
 
 @functools.lru_cache(maxsize=64)

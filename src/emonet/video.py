@@ -6,11 +6,11 @@ on a seekable stream the reader reads no pixels, and the frame reads the
 rows it is asked for (Frame.crop) when they are first used, so it stays
 readable only while its stream is open. A stream that cannot seek is read
 in bounded chunks, and its frames hold their whole luma plane, as a frame
-built from an array does. The PGM codec and the temporal median of frames
-take and return (height, width) uint8 arrays; the median also takes a
-window of same-shape arrays of any dtype, such as per-frame ROIs. Both
-formats round-trip bit-exactly through the matching write functions, which
-the test suite leans on.
+built from an array does. The PGM codec takes and returns (height, width)
+uint8 arrays. The temporal median takes a window of same-shape arrays of
+any dtype, such as per-frame ROIs, or of frames, whose luma planes it
+reads whole. Both formats round-trip bit-exactly through the matching
+write functions, which the test suite leans on.
 """
 
 from __future__ import annotations
@@ -363,37 +363,18 @@ _MEDIAN_NETWORKS = {3: ((0, 1, "both"), (1, 2, "min"), (0, 1, "max")),
                         (1, 2, "both"), (2, 3, "min"), (1, 2, "max"))}
 
 
-def temporal_smooth(frames: list[Frame] | list[np.ndarray],
-                    region: tuple[slice, slice] | None = None,
-                    rows: np.ndarray | None = None) -> np.ndarray:
-    """Per-pixel median over an odd window of 1, 3 or 5 same-size frames, as
-    a uint8 array, or of 1, 3 or 5 same-shape arrays, such as the ROIs of a
-    window of frames, in their dtype. A window of 1 with no region and no
-    rows returns the frame's luma, or the array. For frames, region, a
-    (rows, cols) pair of slices, restricts the work to those pixels, and the
-    array returned holds just them; each frame's pixels are then taken
-    through Frame.crop, so a frame of a seekable stream reads only the rows
-    of region. rows, an intp index array in any order, repeats allowed, into
-    the rows of each frame's crop (or of its luma), takes those rows, in
-    their order, before the median runs over them.
+def temporal_smooth(frames: list[Frame] | list[np.ndarray]) -> np.ndarray:
+    """Per-pixel median over an odd window of 1, 3 or 5 same-shape arrays,
+    such as the ROIs of a window of frames, in their dtype; a frame in the
+    window stands for its whole luma plane. A window of 1 returns the array,
+    or the frame's luma.
     """
     k = len(frames)
     if k not in (1, 3, 5):
         raise ValueError(f"window must be 1, 3 or 5 frames, got {k}")
-    mid = frames[k // 2]
-    if isinstance(mid, np.ndarray):
-        planes = list(frames)
-        if any(p.shape != mid.shape for p in planes):
-            raise VideoFormatError(f"window shapes {[p.shape for p in planes]} differ")
-    else:
-        for f in frames:
-            if (f.width, f.height) != (mid.width, mid.height):
-                raise VideoFormatError(
-                    f"frame {f.index} is {f.width}x{f.height}, "
-                    f"window expects {mid.width}x{mid.height}")
-        planes = [f.luma if region is None else f.crop(region) for f in frames]
-        if rows is not None:
-            planes = [p[rows] for p in planes]
+    planes = [f if isinstance(f, np.ndarray) else f.luma for f in frames]
+    if any(p.shape != planes[0].shape for p in planes):
+        raise VideoFormatError(f"window shapes {[p.shape for p in planes]} differ")
     for i, j, keep in _MEDIAN_NETWORKS.get(k, ()):
         a, b = planes[i], planes[j]
         if keep != "max":

@@ -304,7 +304,8 @@ class TestBoxFirst:
     def test_boxless_frames_work_only_to_fill_the_window(self, monkeypatch, lda_model, k):
         # Under k = 1 a box-less frame does no pixel work. Under k = 3 it
         # builds its ROI for the window once, when it arrives, and only a
-        # boxed frame with a full window runs the median.
+        # boxed frame with a full window runs the median, the one call to
+        # temporal_smooth.
         seen = {name: [] for name in ("temporal_smooth", "resize_to_width", "extract_roi")}
         newest = [None]
 
@@ -332,7 +333,7 @@ class TestBoxFirst:
         boxed = [i for i in range(12) if i not in skip]
         built = boxed if k == 1 else list(range(12))
         medians = [i for i in boxed if i >= k - 1] if k > 1 else []
-        assert seen == {"temporal_smooth": sorted(built + medians),
+        assert seen == {"temporal_smooth": medians,
                         "resize_to_width": built, "extract_roi": built}
         assert report.state.frames_seen == 12
         assert report.state.classified_frames == len(boxed)
@@ -341,10 +342,12 @@ class TestBoxFirst:
         assert [e.frame_index for e in report.events] == [3, 10]
 
     def test_smoothing_failure_carries_frame_index(self, monkeypatch, lda_model):
-        def failing_smooth(frames, region=None, rows=None):
-            if frames[-1].index == 2:
-                raise ValueError("smoothing broke")
-            return temporal_smooth(frames, region, rows)
+        broke = ValueError("smoothing broke")
+
+        def failing_smooth(frames):
+            if len(frames) == 3:     # the first full window is frame 2's
+                raise broke
+            return temporal_smooth(frames)
 
         monkeypatch.setattr(pipeline, "temporal_smooth", failing_smooth)
         config = PipelineConfig(thresh=5, width=100, smooth_window=3)
@@ -352,6 +355,7 @@ class TestBoxFirst:
             pipeline.run_stream(Y4mReader(make_video(["neutral"] * 4)), sidecar(4),
                                 lda_model, config, clock=PINNED_CLOCK)
         assert exc.value.frame_index == 2
+        assert exc.value.__cause__ is broke
 
 
     def test_working_height_above_the_bound_is_a_stage_error(self, monkeypatch):
@@ -499,8 +503,8 @@ class TestTapRowMedian:
         smoothed = []
         real_smooth = pipeline.temporal_smooth
 
-        def spy(frames, region=None, rows=None):
-            out = real_smooth(frames, region, rows)
+        def spy(frames):
+            out = real_smooth(frames)
             smoothed.append(out.shape)
             return out
 
@@ -517,10 +521,11 @@ class TestTapRowMedian:
         pipeline.run_stream(Y4mReader(data), dets, model_of_side(28), config,
                             clock=PINNED_CLOCK)
         box = BoundingBox(500, 300, 240, 240).scaled(500 / 1280)
-        window = preprocess.roi_plan(box, (720, 1280), 500, 28)[0]
-        rows, cols = (s.stop - s.start for s in window)
-        assert (rows, cols) == (235, 235)
-        assert smoothed == [(112, cols)] * 4 + [(112, cols), (28, 28)] * 2
+        window, taps, _ = preprocess.roi_plan(box, (720, 1280), 500, 28)
+        assert [s.stop - s.start for s in window] == [235, 235]
+        # the resize gathers 112 of the window's 235 rows: 56 lower taps, then 56 upper
+        assert (len(taps[0].index), taps[0].span) == (112, 235)
+        assert smoothed == [(28, 28)] * 2
         expected = smoothed_rois(frames, [box] * 6, 5, 500, 28)
         for i in (0, 3, 4, 5):
             np.testing.assert_array_equal(rois[i], expected[i])
@@ -539,10 +544,9 @@ def arrays_in(value):
 
 
 class TestPlanCache:
-    """A box's plan, with its resample indices and weights and the median's
-    row stack, is built at the box's first frame and reused while the box
-    repeats, at every window size; it is shared, so its arrays must refuse
-    in-place edits."""
+    """A box's plan, with its resample indices and weights, is built at the
+    box's first frame and reused while the box repeats, at every window
+    size; it is shared, so its arrays must refuse in-place edits."""
 
     BOX = BoundingBox(500, 300, 240, 240)
 
@@ -561,8 +565,8 @@ class TestPlanCache:
         preprocess.roi_plan.cache_clear()
         pipeline.run_stream(Y4mReader(data), dets, model_of_side(28), config,
                             clock=PINNED_CLOCK)
-        # one plan, with stacked rows, for the first 4 frames, classified
-        # unsmoothed, and the last 4, classified through the median
+        # one plan for the first 4 frames, classified unsmoothed, and the
+        # last 4, classified through the median
         info = preprocess.roi_plan.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
         expected = smoothed_rois(frames, [b.scaled(500 / 1280)] * 8, 5, 500, 28)
@@ -590,12 +594,11 @@ class TestPlanCache:
         box, shape = self.BOX.scaled(500 / 1280), (720, 1280)
         plan = preprocess.roi_plan(box, shape, 500, 28)
         assert plan is preprocess.roi_plan(box, shape, 500, 28)
-        window, rows, taps, roi_taps = plan
-        # the ROI's taps read the working pixels in order, and the stacked
-        # row taps the median's rows in order: those gathers are skipped
+        window, taps, roi_taps = plan
+        # the ROI's taps read the working pixels in order: that gather is
+        # skipped; the working taps gather their source rows and columns
         assert [axis.index is None for axis in roi_taps] == [True, True]
-        assert [axis.index is None for axis in taps] == [True, False]
-        assert isinstance(rows, np.ndarray)
+        assert [axis.index is None for axis in taps] == [False, False]
         for a in arrays_in(plan):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -691,3 +694,46 @@ class TestRowsOnDemand:
             fh.close()
         assert exc.value.frame_index == 2
         assert isinstance(exc.value.__cause__, video.VideoFormatError)
+
+
+class TestBandRead:
+    """A frame of a seekable stream reads the band of rows its plan's source
+    window holds, whole rows, once, whatever the window size."""
+
+    BOX = BoundingBox(500, 300, 240, 240)
+
+    def lazy_clip(self, n):
+        from test_video import CountingStream
+        rng = np.random.default_rng(30)
+        frames = [Frame(index=i, width=1280, height=720,
+                        luma=rng.integers(0, 256, (720, 1280), dtype=np.uint8))
+                  for i in range(n)]
+        return frames, CountingStream(write_y4m(VideoHeader(1280, 720, 25, 1, "420"), frames))
+
+    def band_rows(self):
+        window = preprocess.roi_plan(self.BOX.scaled(500 / 1280), (720, 1280), 500, 28)[0]
+        return window[0].stop - window[0].start
+
+    def test_face_roi_reads_just_the_plan_window(self):
+        frames, stream = self.lazy_clip(1)
+        frame = Y4mReader(stream).next_frame()
+        stream.bytes_read = 0
+        box = self.BOX.scaled(500 / 1280)
+        roi = pipeline._face_roi(frame, box, 500, 28)
+        assert stream.bytes_read == self.band_rows() * 1280
+        np.testing.assert_array_equal(roi, full_frame_roi(frames, box, 500, 28))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_still_face_run_reads_each_band_once(self, monkeypatch, k):
+        capture_rois(monkeypatch)
+        n, b = 8, self.BOX
+        frames, stream = self.lazy_clip(n)
+        dets = load_detections("# min_size=1x1\n"
+                               + "".join(f"{i} {b.fX} {b.fY} {b.fW} {b.fH}\n" for i in range(n)))
+        config = PipelineConfig(thresh=5, width=500, smooth_window=k,
+                                detections_coords="original")
+        report = pipeline.run_stream(Y4mReader(stream), dets, model_of_side(28), config,
+                                     clock=PINNED_CLOCK)
+        assert report.state.classified_frames == n
+        # each frame's FRAME marker, then its band
+        assert stream.bytes_read == n * (len(b"FRAME") + self.band_rows() * 1280)

@@ -182,46 +182,6 @@ class TestTemporalSmooth:
             out = video.temporal_smooth(frames)
             np.testing.assert_array_equal(out[0], np.sort(vals, axis=1)[:, k // 2])
 
-    def test_region_matches_whole_frame_median(self):
-        region = (slice(2, 9), slice(1, 6))
-        for k in (1, 3, 5):
-            frames = [make_frame(i, 7, 11, seed=20 + i) for i in range(k)]
-            stack = np.stack([f.luma for f in frames])
-            out = video.temporal_smooth(frames, region)
-            assert out.shape == (7, 5) and out.dtype == np.uint8
-            np.testing.assert_array_equal(out, np.median(stack, axis=0).astype(np.uint8)[region])
-
-    @pytest.mark.parametrize("rows", [[7, 2, 2, 9, 4, 7, 3], [5], [10, 0, 10], [3, 4, 5, 3, 4, 5]])
-    def test_row_index_region_matches_whole_frame_median(self, rows):
-        rows = np.array(rows, dtype=np.intp)
-        band, cols = slice(int(rows.min()), 11), slice(1, 6)
-        for k in (1, 3, 5):
-            frames = [make_frame(i, 7, 11, seed=30 + i) for i in range(k)]
-            want = np.median(np.stack([f.luma for f in frames]), axis=0).astype(np.uint8)
-            out = video.temporal_smooth(frames, (band, cols), rows - band.start)
-            assert out.shape == (len(rows), 5) and out.dtype == np.uint8
-            np.testing.assert_array_equal(out, want[rows, cols])
-
-    @pytest.mark.parametrize("k", [1, 5])
-    def test_row_index_region_reads_just_the_band_it_spans(self, k):
-        frames = [make_frame(i, 10, 20, seed=40 + i) for i in range(k)]
-        stream = CountingStream(video.write_y4m(VideoHeader(10, 20, 25, 1, "420"), frames))
-        lazy = list(video.Y4mReader(stream))
-        stream.bytes_read = 0
-        rows = np.array([12, 6, 6, 15, 9], dtype=np.intp)     # the band is rows 6..15
-        out = video.temporal_smooth(lazy, (slice(6, 16), slice(2, 8)), rows - 6)
-        assert stream.bytes_read == k * 10 * 10
-        want = np.median(np.stack([f.luma for f in frames]), axis=0).astype(np.uint8)
-        np.testing.assert_array_equal(out, want[rows, 2:8])
-
-    @pytest.mark.parametrize("rows", [[3, -1], [4, 11]])
-    def test_row_index_outside_the_frame_is_rejected(self, rows):
-        frames = [make_frame(i, 7, 11) for i in range(3)]
-        band = slice(min(rows), max(rows) + 1)
-        with pytest.raises(ValueError, match="rows must be slice"):
-            video.temporal_smooth(frames, (band, slice(None)),
-                                  np.array(rows, dtype=np.intp) - band.start)
-
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_window_of_arrays_keeps_their_dtype(self, k):
         rois = list(np.random.default_rng(k).random((k, 4, 6), dtype=np.float32))
@@ -233,6 +193,27 @@ class TestTemporalSmooth:
         else:
             with pytest.raises(video.VideoFormatError):
                 video.temporal_smooth(rois[:-1] + [np.zeros((4, 5), np.float32)])
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_lazy_frames_are_read_whole_and_median_their_luma(self, k):
+        frames = [make_frame(i, 10, 20, seed=40 + i) for i in range(k)]
+        stream = CountingStream(video.write_y4m(VideoHeader(10, 20, 25, 1, "420"), frames))
+        lazy = list(video.Y4mReader(stream))
+        stream.bytes_read = 0
+        out = video.temporal_smooth(lazy)
+        assert stream.bytes_read == k * 10 * 20
+        assert (out.shape, out.dtype) == ((20, 10), np.uint8)
+        want = np.median(np.stack([f.luma for f in frames]), axis=0).astype(np.uint8)
+        np.testing.assert_array_equal(out, want)
+        # a window may mix frames and arrays: a frame stands for its luma
+        mixed = [f.luma if i % 2 else f for i, f in enumerate(frames)]
+        np.testing.assert_array_equal(video.temporal_smooth(mixed), want)
+
+    @pytest.mark.parametrize("k", [0, 4, 6])
+    def test_window_of_other_sizes_rejected(self, k):
+        rois = list(np.zeros((k, 4, 6), dtype=np.float32))
+        with pytest.raises(ValueError, match="window must be 1, 3 or 5"):
+            video.temporal_smooth(rois)
 
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
