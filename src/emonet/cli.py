@@ -14,7 +14,7 @@ from . import model_io, nn, pipeline
 from .classifiers import LABELS, EmotionScores, cnn_train, evaluate, lda_train
 from .config import build_config, load_config_file
 from .dataset import load_dataset_dir
-from .preprocess import extract_roi, load_detections
+from .preprocess import WorkingSizeTooLarge, extract_roi, load_detections, working_shape
 from .video import VideoFormatError, Y4mReader, parse_pgm
 
 EXIT_OK = 0
@@ -88,6 +88,7 @@ def _cmd_run(args) -> int:
     try:
         with open(args.video, "rb") as fh:
             reader = Y4mReader(fh)
+            working_shape((reader.header.height, reader.header.width), config.width)
             report = pipeline.run_stream(
                 reader, detections, model, config, event_log=log_fh,
                 warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, VideoFormatError, model_io.ModelFileError,
+    except (OSError, VideoFormatError, WorkingSizeTooLarge, model_io.ModelFileError,
             pipeline.PipelineStageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -15,9 +15,8 @@ ROI as resizing the whole frame, and the stages pass plain arrays.
 Everything about a box that depends only on its geometry (the plan, the
 gather indices and weights of each resample) is built at the box's first
 frame, in roi_plan, and cached, so while a face holds still a frame does
-only pixel work. A frame of a seekable stream reads just the band of
-source rows the plan's window holds, so the stream must stay open for the
-whole run.
+only pixel work. A frame of a seekable stream reads just the source rows
+the plan's window holds, so the stream must stay open for the whole run.
 Smoothing works on faces, not frames: a boxed frame is classified from the
 per-pixel median (temporal_smooth) of the last smooth_window frames' ROIs,
 each built once when its frame arrives (run_stream), so a moving face is a

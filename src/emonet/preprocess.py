@@ -71,6 +71,16 @@ def working_height(width: int, height: int, target_width: int) -> int:
     return max(1, int(round(height * target_width / width)))
 
 
+def working_shape(in_shape: tuple[int, int], width: int) -> tuple[int, int]:
+    """The (rows, cols) of an in_shape (rows, cols) frame resized to width,
+    aspect kept; raises WorkingSizeTooLarge past MAX_WORKING_SIDE on an axis."""
+    out_shape = (working_height(in_shape[1], in_shape[0], width), width)
+    if max(out_shape) > MAX_WORKING_SIDE:
+        raise WorkingSizeTooLarge(f"working size {width}x{out_shape[0]} exceeds "
+                                  f"{MAX_WORKING_SIDE} pixels on an axis")
+    return out_shape
+
+
 class AxisTaps(tuple):
     """The bilinear taps of some outputs along one axis: (lower source index,
     upper source index, upper weight), an array of each, read-only.
@@ -256,13 +266,9 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int, roi_size: 
     that depends only on sizes: the working pixels' taps and weights are
     picked from the per-geometry tables of _tap_pairs, and the ROI's come
     whole from the per-box-size plan of _roi_plan. Raises
-    WorkingSizeTooLarge when the working size exceeds MAX_WORKING_SIDE on
-    an axis.
+    WorkingSizeTooLarge as working_shape does.
     """
-    out_shape = (working_height(in_shape[1], in_shape[0], width), width)
-    if max(out_shape) > MAX_WORKING_SIDE:
-        raise WorkingSizeTooLarge(f"working size {width}x{out_shape[0]} exceeds "
-                                  f"{MAX_WORKING_SIDE} pixels on an axis")
+    out_shape = working_shape(in_shape, width)
     try:
         region = clamp_box(box, *out_shape)
     except EmptyIntersection:

@@ -1,16 +1,16 @@
 """Grayscale frame ingestion: YUV4MPEG2 (Y4M) streams and binary PGM images.
 
 Only the luma plane of a Y4M stream is consumed; 4:2:0 chroma planes are
-skipped. A Frame is a decoded Y4M frame, held as one band of whole rows:
-on a seekable stream the reader reads no pixels, and the frame reads the
-rows it is asked for (Frame.crop) when they are first used, so it stays
-readable only while its stream is open. A stream that cannot seek is read
-in bounded chunks, and its frames hold their whole luma plane, as a frame
-built from an array does. The PGM codec takes and returns (height, width)
-uint8 arrays. The temporal median takes a window of same-shape arrays of
-any dtype, such as per-frame ROIs, or of frames, whose luma planes it
-reads whole. Both formats round-trip bit-exactly through the matching
-write functions, which the test suite leans on.
+skipped. A Frame is a decoded Y4M frame: on a seekable stream the reader
+reads no pixels, and the frame reads the rows each crop asks for
+(Frame.crop), every time, keeping none, so it stays readable only while
+its stream is open. A stream that cannot seek is read in bounded chunks,
+and its frames hold their whole luma plane, as a frame built from an
+array does. The PGM codec takes and returns (height, width) uint8 arrays.
+The temporal median takes a window of same-shape arrays of any dtype,
+such as per-frame ROIs, or of frames, whose luma planes it reads whole.
+Both formats round-trip bit-exactly through the matching write functions,
+which the test suite leans on.
 """
 
 from __future__ import annotations
@@ -78,15 +78,15 @@ class VideoHeader:
 
 
 class Frame:
-    """One grayscale frame of height x width uint8 pixels, held as one band of whole rows.
+    """One grayscale frame of height x width uint8 pixels.
 
-    Built from a (height, width) luma array, the band is the whole plane; built
-    by Y4mReader on a seekable stream (stream=, offset=), it is read from the
-    luma plane at offset by the first crop. A crop inside the band is a slice
-    of it, one outside it reads the union; luma widens the band to the whole plane.
-    A read seeks to the rows and back, so it may come between any two
-    next_frame calls, but only while the stream is open: a stream closed or
-    shrunk since is a FrameUnavailable or TruncatedFrame.
+    Built from a (height, width) luma array, it holds that array, and crop
+    slices it. Built by Y4mReader on a seekable stream (stream=, offset=),
+    it holds no pixels: each crop reads just its rows from the luma plane at
+    offset, and luma reads the whole plane, on every call. A read seeks to
+    the rows and back, so it may come between any two next_frame calls, but
+    only while the stream is open: a stream closed or shrunk since is a
+    FrameUnavailable or TruncatedFrame.
     """
 
     def __init__(self, index: int, width: int, height: int, luma: np.ndarray | None = None,
@@ -94,17 +94,16 @@ class Frame:
         if luma is not None and luma.shape != (height, width):
             raise VideoFormatError(f"luma shape {luma.shape} does not match {height}x{width}")
         self.index, self.width, self.height = index, width, height
-        self._stream, self._offset = stream, offset
-        self._first, self._rows = 0, luma    # the band: its first row and its rows
+        self._stream, self._offset, self._luma = stream, offset, luma
 
     def __repr__(self) -> str:
         return f"Frame(index={self.index}, width={self.width}, height={self.height})"
 
     @property
     def luma(self) -> np.ndarray:
-        if self._rows is None or len(self._rows) != self.height:
-            self._read_rows(0, self.height)
-        return self._rows
+        if self._luma is None:
+            return self.crop((slice(0, self.height), slice(None)))
+        return self._luma
 
     def crop(self, region: tuple[slice, slice]) -> np.ndarray:
         """luma[region], for a (rows, cols) pair of slices: rows is
@@ -116,15 +115,8 @@ class Frame:
                 and 0 <= lo <= hi <= self.height):
             raise ValueError(f"rows must be slice(lo, hi) with 0 <= lo <= hi <= "
                              f"{self.height}, got {rows!r}")
-        if lo == hi:
-            return np.empty((0, self.width), dtype=np.uint8)[:, cols]
-        if self._rows is None or lo < self._first or hi > self._first + len(self._rows):
-            self._read_rows(lo, hi)
-        return self._rows[lo - self._first:hi - self._first, cols]
-
-    def _read_rows(self, lo: int, hi: int) -> None:
-        if self._rows is not None:
-            lo, hi = min(lo, self._first), max(hi, self._first + len(self._rows))
+        if self._luma is not None:
+            return self._luma[lo:hi, cols]
         n = (hi - lo) * self.width
         try:
             back = self._stream.tell()
@@ -136,7 +128,7 @@ class Frame:
         if len(data) != n:
             raise TruncatedFrame(f"frame {self.index}: wanted {n} bytes of rows {lo}..{hi - 1}, "
                                  f"got {len(data)}; the stream shrank")
-        self._first, self._rows = lo, np.frombuffer(data, np.uint8).reshape(hi - lo, self.width)
+        return np.frombuffer(data, np.uint8).reshape(hi - lo, self.width)[:, cols]
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +213,14 @@ class Y4mReader:
     """Sequential Y4M frame reader; single-owner, like the frames it yields.
 
     On a seekable stream no pixel is read here: each frame's luma and chroma
-    are seeked past together, and the frame reads its rows from the stream
-    when they are first used (Frame.crop), so it stays readable only while
-    the stream is open. A seek past the end does not fail, so the reader
-    keeps the stream's length, and a frame whose planes would reach beyond
-    it is truncated. A stream that cannot seek is read, every byte.
+    are seeked past together, and the frame reads the rows of each crop from
+    the stream (Frame.crop), so it stays readable only while the stream is
+    open. A seek past the end does not fail, so the reader keeps the
+    stream's length, and a frame whose planes would reach beyond it is
+    truncated. A stream that cannot seek is read, every byte.
 
-    A frame's pixel values never change, but what it holds does, as crop
-    widens its band: a frame is used by one thread at a time, like its
-    stream, and compares and hashes by identity.
+    A frame reads through the stream's position, so it is used by one
+    thread at a time, like its stream; it compares and hashes by identity.
     """
 
     def __init__(self, stream):

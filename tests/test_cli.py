@@ -281,6 +281,22 @@ class TestExitCodes:
                          "--model", lda_model_path, "--thresh", "3"])
         assert code == 2
 
+    def test_working_size_over_the_bound_is_refused_before_the_first_frame(
+            self, lda_model_path, tmp_path, capsys):
+        # two pixels wide and 40,000 rows high: at width 500 the working
+        # frame would be 10,000,000 rows; no frame has a box to reach roi_plan
+        video = tmp_path / "narrow.y4m"
+        video.write_bytes(b"YUV4MPEG2 W2 H40000 F25:1 Cmono\n"
+                          + 2 * (b"FRAME\n" + b"\x00" * 80_000))
+        dets = tmp_path / "empty.dets"
+        dets.write_text("")
+        code = cli.main(["run", "--video", str(video), "--detections", str(dets),
+                         "--model", lda_model_path, "--thresh", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: working size 500x10000000 exceeds 16384 pixels on an axis\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [["run", "--bogus"], ["train", "--epochs", "x"], ["fit"]])
     def test_usage_error_is_validation_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -366,7 +366,7 @@ def row_slices(height):
 
 
 class TestFrameCrop:
-    """A frame of a seekable stream reads its rows when they are first used;
+    """A frame of a seekable stream reads the rows of each crop when asked;
     whatever it reads, crop and luma must equal those of an eager decode."""
 
     @settings(max_examples=150, deadline=None)
@@ -396,23 +396,31 @@ class TestFrameCrop:
                     np.testing.assert_array_equal(a.luma, b.luma)
                     assert a.luma.shape == (h, w)
 
-    def test_band_is_kept_and_widened_to_the_union(self):
+    def test_every_read_takes_just_the_rows_asked_for_and_keeps_none(self):
         frames = [make_frame(0, 10, 20, seed=4)]
-        stream = CountingStream(video.write_y4m(VideoHeader(10, 20, 25, 1, "420"), frames))
+        data = video.write_y4m(VideoHeader(10, 20, 25, 1, "420"), frames)
+        stream = CountingStream(data)
         frame = video.Y4mReader(stream).next_frame()
         want = frames[0].luma
-        stream.bytes_read = 0
-        np.testing.assert_array_equal(frame.crop((slice(5, 9), slice(2, 4))), want[5:9, 2:4])
-        assert stream.bytes_read == 4 * 10           # rows 5..8, every column
-        np.testing.assert_array_equal(frame.crop((slice(6, 8), slice(None))), want[6:8])
-        assert stream.bytes_read == 4 * 10           # inside the band: a slice
-        np.testing.assert_array_equal(frame.crop((slice(12, 14), slice(1, 2))), want[12:14, 1:2])
-        assert stream.bytes_read == 4 * 10 + 9 * 10  # outside: the union, rows 5..13
-        np.testing.assert_array_equal(frame.crop((slice(5, 14), slice(None))), want[5:14])
-        np.testing.assert_array_equal(frame.crop((slice(3, 3), slice(None))), want[3:3])
-        assert stream.bytes_read == 13 * 10
-        np.testing.assert_array_equal(frame.luma, want)
-        assert stream.bytes_read == 13 * 10 + 20 * 10
+        # a crop, one inside it, one beyond it, one spanning both, and an empty one
+        for rows, cols in ((slice(5, 9), slice(2, 4)), (slice(6, 8), slice(None)),
+                           (slice(12, 14), slice(1, 2)), (slice(5, 14), slice(None)),
+                           (slice(3, 3), slice(None))):
+            before = stream.bytes_read
+            np.testing.assert_array_equal(frame.crop((rows, cols)), want[rows, cols])
+            assert stream.bytes_read - before == (rows.stop - rows.start) * 10
+        for _ in range(2):
+            before = stream.bytes_read
+            np.testing.assert_array_equal(frame.luma, want)
+            assert stream.bytes_read - before == 20 * 10
+        # a frame of a stream that cannot seek holds its plane and reads nothing more
+        pipe = CountingStream(data)
+        pipe.seekable = lambda: False
+        eager = video.Y4mReader(pipe).next_frame()
+        pipe.bytes_read, at = 0, pipe.tell()
+        np.testing.assert_array_equal(eager.crop((slice(5, 14), slice(1, 2))), want[5:14, 1:2])
+        np.testing.assert_array_equal(eager.luma, want)
+        assert (pipe.bytes_read, pipe.tell()) == (0, at)
 
     @pytest.mark.parametrize("rows", [slice(None, 4), slice(2, None), slice(None), slice(-1, 4),
                                       slice(2, 21), slice(5, 3), slice(2, 8, 2),
