@@ -246,13 +246,16 @@ def lda_posterior(model: LdaModel, z: np.ndarray) -> np.ndarray:
 def _discriminant(model: LdaModel) -> tuple[np.ndarray, np.ndarray]:
     """B = Sigma^-1 M^T (d, K) and c_k = log pi_k - mu_k^T Sigma^-1 mu_k / 2,
     computed at the model's first score and kept on it while its means,
-    covariance and priors are the very arrays they came from."""
+    covariance and priors are the very arrays they came from, which are
+    then read-only: an in-place edit raises ValueError, not stale scores."""
     arrays = (model.class_means, model.covariance, model.priors)
     if model._linear and all(map(operator.is_, arrays, model._linear[0])):
         return model._linear[1]
     b = np.linalg.solve(model.covariance, model.class_means.T)
     with np.errstate(divide="ignore"):
         c = np.log(model.priors) - 0.5 * np.einsum("kd,dk->k", model.class_means, b)
+    for a in arrays:
+        a.flags.writeable = False
     model._linear = (arrays, (b, c))
     return b, c
 

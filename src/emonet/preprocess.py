@@ -85,15 +85,16 @@ class AxisTaps(tuple):
     """The bilinear taps of some outputs along one axis: (lower source index,
     upper source index, upper weight), an array of each, read-only.
 
-    Made from _taps' two (2, n) arrays, which it makes read-only and whose
-    rows are its items. What resample_window reads of them is derived once,
-    when they are made, so taps that are reused, as a cached roi_plan's
-    are, derive it once: span, the length of the source crop they read;
-    index, the lower-then-upper indices into that crop; and weights, 1 - w
-    and w, all read-only. Taps made stacked, as _roi_plan makes the ROI's
-    taps over picked working pixels, have lower taps 0..n-1 and upper taps
-    n..2n-1 over a crop of 2n, which is then the grid as it is:
-    their index is None, and resample_window takes nothing on their axis.
+    Made from two (2, n) arrays, taps and weights, columns of the _tap_pairs
+    tables, which it makes read-only and whose rows are its items. What
+    resample_window reads of them is derived once, when they are made, so
+    taps that are reused, as a cached roi_plan's are, derive it once: span,
+    the length of the source crop they read; index, the lower-then-upper
+    indices into that crop; and weights, 1 - w and w, all read-only. Taps
+    made stacked, as _roi_plan makes the ROI's taps over picked working
+    pixels, have lower taps 0..n-1 and upper taps n..2n-1 over a crop of
+    2n, which is then the grid as it is: their index is None, and
+    resample_window takes nothing on their axis.
     """
 
     def __new__(cls, taps: np.ndarray, weights: np.ndarray, stacked: bool = False):
@@ -115,31 +116,20 @@ Taps = tuple[AxisTaps, AxisTaps]   # rows, then columns
 Span = slice | np.ndarray    # output indices: a slice with explicit start and stop, or an array
 
 
-def _taps(n_in: int, n_out: int, span: Span) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear taps along one axis for the outputs span selects of an
-    n_in -> n_out resample: the lower then the upper source indices, and
-    the weights 1 - w then w, as two (2, n) arrays."""
-    # each sample centre, (i + 0.5) * n_in / n_out - 0.5, clamped into the
-    # source; i + 0.5 is exact in float64, from arange or from the indices
-    if isinstance(span, slice):
-        s = np.arange(span.start + 0.5, span.stop, 1.0)
-    else:
-        s = span + 0.5
-    s *= n_in / n_out
-    s -= 0.5
-    np.maximum(s, 0.0, out=s)
-    np.minimum(s, n_in - 1.0, out=s)
-    lo = s.astype(np.intp)              # s >= 0, so truncation is floor
-    s -= lo
-    return np.stack((lo, np.minimum(lo + 1, n_in - 1))), np.stack((1 - s, s))
-
-
 def resample_taps(region: tuple[Span, Span], in_shape: tuple[int, int],
                   out_shape: tuple[int, int]) -> Taps:
     """Row and column taps of the output pixels in region (rows, cols) of an
-    in_shape -> out_shape bilinear resample."""
-    (rows, cols), (in_h, in_w), (out_h, out_w) = region, in_shape, out_shape
-    return AxisTaps(*_taps(in_h, out_h, rows)), AxisTaps(*_taps(in_w, out_w, cols))
+    in_shape -> out_shape bilinear resample: the columns of each axis's
+    _tap_pairs tables at its span, views of the tables for a slice and
+    copies for an index array."""
+    axes = []
+    for span, n_in, n_out in zip(region, in_shape, out_shape):
+        taps, weights = _tap_pairs(n_in, n_out)
+        if isinstance(span, slice):
+            axes.append(AxisTaps(taps[:, span], weights[:, span]))
+        else:
+            axes.append(AxisTaps(taps.take(span, axis=1), weights.take(span, axis=1)))
+    return tuple(axes)
 
 
 def taps_window(taps: Taps) -> Region:
@@ -263,48 +253,45 @@ def roi_plan(box: BoundingBox, in_shape: tuple[int, int], width: int, roi_size: 
     reads, so a repeated box costs one lookup. The cache keeps a few plans
     for a box that jitters between positions, and no more, since plans a
     moving face never reuses slow its new ones. A new box computes nothing
-    that depends only on sizes: the working pixels' taps and weights are
-    picked from the per-geometry tables of _tap_pairs, and the ROI's come
-    whole from the per-box-size plan of _roi_plan. Raises
-    WorkingSizeTooLarge as working_shape does.
+    that depends only on sizes: the working pixels' taps are resample_taps
+    of the box's span or picks, columns of the per-geometry _tap_pairs
+    tables, and the ROI's come whole from the per-box-size plan of
+    _roi_plan. Raises WorkingSizeTooLarge as working_shape does.
     """
     out_shape = working_shape(in_shape, width)
     try:
         region = clamp_box(box, *out_shape)
     except EmptyIntersection:
         return None
-    (rows, cols), (in_h, in_w), (out_h, out_w) = region, in_shape, out_shape
+    rows, cols = region
     picks, roi_taps = _roi_plan((rows.stop - rows.start, cols.stop - cols.start), roi_size)
-    taps = (AxisTaps(*_picked_pairs(in_h, out_h, rows, picks[0])),
-            AxisTaps(*_picked_pairs(in_w, out_w, cols, picks[1])))
+    rows = rows if picks[0] is None else rows.start + picks[0]
+    cols = cols if picks[1] is None else cols.start + picks[1]
+    taps = resample_taps((rows, cols), in_shape, out_shape)
     return taps_window(taps), taps, roi_taps
 
 
 @functools.lru_cache(maxsize=64)
 def _tap_pairs(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """The taps of every output of an n_in -> n_out resample along one axis,
-    as _taps gives them: the lower then the upper source indices, and the
-    weights 1 - w then w, two read-only (2, n_out) tables.
-
-    Cached, since a stream's frame geometry is fixed whatever its boxes do.
-    Each output's taps depend only on its index, so the columns of the
-    tables at a slice or index array are _taps of that span, byte for byte,
-    and one gather of each gives the taps of some outputs with their weights.
+    """The bilinear taps of every output of an n_in -> n_out resample along
+    one axis: the lower then the upper source indices, and the weights
+    1 - w then w, two read-only (2, n_out) tables: every resample's taps
+    are columns of them. Cached, since a stream's frame geometry is fixed
+    whatever its boxes do, and box sizes repeat.
     """
-    pairs = _taps(n_in, n_out, slice(0, n_out))
+    # each sample centre, (i + 0.5) * n_in / n_out - 0.5, clamped into the
+    # source; i + 0.5 is exact in float64
+    s = np.arange(0.5, n_out, 1.0)
+    s *= n_in / n_out
+    s -= 0.5
+    np.maximum(s, 0.0, out=s)
+    np.minimum(s, n_in - 1.0, out=s)
+    lo = s.astype(np.intp)              # s >= 0, so truncation is floor
+    s -= lo
+    pairs = np.stack((lo, np.minimum(lo + 1, n_in - 1))), np.stack((1 - s, s))
     for a in pairs:
         a.setflags(write=False)
     return pairs
-
-
-def _picked_pairs(n_in: int, n_out: int, span: slice,
-                  pick: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of the _tap_pairs tables for the outputs of span, or for
-    the outputs span.start + pick: views of the tables, or copies."""
-    taps, weights = _tap_pairs(n_in, n_out)
-    if pick is None:
-        return taps[:, span], weights[:, span]
-    return taps.take(span.start + pick, axis=1), weights.take(span.start + pick, axis=1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -318,11 +305,10 @@ def _roi_plan(spans: tuple[int, int], roi_size: int):
     """
     picks, roi_taps = [], []
     for n in spans:
-        taps, weights = _taps(n, roi_size, slice(0, roi_size))
+        taps, weights = _tap_pairs(n, roi_size)
         pick = None
         if n > 2 * roi_size:
-            pick = taps.ravel()
-            pick.flags.writeable = False
+            pick = taps.ravel()         # a view of the read-only table
             taps = np.arange(2 * roi_size).reshape(2, roi_size)
         picks.append(pick)
         roi_taps.append(AxisTaps(taps, weights, stacked=pick is not None))

@@ -364,6 +364,17 @@ class TestLdaPosterior:
             assert probs.tobytes() != base.tobytes()
         assert model.predict_proba(x).tobytes() == base.tobytes()
 
+    def test_scored_model_refuses_an_in_place_edit(self):
+        """A scored model keeps its linear map while its means, covariance
+        and priors are the same arrays, so an in-place edit of one would
+        score stale values: once scored, each raises ValueError instead."""
+        model, x, _ = noisy_glyph_lda()
+        base = model.predict_proba(x)
+        for name in ("class_means", "covariance", "priors"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name)[...] = 1.0 / 7
+        assert model.predict_proba(x).tobytes() == base.tobytes()
+
     def test_sample_of_wrong_size_rejected(self):
         model, _, _ = noisy_glyph_lda()
         for shape in ((16, 16), (63,), (4, 8, 9)):  # 16x16 holds four 8x8 samples

@@ -1,6 +1,7 @@
 """Preprocessing tests: resize, face selection, ROI, detections sidecar."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -204,6 +205,20 @@ class TestRoiPlan:
                 with pytest.raises(ValueError, match="read-only"):
                     taps[0] = 1
 
+    @pytest.mark.parametrize("side", [94, 40])   # picked working pixels, the box's whole span
+    def test_moved_box_builds_nothing_that_depends_only_on_sizes(self, side):
+        """A box moved 1 px, at a size and geometry already seen, gets a new
+        plan but builds no tap table and no box-size plan."""
+        preprocess.roi_plan(BoundingBox(200, 100, side, side), (720, 1280), 500, 28)
+        plans = preprocess.roi_plan.cache_info().misses
+        tables = preprocess._tap_pairs.cache_info().misses
+        sizes = preprocess._roi_plan.cache_info().misses
+        for box in (BoundingBox(201, 100, side, side), BoundingBox(201, 101, side, side)):
+            assert preprocess.roi_plan(box, (720, 1280), 500, 28) is not None
+        assert preprocess.roi_plan.cache_info().misses == plans + 2
+        assert preprocess._tap_pairs.cache_info().misses == tables
+        assert preprocess._roi_plan.cache_info().misses == sizes
+
     @pytest.mark.parametrize("box", [BoundingBox(500, 10, 20, 20), BoundingBox(10, 281, 20, 20)])
     def test_box_outside_frame_has_no_plan(self, box):
         assert preprocess.roi_plan(box, (720, 1280), 500, 28) is None
@@ -227,16 +242,33 @@ def _geometry_and_spans(draw):
     return n_in, n_out, span, np.array(picks, dtype=np.intp)
 
 
+def per_output_taps(n_in, n_out, outputs):
+    """Bilinear taps computed one output at a time, apart from the tap
+    tables: sample centre (i + 0.5) * n_in / n_out - 0.5 clamped into the
+    source, its floor and the next source index (clamped), and the weights
+    1 - w and w of the centre's fraction w; as (2, n) taps and weights."""
+    taps, weights = [], []
+    for i in outputs:
+        s = min(max((int(i) + 0.5) * (n_in / n_out) - 0.5, 0.0), n_in - 1.0)
+        lo = math.floor(s)
+        taps.append((lo, min(lo + 1, n_in - 1)))
+        weights.append((1 - (s - lo), s - lo))
+    return np.array(taps, dtype=np.intp).T, np.array(weights, dtype=np.float64).T
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=_geometry_and_spans())
-def test_tap_table_gives_resample_taps_byte_for_byte(case):
+def test_tap_table_matches_the_per_output_formula_byte_for_byte(case):
+    """The tap tables, and resample_taps' columns of them at a slice and at
+    picks, equal the taps computed one output at a time."""
     n_in, n_out, span, picks = case
     taps, weights = preprocess._tap_pairs(n_in, n_out)
     assert not (taps.flags.writeable or weights.flags.writeable)
-    for index in (span, picks):
-        want = preprocess.resample_taps((index, index), (n_in, n_in), (n_out, n_out))[0]
-        got = taps[:, index], weights[:, index]
-        _assert_same_taps(got, (np.stack(want[:2]), np.stack(want.weights)))
+    _assert_same_taps([(taps, weights)], [per_output_taps(n_in, n_out, range(n_out))])
+    for index, outputs in ((span, range(n_out)[span]), (picks, picks)):
+        got = preprocess.resample_taps((index, index), (n_in, n_in), (n_out, n_out))[0]
+        _assert_same_taps([(np.stack(got[:2]), np.stack(got.weights))],
+                          [per_output_taps(n_in, n_out, outputs)])
 
 
 @st.composite
